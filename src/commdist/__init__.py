@@ -7,10 +7,9 @@ polynomial-commuting certificates, and small finite fields carry a
 brute-force BFS oracle that cross-checks every algebraic test.
 """
 
-from . import census, cli, commute, errors, field, graph, matrix, verify
+from . import census, commute, errors, field, graph, matrix, verify
 from .commute import (
     DistanceResult,
-    LiftMatrix,
     PcCertificate,
     PcSearchResult,
     centralizer_basis,
@@ -42,7 +41,6 @@ from .errors import (
 from .field import FieldElem, FieldSpec, arith, field_from_spec
 from .matrix import (
     ExactMatrix,
-    VecFlattening,
     commutator,
     det,
     kron,
@@ -68,7 +66,6 @@ __all__ = [
     "FieldElem",
     "FieldMismatch",
     "FieldSpec",
-    "LiftMatrix",
     "NotPrime",
     "ParseError",
     "PcCertificate",
@@ -76,11 +73,9 @@ __all__ = [
     "ReducibleModulus",
     "ScalarVertex",
     "UnsupportedDegree",
-    "VecFlattening",
     "arith",
     "census",
     "centralizer_basis",
-    "cli",
     "commutator",
     "commute",
     "commutes",

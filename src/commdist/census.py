@@ -11,21 +11,26 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
 from numpy.random import Philox
 
-from .commute import dist_le_2, derogatory, idempotent_pool, lift_rows_raw
-from .errors import CapExceeded, FieldMismatch
+from .commute import dist_le_2, derogatory, idempotent_pool
+from .errors import CapExceeded
 from .field import FieldSpec
-from .graph import decode_matrix
-from .matrix import ExactMatrix, nullspace_raw, rank_raw
-
-SPACE_CAP = 1 << 24  # single-matrix enumerations
-PAIR_CAP = 1 << 26  # exhaustive pair scans
+from .matrix import (
+    PAIR_CAP,
+    ExactMatrix,
+    decode_matrix,
+    echelon_gf2,
+    lift_rows_raw,
+    nullspace_raw,
+    pack_gf2,
+    rank_raw,
+    space_size,
+)
 
 
 @dataclass
@@ -37,7 +42,6 @@ class CensusReport:
     quantity: str
     mode: dict
     value: object  # exact int, or a dict for sampled estimates
-    wall_time_s: float
     extra: dict = dc_field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -47,7 +51,6 @@ class CensusReport:
             "quantity": self.quantity,
             "mode": self.mode,
             "value": self.value,
-            "wall_time_s": round(self.wall_time_s, 6),
         }
         out.update(self.extra)
         return out
@@ -76,20 +79,10 @@ def sample_codes(seed: int, start: int, count: int, modulus: int) -> list[int]:
     return out
 
 
-def _require_finite(spec: FieldSpec) -> int:
-    q = spec.order
-    if q is None:
-        raise FieldMismatch("census operations need a finite field")
-    return q
-
-
 def count_commuting_pairs(spec: FieldSpec, n: int) -> CensusReport:
     """|{(A, B) : AB = BA}| as the sum of centralizer sizes over all A."""
-    q = _require_finite(spec)
-    total = q ** (n * n)
-    if total > SPACE_CAP:
-        raise CapExceeded(f"state space {total} exceeds 2^24")
-    t0 = time.perf_counter()
+    total = space_size(spec, n)
+    q = spec.order
     acc = 0
     nsq = n * n
     for code in range(total):
@@ -102,43 +95,7 @@ def count_commuting_pairs(spec: FieldSpec, n: int) -> CensusReport:
         "pairs_dist_le_1",
         {"kind": "exhaustive"},
         acc,
-        time.perf_counter() - t0,
     )
-
-
-def _packed_bases_gf2(spec: FieldSpec, n: int, total: int) -> list[list[int]]:
-    bases = []
-    for code in range(total):
-        m = decode_matrix(spec, n, code)
-        vecs = nullspace_raw(spec, lift_rows_raw(m))
-        bases.append([_pack_bits(v) for v in vecs])
-    return bases
-
-
-def _pack_bits(bits) -> int:
-    acc = 0
-    for j, x in enumerate(bits):
-        if x:
-            acc |= 1 << j
-    return acc
-
-
-def _bit_rank(rows: list[int]) -> int:
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            low = b & -b
-            if row & low:
-                row ^= b
-        if row:
-            basis.append(row)
-    return len(basis)
-
-
-def _joint_nullity_raw(spec: FieldSpec, ba: list, bb: list) -> int:
-    if not ba or not bb:
-        return 0
-    return len(ba) + len(bb) - rank_raw(spec, [list(v) for v in ba + bb])
 
 
 def count_dist_le_2(
@@ -149,40 +106,33 @@ def count_dist_le_2(
     Exhaustive when the ordered-pair space fits 2^26, else give `samples` for
     a seeded estimate.
     """
-    q = _require_finite(spec)
-    total = q ** (n * n)
+    total = space_size(spec, n, None)
     pair_total = total * total
-    t0 = time.perf_counter()
     if samples is None:
         if pair_total > PAIR_CAP:
             raise CapExceeded(f"{pair_total} ordered pairs exceed 2^26; use sampling")
-        if spec.kind == "prime" and spec.p == 2:
-            bases = _packed_bases_gf2(spec, n, total)
-            count = total  # the diagonal: every pair (A, A) qualifies
-            for a in range(total):
-                ba = bases[a]
-                da = len(ba)
-                for b in range(a + 1, total):
-                    bb = bases[b]
-                    if da + len(bb) - _bit_rank(ba + bb) >= 2:
-                        count += 2
-        else:
-            raw_bases = []
-            for code in range(total):
-                m = decode_matrix(spec, n, code)
-                raw_bases.append(nullspace_raw(spec, lift_rows_raw(m)))
-            count = total
-            for a in range(total):
-                for b in range(a + 1, total):
-                    if _joint_nullity_raw(spec, raw_bases[a], raw_bases[b]) >= 2:
-                        count += 2
+        # GF(2) bases stay bit-packed: the pair loop below is the hot spot
+        gf2 = spec.kind == "prime" and spec.p == 2
+        bases = []
+        for code in range(total):
+            vecs = nullspace_raw(spec, lift_rows_raw(decode_matrix(spec, n, code)))
+            bases.append([pack_gf2(v) for v in vecs] if gf2 else vecs)
+        count = total  # the diagonal: every pair (A, A) qualifies
+        for a in range(total):
+            ba = bases[a]
+            da = len(ba)
+            for b in range(a + 1, total):
+                bb = bases[b]
+                joint = ba + bb
+                r = len(echelon_gf2(joint)) if gf2 else rank_raw(spec, joint)
+                if da + len(bb) - r >= 2:
+                    count += 2
         return CensusReport(
             spec.to_string(),
             n,
             "pairs_dist_le_2",
             {"kind": "exhaustive"},
             count,
-            time.perf_counter() - t0,
         )
     hits = 0
     for pair_code in sample_codes(seed, 0, samples, pair_total):
@@ -197,7 +147,6 @@ def count_dist_le_2(
         "pairs_dist_le_2",
         {"kind": "sampled", "samples": samples, "seed": seed},
         _estimate(hits, samples, pair_total),
-        time.perf_counter() - t0,
     )
 
 
@@ -216,11 +165,8 @@ def _estimate(hits: int, samples: int, universe: int) -> dict:
 
 def derogatory_count(spec: FieldSpec, n: int) -> CensusReport:
     """Number of matrices whose minimal polynomial degree falls below n."""
-    q = _require_finite(spec)
-    total = q ** (n * n)
-    if total > SPACE_CAP:
-        raise CapExceeded(f"state space {total} exceeds 2^24")
-    t0 = time.perf_counter()
+    total = space_size(spec, n)
+    q = spec.order
     count = 0
     for code in range(total):
         if derogatory(decode_matrix(spec, n, code)):
@@ -231,7 +177,6 @@ def derogatory_count(spec: FieldSpec, n: int) -> CensusReport:
         "derogatory_count",
         {"kind": "exhaustive"},
         count,
-        time.perf_counter() - t0,
     )
     # dimension diagnostic: derogatory matrices should thin out like q^(n^2-3)
     report.extra["ratio_to_q_pow_nsq_minus_3"] = str(Fraction(count, q ** (n * n - 3)))
@@ -246,14 +191,12 @@ def zi_pair_census(
     Every hit is cross-checked against the rank criterion; a hit that failed
     it would be a library bug, so the check raises.
     """
-    q = _require_finite(spec)
-    total = q ** (n * n)
+    total = space_size(spec, n, None)
     pool = [
         decode_matrix(spec, n, code)
         for code, r in idempotent_pool(spec, n)
         if r == i
     ]
-    t0 = time.perf_counter()
     use_numpy = spec.kind == "prime" and pool
     if use_numpy:
         stack = np.array(
@@ -286,7 +229,6 @@ def zi_pair_census(
         f"zi_pair_count({i})",
         {"kind": "sampled", "samples": samples, "seed": seed},
         _estimate(hits, samples, total * total),
-        time.perf_counter() - t0,
         extra={"i": i, "idempotents_of_rank_i": len(pool), "crosschecked": True},
     )
     return report

@@ -19,7 +19,7 @@ from . import commute as cm
 from . import graph as gr
 from .errors import BadWitness, CapExceeded, CommdistError
 from .field import FieldSpec
-from .matrix import ExactMatrix, det, min_poly, rank
+from .matrix import ExactMatrix, det, min_poly, rank, rref_raw
 from .verify import load_fixture, verify_paper
 
 
@@ -123,7 +123,7 @@ def _cmd_dist2(args) -> dict:
     a = _load_matrix(args.a, spec)
     b = _load_matrix(args.b, spec)
     stacked = cm.stack_M(a, b)
-    r = rank(stacked.matrix)
+    r = rank(stacked)
     n = a.nrows
     report = {
         "dist_le_2": r <= n * n - 2,
@@ -132,7 +132,7 @@ def _cmd_dist2(args) -> dict:
         "config": _config(args, a=a.to_json(), b=b.to_json()),
     }
     if args.minors:
-        report["minors"] = _minors_report(stacked.matrix, r, n, args)
+        report["minors"] = _minors_report(stacked, r, n, args)
     return report
 
 
@@ -158,8 +158,6 @@ def _minors_report(stack: ExactMatrix, r: int, n: int, args) -> dict:
             nonzero += 1
     witness_nonzero = None
     if r >= size:
-        from .matrix import rref_raw
-
         _, col_pivots = rref_raw(stack.spec, stack.raw_rows())
         _, row_pivots = rref_raw(
             stack.spec, [list(t) for t in zip(*stack.rows)]

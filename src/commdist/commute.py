@@ -14,6 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
+from . import graph
 from .errors import (
     BadWitness,
     CapExceeded,
@@ -24,27 +27,25 @@ from .errors import (
 )
 from .field import FieldElem, FieldSpec
 from .matrix import (
+    PAIR_CAP,
+    SPACE_CAP,
     ExactMatrix,
+    _check_square,
+    _projective_reps,
+    decode_matrix,
+    is_scalar,
+    lift_rows_raw,
     mat_pow,
     mat_vec,
     min_poly,
     nullspace_raw,
     rank,
     rank_raw,
+    space_size,
     unvec,
 )
 
-SIZE_CAP = 8  # all interesting content lives at n <= 4; larger inputs are mistakes
-BFS_SPACE_CAP = 1 << 24
-PC_PAIR_CAP = 1 << 26
 PC_PRIMES = (3, 5, 7, 11)  # moduli used by the heuristic search over Q
-
-
-def _check_square(a: ExactMatrix, what: str = "operand"):
-    if not a.is_square:
-        raise DimMismatch(f"{what} must be square")
-    if a.nrows > SIZE_CAP:
-        raise CapExceeded(f"{what} size {a.nrows} exceeds the n<={SIZE_CAP} cap")
 
 
 def _check_pair(a: ExactMatrix, b: ExactMatrix):
@@ -56,18 +57,6 @@ def _check_pair(a: ExactMatrix, b: ExactMatrix):
         raise DimMismatch(f"sizes {a.nrows} and {b.nrows} differ")
 
 
-def is_scalar(a: ExactMatrix) -> bool:
-    """True iff a equals lambda*I for some field element (zero counts)."""
-    _check_square(a)
-    zero = a.spec.ops().zero
-    lam = a.rows[0][0]
-    for i in range(a.nrows):
-        for j in range(a.ncols):
-            if (a.rows[i][j] != lam) if i == j else (a.rows[i][j] != zero):
-                return False
-    return True
-
-
 def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
     _check_pair(a, b)
     return a @ b == b @ a
@@ -77,50 +66,17 @@ def commutes(a: ExactMatrix, b: ExactMatrix) -> bool:
 # lifts
 
 
-@dataclass(frozen=True)
-class LiftMatrix:
-    """The n^2 x n^2 lift of one matrix, or the 2n^2 x n^2 stack of a pair.
-
-    The single lift satisfies M_A . vec(C) = vec(AC - CA) for the row-major
-    vec ordering; the stacked form puts the lift of the first operand on top.
-    """
-
-    n: int
-    kind: str  # "single" | "stacked"
-    matrix: ExactMatrix
-
-    def apply_vec(self, entries) -> list:
-        return mat_vec(self.matrix, entries)
-
-
-def lift_rows_raw(a: ExactMatrix) -> list[list]:
-    """Raw rows of M_A; row (i,j) encodes the (i,j) entry of AC - CA."""
-    ops = a.spec.ops()
-    n = a.nrows
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            row = [ops.zero] * (n * n)
-            for k in range(n):
-                row[k * n + j] = ops.add(row[k * n + j], a.rows[i][k])
-            for l in range(n):
-                col = i * n + l
-                row[col] = ops.sub(row[col], a.rows[l][j])
-            rows.append(row)
-    return rows
-
-
-def lift_M(a: ExactMatrix) -> LiftMatrix:
-    """A (x) I - I (x) A^T with the row-major vec ordering."""
+def lift_M(a: ExactMatrix) -> ExactMatrix:
+    """A (x) I - I (x) A^T with the row-major vec ordering, so that
+    M_A . vec(C) = vec(AC - CA)."""
     _check_square(a)
-    return LiftMatrix(a.nrows, "single", ExactMatrix._from_raw(a.spec, lift_rows_raw(a)))
+    return ExactMatrix._from_raw(a.spec, lift_rows_raw(a))
 
 
-def stack_M(a: ExactMatrix, b: ExactMatrix) -> LiftMatrix:
+def stack_M(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """M_A stacked on top of M_B (2n^2 x n^2)."""
     _check_pair(a, b)
-    rows = lift_rows_raw(a) + lift_rows_raw(b)
-    return LiftMatrix(a.nrows, "stacked", ExactMatrix._from_raw(a.spec, rows))
+    return ExactMatrix._from_raw(a.spec, lift_rows_raw(a) + lift_rows_raw(b))
 
 
 def centralizer_basis(a: ExactMatrix) -> list[ExactMatrix]:
@@ -183,23 +139,14 @@ def derogatory(a: ExactMatrix) -> bool:
 
 def idempotent_pool(spec: FieldSpec, n: int) -> list[tuple[int, int]]:
     """All idempotents of Mat_n over a finite field as (code, rank), code order."""
-    from .graph import decode_matrix  # local import; graph depends on this module
-
-    q = spec.order
-    if q is None:
+    if not spec.is_finite:
         raise CapExceeded("idempotent enumeration needs a finite field")
-    total = q ** (n * n)
-    if total > BFS_SPACE_CAP:
-        raise CapExceeded(f"state space {total} exceeds 2^24")
+    space_size(spec, n)
     return _idempotent_pool_cached(spec, n)
 
 
 @functools.lru_cache(maxsize=8)
 def _idempotent_pool_cached(spec: FieldSpec, n: int) -> list[tuple[int, int]]:
-    import numpy as np
-
-    from .graph import decode_matrix
-
     q = spec.order
     total = q ** (n * n)
     out: list[tuple[int, int]] = []
@@ -252,8 +199,6 @@ def zi_membership(
         if not commutes(b, witness):
             raise BadWitness("commutes-with-second")
         return witness
-    from .graph import decode_matrix
-
     for code, r in idempotent_pool(a.spec, n):
         if r != i:
             continue
@@ -368,28 +313,6 @@ def pc_verify(a: ExactMatrix, b: ExactMatrix, cert: PcCertificate) -> bool:
     return cert.pa_scalar == is_scalar(pa) and cert.qb_scalar == is_scalar(qb)
 
 
-def _projective_reps(spec: FieldSpec, length: int) -> list[tuple[int, tuple]]:
-    """Normalized coefficient vectors sorted by code (first coordinate least
-    significant), i.e. the canonical enumeration order of projective classes."""
-    ops = spec.ops()
-    q = spec.order
-    reps = []
-    for lead in range(length):
-        tail = length - lead - 1
-        for t in range(q**tail):
-            vec_ = [ops.zero] * lead + [ops.one]
-            tt = t
-            code = q**lead  # the leading one
-            for pos in range(tail):
-                digit = tt % q
-                tt //= q
-                vec_.append(digit)
-                code += digit * q ** (lead + 1 + pos)
-            reps.append((code, tuple(vec_)))
-    reps.sort(key=lambda item: item[0])
-    return reps
-
-
 def _exhaustive_pc(a: ExactMatrix, b: ExactMatrix) -> PcCertificate | None:
     """Complete projective scan over a finite field; first hit in (c, d) order."""
     spec = a.spec
@@ -397,7 +320,7 @@ def _exhaustive_pc(a: ExactMatrix, b: ExactMatrix) -> PcCertificate | None:
     n = a.nrows
     q = spec.order
     classes = (q ** (n - 1) - 1) // (q - 1)
-    if classes * classes > PC_PAIR_CAP:
+    if classes * classes > PAIR_CAP:
         raise CapExceeded(f"{classes}^2 projective pairs exceed 2^26")
     a_pows = [mat_pow(a, i) for i in range(n)]
     b_pows = [mat_pow(b, j) for j in range(n)]
@@ -508,6 +431,11 @@ def _rational_pc(a: ExactMatrix, b: ExactMatrix) -> PcSearchResult:
                 return PcSearchResult("certificate", cert, "annihilating-polynomial")
     n = a.nrows
     per_prime: list[tuple[int, PcCertificate]] = []
+    skipped = ""  # primes whose projective scan exceeds the pair cap
+
+    def unknown(note: str) -> PcSearchResult:
+        return PcSearchResult("unknown", None, note + skipped)
+
     for p in PC_PRIMES:
         spec_p = FieldSpec.prime(p)
         try:
@@ -515,12 +443,16 @@ def _rational_pc(a: ExactMatrix, b: ExactMatrix) -> PcSearchResult:
             bp = b.to_field(spec_p)
         except DivisionByZero:
             continue  # a denominator vanishes mod p
-        cert = _exhaustive_pc(ap, bp)
+        try:
+            cert = _exhaustive_pc(ap, bp)
+        except CapExceeded as exc:
+            skipped += f"; skipped modulo {p}: {exc}"
+            continue
         if cert is None:
-            return PcSearchResult("unknown", None, f"no certificate modulo {p}")
+            return unknown(f"no certificate modulo {p}")
         per_prime.append((p, cert))
     if not per_prime:
-        return PcSearchResult("unknown", None, "no usable primes")
+        return unknown("no usable primes")
     moduli = [p for p, _ in per_prime]
     modulus = math.prod(moduli)
     cs_f: list[Fraction] = []
@@ -530,13 +462,13 @@ def _rational_pc(a: ExactMatrix, b: ExactMatrix) -> PcSearchResult:
             residues = [getattr(cert, which)[idx].raw for _, cert in per_prime]
             frac = _rational_reconstruct(_crt(residues, moduli), modulus)
             if frac is None:
-                return PcSearchResult("unknown", None, "rational reconstruction failed")
+                return unknown("rational reconstruction failed")
             out.append(frac)
     spec = a.spec
     cs_raw = _normalize_vector(spec, [Fraction(f) for f in cs_f])
     ds_raw = _normalize_vector(spec, [Fraction(f) for f in ds_f])
     if cs_raw is None or ds_raw is None:
-        return PcSearchResult("unknown", None, "reconstructed a zero vector")
+        return unknown("reconstructed a zero vector")
     cert = PcCertificate(
         _elems(spec, cs_raw),
         _elems(spec, ds_raw),
@@ -545,7 +477,7 @@ def _rational_pc(a: ExactMatrix, b: ExactMatrix) -> PcSearchResult:
     )
     if pc_verify(a, b, cert):
         return PcSearchResult("certificate", cert, "reconstructed from residues")
-    return PcSearchResult("unknown", None, "reconstructed certificate failed verification")
+    return unknown("reconstructed certificate failed verification")
 
 
 def pc_search(a: ExactMatrix, b: ExactMatrix) -> PcSearchResult:
@@ -643,10 +575,8 @@ def distance(a: ExactMatrix, b: ExactMatrix) -> DistanceResult:
         # so a chain between non-commuting pairs would collapse to adjacency
         return DistanceResult("infinite", decided_by="two-by-two-dichotomy")
     spec = a.spec
-    if spec.is_finite and spec.order ** (n * n) <= BFS_SPACE_CAP:
-        from .graph import bfs_path
-
-        dist, chain = bfs_path(a, b)
+    if spec.is_finite and spec.order ** (n * n) <= SPACE_CAP:
+        dist, chain = graph.bfs_path(a, b)
         if dist == math.inf:
             return DistanceResult("infinite", decided_by="bfs")
         return DistanceResult("exact", value=dist, decided_by="bfs", witness=chain)

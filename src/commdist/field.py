@@ -415,8 +415,6 @@ class _ExtTables:
             self.inv_table = [0] * q
             for a in range(1, q):
                 self.inv_table[a] = self.exp[(q - 1 - self.log[a]) % (q - 1)]
-            self.np_add = np.array(self.add_table, dtype=np.int64)
-            self.np_mul = np.array(self.mul_table, dtype=np.int64)
 
     def digits(self, code: int) -> list[int]:
         out = []

@@ -16,74 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commute import (
-    _projective_reps,
-    is_scalar,
-    lift_rows_raw,
-)
 from .errors import CapExceeded, DimMismatch, FieldMismatch, ScalarVertex
 from .field import FieldSpec
-from .matrix import ExactMatrix, nullspace_raw, rank_raw, unvec
-
-SPACE_CAP = 1 << 24
-DIAMETER_CAP = 1 << 20
-_PREBUILD_CAP = 1 << 17  # adjacency lists are materialized below this many codes
+from .matrix import (
+    DIAMETER_CAP,
+    PREBUILD_CAP,
+    ExactMatrix,
+    _projective_reps,
+    _scalar_codes,
+    decode_matrix,
+    encode_matrix,
+    is_scalar,
+    lift_rows_raw,
+    nullspace_raw,
+    rank_raw,
+    space_size,
+    unvec,
+)
 
 INFINITE = math.inf
-
-
-# ---------------------------------------------------------------------------
-# codec
-
-
-@dataclass(frozen=True)
-class MatIndex:
-    """Position of a matrix in the enumeration of Mat_n over a finite field."""
-
-    spec: FieldSpec
-    n: int
-    code: int
-
-    def to_matrix(self) -> ExactMatrix:
-        return decode_matrix(self.spec, self.n, self.code)
-
-    @classmethod
-    def of_matrix(cls, m: ExactMatrix) -> "MatIndex":
-        return cls(m.spec, m.nrows, encode_matrix(m))
-
-
-def encode_matrix(m: ExactMatrix) -> int:
-    """Code of a square matrix over a finite field (row-major base-q digits)."""
-    q = m.spec.order
-    if q is None:
-        raise FieldMismatch("only finite-field matrices have codes")
-    if not m.is_square:
-        raise DimMismatch("codes are defined for square matrices")
-    code = 0
-    flat = [x for row in m.rows for x in row]
-    for raw in reversed(flat):
-        code = code * q + raw
-    return code
-
-
-def decode_matrix(spec: FieldSpec, n: int, code: int) -> ExactMatrix:
-    q = spec.order
-    if q is None:
-        raise FieldMismatch("only finite fields enumerate matrices")
-    total = q ** (n * n)
-    if not 0 <= code < total:
-        raise DimMismatch(f"code {code} out of range for n={n}, q={q}")
-    digits = []
-    for _ in range(n * n):
-        digits.append(code % q)
-        code //= q
-    return ExactMatrix._from_raw(spec, [digits[i * n : (i + 1) * n] for i in range(n)])
-
-
-def _scalar_codes(spec: FieldSpec, n: int) -> frozenset[int]:
-    q = spec.order
-    stride = sum(q ** (i * (n + 1)) for i in range(n))
-    return frozenset(lam * stride for lam in range(q))
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +122,6 @@ def _graph_cache(spec: FieldSpec, n: int) -> _CommGraph:
     return _CommGraph(spec, n)
 
 
-def _space_size(spec: FieldSpec, n: int) -> int:
-    q = spec.order
-    if q is None:
-        raise FieldMismatch("finite field required")
-    return q ** (n * n)
-
-
 def _check_vertex_pair(a: ExactMatrix, b: ExactMatrix):
     if a.spec != b.spec:
         raise FieldMismatch(f"{a.spec} vs {b.spec}")
@@ -189,9 +133,8 @@ def _check_vertex_pair(a: ExactMatrix, b: ExactMatrix):
         raise ScalarVertex("scalar matrices are not graph vertices")
 
 
-def _expander(spec: FieldSpec, n: int):
-    total = _space_size(spec, n)
-    if total <= _PREBUILD_CAP:
+def _expander(spec: FieldSpec, n: int, total: int):
+    if total <= PREBUILD_CAP:
         graph = _graph_cache(spec, n)
         return graph.adj.__getitem__
     return lambda code: _neighbor_codes(spec, n, code)
@@ -205,10 +148,8 @@ def _bfs(spec, n, source: int, target: int | None, radius_cap, want_parents: boo
     was found (None otherwise) and capped is True when the radius cap stopped
     the sweep while the frontier was still growing.
     """
-    total = _space_size(spec, n)
-    if total > SPACE_CAP:
-        raise CapExceeded(f"state space {total} exceeds 2^24")
-    expand = _expander(spec, n)
+    total = space_size(spec, n)
+    expand = _expander(spec, n, total)
     dist = bytearray([255]) * total
     dist[source] = 0
     parents = {source: None} if want_parents else None
@@ -330,57 +271,28 @@ class ComponentsReport:
 
 def components(spec: FieldSpec, n: int) -> ComponentsReport:
     """Connected components of the commuting graph by repeated BFS."""
-    total = _space_size(spec, n)
-    if total > SPACE_CAP:
-        raise CapExceeded(f"state space {total} exceeds 2^24")
+    total = space_size(spec, n)
     scalars = _scalar_codes(spec, n)
-    expand = _expander(spec, n)
-    seen = bytearray(total)
+    seen = np.zeros(total, dtype=bool)
     sizes = []
     for start in range(total):
         if seen[start] or start in scalars:
             continue
-        size = 0
-        frontier = [start]
-        seen[start] = 1
-        while frontier:
-            nxt = []
-            for code in frontier:
-                size += 1
-                for nb in expand(code):
-                    if not seen[nb]:
-                        seen[nb] = 1
-                        nxt.append(nb)
-            frontier = nxt
-        sizes.append(size)
+        dist, frontier_sizes, _, _, _ = _bfs(spec, n, start, None, None, False)
+        seen |= np.frombuffer(dist, dtype=np.uint8) != 255
+        sizes.append(sum(frontier_sizes))
     return ComponentsReport(total - len(scalars), len(sizes), sizes)
 
 
 def diameter(spec: FieldSpec, n: int) -> int:
     """Largest finite eccentricity over all vertices (all-pairs BFS)."""
-    total = _space_size(spec, n)
-    if total > DIAMETER_CAP:
-        raise CapExceeded(f"state space {total} exceeds 2^20 for diameter")
+    total = space_size(spec, n, DIAMETER_CAP)
     scalars = _scalar_codes(spec, n)
-    expand = _expander(spec, n)
     best = 0
     for start in range(total):
-        if start in scalars:
-            continue
-        dist = bytearray([255]) * total
-        dist[start] = 0
-        frontier = [start]
-        level = 0
-        while frontier:
-            level += 1
-            nxt = []
-            for code in frontier:
-                for nb in expand(code):
-                    if dist[nb] == 255:
-                        dist[nb] = min(level, 255)
-                        nxt.append(nb)
-            frontier = nxt
-        best = max(best, level - 1 if level else 0)
+        if start not in scalars:
+            _, frontier_sizes, _, _, _ = _bfs(spec, n, start, None, None, False)
+            best = max(best, len(frontier_sizes) - 1)
     return best
 
 

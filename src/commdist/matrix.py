@@ -3,25 +3,32 @@
 Entries are stored in raw form (integer codes for finite fields, Fraction for
 the rationals).  Rank and nullspace go through reduced row echelon form, which
 is unique, so nullspace bases are reproducible across runs and backends.  Four
-elimination backends share that contract: XOR bit packing for GF(2), numpy
-modular elimination for odd prime fields, table-driven elimination for
-extension fields, and fraction-free (Bareiss) forward elimination with a final
-normalization pass over the rationals.
+elimination backends share that contract: XOR elimination on bit-packed rows
+for GF(2), numpy modular elimination for odd prime fields, table-driven
+elimination for extension fields, and fraction-free (Bareiss) forward
+elimination with a final normalization pass over the rationals.
+
+This module also holds what the higher layers share: the integer codec that
+enumerates Mat_n over a finite field, the lift M_A, and the size caps.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
-from .errors import DimMismatch, FieldMismatch, ParseError
+from .errors import CapExceeded, DimMismatch, FieldMismatch, ParseError
 from .field import FieldElem, FieldSpec
 
 _MAX_DIM = 128  # lift stacks for n = 8 are 128 x 64; anything larger is a mistake
+SIZE_CAP = 8  # all interesting content lives at n <= 4; larger inputs are mistakes
+SPACE_CAP = 1 << 24  # codes in one enumeration of Mat_n over a finite field
+PAIR_CAP = 1 << 26  # ordered pairs in one exhaustive pair scan
+DIAMETER_CAP = 1 << 20  # codes for an all-pairs BFS
+PREBUILD_CAP = 1 << 17  # adjacency lists are materialized below this many codes
 
 
 class ExactMatrix:
@@ -288,38 +295,130 @@ def mat_vec(m: ExactMatrix, v) -> list:
 
 
 # ---------------------------------------------------------------------------
-# vec flattening
+# vec flattening, codes and lifts
 
 
-@dataclass(frozen=True)
-class VecFlattening:
-    """Row-major flattening of an n x n matrix: (m_11, m_12, ..., m_nn)."""
-
-    n: int
-    entries: tuple
-
-    @classmethod
-    def from_matrix(cls, m: ExactMatrix) -> "VecFlattening":
-        if not m.is_square:
-            raise DimMismatch("vec flattening needs a square matrix")
-        return cls(m.nrows, tuple(x for row in m.rows for x in row))
-
-    def to_matrix(self, spec: FieldSpec) -> ExactMatrix:
-        n = self.n
-        return ExactMatrix._from_raw(
-            spec, [self.entries[i * n : (i + 1) * n] for i in range(n)]
-        )
-
-
-def vec(m: ExactMatrix) -> VecFlattening:
-    return VecFlattening.from_matrix(m)
+def vec(m: ExactMatrix) -> tuple:
+    """Row-major flattening of a square matrix: (m_11, m_12, ..., m_nn)."""
+    if not m.is_square:
+        raise DimMismatch("vec flattening needs a square matrix")
+    return tuple(x for row in m.rows for x in row)
 
 
 def unvec(spec: FieldSpec, n: int, entries) -> ExactMatrix:
     raws = list(entries)
     if len(raws) != n * n:
         raise DimMismatch(f"expected {n * n} entries, got {len(raws)}")
-    return VecFlattening(n, tuple(raws)).to_matrix(spec)
+    return ExactMatrix._from_raw(spec, [raws[i * n : (i + 1) * n] for i in range(n)])
+
+
+def space_size(spec: FieldSpec, n: int, cap: int | None = SPACE_CAP) -> int:
+    """Number q^(n^2) of codes for Mat_n over a finite field.
+
+    Raises FieldMismatch over the rationals and CapExceeded above `cap`
+    (None checks the field only).
+    """
+    q = spec.order
+    if q is None:
+        raise FieldMismatch("enumerating matrices needs a finite field")
+    total = q ** (n * n)
+    if cap is not None and total > cap:
+        raise CapExceeded(f"state space {total} exceeds 2^{cap.bit_length() - 1}")
+    return total
+
+
+def encode_matrix(m: ExactMatrix) -> int:
+    """Code of a square matrix over a finite field (row-major base-q digits,
+    least significant first)."""
+    q = m.spec.order
+    if q is None:
+        raise FieldMismatch("only finite-field matrices have codes")
+    if not m.is_square:
+        raise DimMismatch("codes are defined for square matrices")
+    code = 0
+    flat = [x for row in m.rows for x in row]
+    for raw in reversed(flat):
+        code = code * q + raw
+    return code
+
+
+def decode_matrix(spec: FieldSpec, n: int, code: int) -> ExactMatrix:
+    q = spec.order
+    if q is None:
+        raise FieldMismatch("only finite fields enumerate matrices")
+    total = q ** (n * n)
+    if not 0 <= code < total:
+        raise DimMismatch(f"code {code} out of range for n={n}, q={q}")
+    digits = []
+    for _ in range(n * n):
+        digits.append(code % q)
+        code //= q
+    return ExactMatrix._from_raw(spec, [digits[i * n : (i + 1) * n] for i in range(n)])
+
+
+def _scalar_codes(spec: FieldSpec, n: int) -> frozenset[int]:
+    q = spec.order
+    stride = sum(q ** (i * (n + 1)) for i in range(n))
+    return frozenset(lam * stride for lam in range(q))
+
+
+def _projective_reps(spec: FieldSpec, length: int) -> list[tuple[int, tuple]]:
+    """Normalized coefficient vectors sorted by code (first coordinate least
+    significant), i.e. the canonical enumeration order of projective classes."""
+    ops = spec.ops()
+    q = spec.order
+    reps = []
+    for lead in range(length):
+        tail = length - lead - 1
+        for t in range(q**tail):
+            vec_ = [ops.zero] * lead + [ops.one]
+            tt = t
+            code = q**lead  # the leading one
+            for pos in range(tail):
+                digit = tt % q
+                tt //= q
+                vec_.append(digit)
+                code += digit * q ** (lead + 1 + pos)
+            reps.append((code, tuple(vec_)))
+    reps.sort(key=lambda item: item[0])
+    return reps
+
+
+def _check_square(a: ExactMatrix, what: str = "operand"):
+    if not a.is_square:
+        raise DimMismatch(f"{what} must be square")
+    if a.nrows > SIZE_CAP:
+        raise CapExceeded(f"{what} size {a.nrows} exceeds the n<={SIZE_CAP} cap")
+
+
+def is_scalar(a: ExactMatrix) -> bool:
+    """True iff a equals lambda*I for some field element (zero counts)."""
+    _check_square(a)
+    zero = a.spec.ops().zero
+    lam = a.rows[0][0]
+    for i in range(a.nrows):
+        for j in range(a.ncols):
+            if (a.rows[i][j] != lam) if i == j else (a.rows[i][j] != zero):
+                return False
+    return True
+
+
+def lift_rows_raw(a: ExactMatrix) -> list[list]:
+    """Raw rows of M_A = A (x) I - I (x) A^T, so that M_A . vec(C) = vec(AC - CA);
+    row (i,j) encodes the (i,j) entry of AC - CA."""
+    ops = a.spec.ops()
+    n = a.nrows
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            row = [ops.zero] * (n * n)
+            for k in range(n):
+                row[k * n + j] = ops.add(row[k * n + j], a.rows[i][k])
+            for l in range(n):
+                col = i * n + l
+                row[col] = ops.sub(row[col], a.rows[l][j])
+            rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -342,38 +441,50 @@ def rref_raw(spec: FieldSpec, rows: list[list]) -> tuple[list[list], list[int]]:
     return _rref_generic(spec, rows)
 
 
+def pack_gf2(row) -> int:
+    """A GF(2) row as an int with column j at bit j."""
+    acc = 0
+    for j, x in enumerate(row):
+        if x:
+            acc |= 1 << j
+    return acc
+
+
+def echelon_gf2(packed) -> dict[int, int]:
+    """Forward echelon of packed GF(2) rows, keyed by each kept row's lowest set bit.
+
+    A row is reduced by the kept row sharing its lowest set bit until that bit
+    is new or the row vanishes, so the number of keys is the rank.
+    """
+    kept: dict[int, int] = {}
+    for row in packed:
+        while row:
+            low = row & -row
+            other = kept.get(low)
+            if other is None:
+                kept[low] = row
+                break
+            row ^= other
+    return kept
+
+
 def _rref_gf2(rows):
     ncols = len(rows[0])
-    packed = []
-    for row in rows:
-        v = 0
-        for j, x in enumerate(row):
-            if x:
-                v |= 1 << j
-        packed.append(v)
-    m = len(packed)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        pr = -1
-        for i in range(r, m):
-            if packed[i] & bit:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        packed[r], packed[pr] = packed[pr], packed[r]
-        pv = packed[r]
-        for i in range(m):
-            if i != r and packed[i] & bit:
-                packed[i] ^= pv
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    out = [[(packed[i] >> j) & 1 for j in range(ncols)] for i in range(r)]
-    return out, pivots
+    kept = echelon_gf2([pack_gf2(r) for r in rows])
+    pivot_mask = sum(kept)
+    # back-reduction from the rightmost pivot: every row used is already clean,
+    # so clearing one pivot bit never sets another
+    for low in sorted(kept, reverse=True):
+        row = kept[low]
+        hot = row & pivot_mask & ~low
+        while hot:
+            bit = hot & -hot
+            row ^= kept[bit]
+            hot ^= bit
+        kept[low] = row
+    order = sorted(kept)
+    out = [[(kept[low] >> j) & 1 for j in range(ncols)] for low in order]
+    return out, [low.bit_length() - 1 for low in order]
 
 
 def _rref_prime(p, rows):

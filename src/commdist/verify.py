@@ -19,7 +19,15 @@ from . import census as cs
 from . import commute as cm
 from . import graph as gr
 from .field import FieldSpec
-from .matrix import ExactMatrix, min_poly, rank_raw, random_matrix
+from .matrix import (
+    ExactMatrix,
+    mat_vec,
+    min_poly,
+    nullspace_raw,
+    random_matrix,
+    rank_raw,
+    rref_raw,
+)
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
@@ -113,14 +121,14 @@ def check_ex32_lift_template():
     mismatches = 0
     for _ in range(100):
         a = random_matrix(GF5, 3, 3, rng)
-        lifted = cm.lift_M(a).matrix
+        lifted = cm.lift_M(a)
         for i in range(9):
             for j in range(9):
                 want = _eval_template_entry(template["rows"][i][j], a)
                 if lifted.rows[i][j] != want:
                     mismatches += 1
     stacked = cm.stack_M(random_matrix(GF5, 3, 3, rng), random_matrix(GF5, 3, 3, rng))
-    dims_ok = (stacked.matrix.nrows, stacked.matrix.ncols) == (18, 9)
+    dims_ok = (stacked.nrows, stacked.ncols) == (18, 9)
     minors = math.comb(9, 8) * math.comb(18, 8)
     ok = mismatches == 0 and dims_ok and minors == 393822
     return (
@@ -287,8 +295,6 @@ def random_derogatory(spec: FieldSpec, n: int, rng: random.Random) -> ExactMatri
 
 
 def _invert(m: ExactMatrix) -> ExactMatrix:
-    from .matrix import rref_raw
-
     n = m.nrows
     ops = m.spec.ops()
     aug = [
@@ -364,13 +370,11 @@ def check_invariant_suites():
         for _ in range(1000):
             m = random_matrix(spec, 3, 3, rng)
             c = random_matrix(spec, 3, 3, rng)
-            lhs = cm.lift_M(m).apply_vec([x for row in c.rows for x in row])
+            lhs = mat_vec(cm.lift_M(m), [x for row in c.rows for x in row])
             rhs = [x for row in (m @ c - c @ m).rows for x in row]
             if lhs != rhs:
                 lift_ok = False
         for _ in range(50):
-            from .matrix import nullspace_raw
-
             m = random_matrix(spec, rng.randint(1, 6), rng.randint(1, 6), rng)
             rows = m.raw_rows()
             if rank_raw(spec, rows) + len(nullspace_raw(spec, rows)) != m.ncols:

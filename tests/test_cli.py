@@ -1,8 +1,12 @@
 """End-to-end CLI runs: reports, exit codes, replayability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-
+import commdist
 from commdist.cli import main
 
 
@@ -33,6 +37,26 @@ def test_reports_are_replayable(capsys):
     _, first = run(capsys, *args)
     _, second = run(capsys, *args)
     assert first == second
+
+
+def test_census_reports_are_replayable(capsys):
+    args = ("census", "--field", "gf(2)", "--n", "2", "--quantity", "commuting-pairs")
+    _, first = run(capsys, *args)
+    _, second = run(capsys, *args)
+    assert first == second
+
+
+def test_module_entry_point_is_quiet():
+    # `python -m commdist.cli` must not trip runpy's "found in sys.modules" warning
+    src = str(Path(commdist.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "commdist.cli", "components", "--field", "gf(2)", "--n", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["count"] == 7
 
 
 def test_derogatory(capsys):

@@ -12,6 +12,7 @@ from commdist import commute as cm
 from commdist.graph import bfs_distance, decode_matrix
 from commdist.matrix import (
     ExactMatrix,
+    mat_vec,
     min_poly,
     nullspace_basis,
     random_matrix,
@@ -40,16 +41,15 @@ def test_is_scalar():
 
 def test_lift_of_scalar_is_zero():
     lam = ExactMatrix.identity(GF3, 3).scale(2)
-    assert cm.lift_M(lam).matrix == ExactMatrix.zeros(GF3, 9, 9)
+    assert cm.lift_M(lam) == ExactMatrix.zeros(GF3, 9, 9)
 
 
 def test_stack_dimensions():
     stacked = cm.stack_M(A25, B25)
-    assert (stacked.matrix.nrows, stacked.matrix.ncols) == (18, 9)
-    assert stacked.kind == "stacked"
-    # the top block is the single lift of the first operand
-    single = cm.lift_M(A25).matrix
-    assert stacked.matrix.rows[:9] == single.rows
+    assert (stacked.nrows, stacked.ncols) == (18, 9)
+    # the top block is the single lift of the first operand, the bottom the second's
+    assert stacked.rows[:9] == cm.lift_M(A25).rows
+    assert stacked.rows[9:] == cm.lift_M(B25).rows
 
 
 @pytest.mark.parametrize("spec", [QQ, GF2, GF3, GF9])
@@ -58,7 +58,7 @@ def test_lift_identity_property(spec):
     for _ in range(40):
         a = random_matrix(spec, 3, 3, rng)
         c = random_matrix(spec, 3, 3, rng)
-        lhs = cm.lift_M(a).apply_vec([x for row in c.rows for x in row])
+        lhs = mat_vec(cm.lift_M(a), [x for row in c.rows for x in row])
         rhs = [x for row in (a @ c - c @ a).rows for x in row]
         assert lhs == rhs
 
@@ -124,7 +124,7 @@ def test_dist_le_2_matches_stack_rank():
         for _ in range(15):
             a = random_matrix(spec, 3, 3, rng)
             b = random_matrix(spec, 3, 3, rng)
-            assert cm.dist_le_2(a, b) == (rank(cm.stack_M(a, b).matrix) <= 7)
+            assert cm.dist_le_2(a, b) == (rank(cm.stack_M(a, b)) <= 7)
 
 
 def test_stack_nullity_at_least_one():
@@ -133,7 +133,7 @@ def test_stack_nullity_at_least_one():
         for _ in range(10):
             a = random_matrix(spec, 3, 3, rng)
             b = random_matrix(spec, 3, 3, rng)
-            assert len(nullspace_basis(cm.stack_M(a, b).matrix)) >= 1
+            assert len(nullspace_basis(cm.stack_M(a, b))) >= 1
 
 
 def test_derogatory_examples():
@@ -401,6 +401,22 @@ def test_distance_bounded_over_rationals():
     r46 = cm.distance(A46, B46)
     assert r46.kind == "bounded" and r46.decided_by == "pc-scalar-side"
     assert r46.certificate is not None and r46.certificate.pa_scalar
+
+
+def test_rational_search_skips_primes_beyond_the_pair_cap():
+    # at n = 6 the scan modulo 11 has 16105^2 projective pairs, above 2^26
+    rng = random.Random(5)
+    a = random_matrix(QQ, 6, 6, rng)
+    b = random_matrix(QQ, 6, 6, rng)
+    r = cm.distance(a, b)
+    assert r.kind == "bounded" and (r.lower, r.upper) == (3, math.inf)
+    assert r.decided_by == "pc-unknown"
+    assert "11" in r.note and "2^26" in r.note
+    # over a finite field the cap still bounds the answer
+    gf11 = FieldSpec.prime(11)
+    r11 = cm.distance(random_matrix(gf11, 6, 6, rng), random_matrix(gf11, 6, 6, rng))
+    assert (r11.kind, r11.lower, r11.decided_by) == ("bounded", 3, "pc-cap-exceeded")
+    assert "exceed" in r11.note
 
 
 def test_distance_result_json():

@@ -6,6 +6,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from commdist.errors import DimMismatch, DivisionByZero, FieldMismatch, ParseError
 from commdist.field import FieldSpec
@@ -21,6 +24,7 @@ from commdist.matrix import (
     nullspace_basis,
     random_matrix,
     rank,
+    rref_raw,
     unvec,
     vec,
 )
@@ -86,7 +90,7 @@ def test_kron_builds_the_lift():
         a = random_matrix(GF5, 3, 3, rng)
         ident = ExactMatrix.identity(GF5, 3)
         direct = kron(a, ident) - kron(ident, a.transpose())
-        assert direct == lift_M(a).matrix
+        assert direct == lift_M(a)
 
 
 def test_rank_examples():
@@ -96,7 +100,7 @@ def test_rank_examples():
     from commdist.commute import lift_M
 
     # non-derogatory non-scalar 3x3: the commuting space is span(I, A, A^2)
-    assert rank(lift_M(A25).matrix) == 6
+    assert rank(lift_M(A25)) == 6
 
 
 def test_nullspace_trivial_cases():
@@ -110,7 +114,7 @@ def test_nullspace_trivial_cases():
 def test_nullspace_of_example_lift_has_six_vectors():
     from commdist.commute import lift_M
 
-    assert len(nullspace_basis(lift_M(A46).matrix)) == 6
+    assert len(nullspace_basis(lift_M(A46))) == 6
 
 
 def test_nullspace_exact_regression():
@@ -208,6 +212,29 @@ def test_det_against_permanent_expansion(spec):
         assert det(m).raw == _det_leibniz(m)
 
 
+@st.composite
+def _low_rank_rows(draw):
+    """(p, rows): an m x n product L @ R mod p with inner size k, so ranks vary."""
+    p = draw(st.sampled_from([2, 3]))
+    m, n, k = draw(st.integers(1, 32)), draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    digits = st.integers(0, p - 1)
+    left = draw(st.lists(st.lists(digits, min_size=k, max_size=k), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(digits, min_size=n, max_size=n), min_size=k, max_size=k))
+    return p, [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)] for row in left]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_low_rank_rows())
+def test_rref_matches_sympy_over_small_prime_fields(case):
+    p, rows = case
+    field = GF(p)
+    dm = DomainMatrix([[field(x) for x in row] for row in rows], (len(rows), len(rows[0])), field)
+    want, want_pivots = dm.rref()
+    got, pivots = rref_raw(FieldSpec.prime(p), rows)
+    assert pivots == list(want_pivots)
+    assert got == [[int(x) % p for x in row] for row in want.to_list()[: len(pivots)]]
+
+
 def test_det_singular():
     assert det(ExactMatrix(QQ, [[1, 2], [2, 4]])).is_zero
 
@@ -217,8 +244,8 @@ def test_vec_round_trip():
     for spec in ALL_FIELDS:
         m = random_matrix(spec, 3, 3, rng)
         flat = vec(m)
-        assert flat.n == 3 and len(flat.entries) == 9
-        assert unvec(spec, 3, flat.entries) == m
+        assert flat == tuple(x for row in m.rows for x in row)
+        assert unvec(spec, 3, flat) == m
 
 
 def test_json_round_trips():
