@@ -139,8 +139,6 @@ def derogatory(a: ExactMatrix) -> bool:
 
 def idempotent_pool(spec: FieldSpec, n: int) -> list[tuple[int, int]]:
     """All idempotents of Mat_n over a finite field as (code, rank), code order."""
-    if not spec.is_finite:
-        raise CapExceeded("idempotent enumeration needs a finite field")
     space_size(spec, n)
     return _idempotent_pool_cached(spec, n)
 
@@ -565,8 +563,10 @@ def distance(a: ExactMatrix, b: ExactMatrix) -> DistanceResult:
         return DistanceResult("exact", value=1, decided_by="scalar-convention")
     if a @ b == b @ a:
         return DistanceResult("exact", value=1, decided_by="commuting")
-    if dist_le_2(a, b):
-        wit = common_nonscalar_commuter(a, b)
+    # the rank criterion and its witness from one elimination: vec(I) is always
+    # a joint null vector, so a non-scalar one exists iff rank <= n^2 - 2
+    wit = common_nonscalar_commuter(a, b)
+    if wit is not None:
         return DistanceResult(
             "exact", value=2, decided_by="rank-criterion", witness=[wit]
         )

@@ -312,9 +312,9 @@ def field_from_spec(text: str) -> FieldSpec:
 class _Ops:
     """Scalar arithmetic on raw values for one field spec."""
 
-    __slots__ = ("spec", "zero", "one", "add", "sub", "mul", "neg", "inv", "q")
+    __slots__ = ("spec", "zero", "one", "add", "sub", "mul", "neg", "inv")
 
-    def __init__(self, spec, zero, one, add, sub, mul, neg, inv, q=None):
+    def __init__(self, spec, zero, one, add, sub, mul, neg, inv):
         self.spec = spec
         self.zero = zero
         self.one = one
@@ -323,20 +323,9 @@ class _Ops:
         self.mul = mul
         self.neg = neg
         self.inv = inv
-        self.q = q
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def pow(self, a, e: int):
-        acc = self.one
-        base = a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
 
 
 def _rational_ops(spec: FieldSpec) -> _Ops:
@@ -354,7 +343,6 @@ def _rational_ops(spec: FieldSpec) -> _Ops:
         lambda a, b: a * b,
         lambda a: -a,
         inv,
-        q=None,
     )
 
 
@@ -375,7 +363,6 @@ def _prime_ops(spec: FieldSpec) -> _Ops:
         lambda a, b: a * b % p,
         lambda a: -a % p,
         inv,
-        q=p,
     )
 
 
@@ -528,7 +515,7 @@ def _extension_ops(spec: FieldSpec) -> _Ops:
                 raise DivisionByZero("inverse of zero")
             return t.exp[(q - 1 - t.log[a]) % (q - 1)]
 
-    return _Ops(spec, 0, 1, add, sub, mul, neg, inv, q=q)
+    return _Ops(spec, 0, 1, add, sub, mul, neg, inv)
 
 
 def _neg_code(t: _ExtTables, a: int) -> int:

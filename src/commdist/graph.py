@@ -29,9 +29,10 @@ from .matrix import (
     is_scalar,
     lift_rows_raw,
     nullspace_raw,
-    rank_raw,
+    rref_raw,
     space_size,
     unvec,
+    vec,
 )
 
 INFINITE = math.inf
@@ -47,7 +48,7 @@ def _centralizer_combos(spec: FieldSpec, n: int, code: int) -> list[int]:
     basis = nullspace_raw(spec, lift_rows_raw(mat))
     q = spec.order
     d = len(basis)
-    if spec.kind == "prime" and d > 1:
+    if spec.kind == "prime":
         p = spec.p
         pos_pow = np.array([q**t for t in range(n * n)], dtype=np.int64)
         bmat = np.array(basis, dtype=np.int64)
@@ -57,7 +58,8 @@ def _centralizer_combos(spec: FieldSpec, n: int, code: int) -> list[int]:
         rows = coeffs @ bmat % p
         return (rows @ pos_pow).tolist()
     ops = spec.ops()
-    # mixed-radix enumeration keeps combo order aligned with coefficient codes
+    # extension fields: mixed-radix enumeration keeps combo order aligned with
+    # coefficient codes
     out = []
     for t in range(q**d):
         tt = t
@@ -93,33 +95,13 @@ def neighbors(a: ExactMatrix):
 
 
 # ---------------------------------------------------------------------------
-# cached graph
-
-
-class _CommGraph:
-    """Adjacency of one commuting graph, fully materialized."""
-
-    def __init__(self, spec: FieldSpec, n: int):
-        self.spec = spec
-        self.n = n
-        q = spec.order
-        self.total = q ** (n * n)
-        self.scalars = _scalar_codes(spec, n)
-        adj: list[list[int] | None] = [None] * self.total
-        for code in range(self.total):
-            if code in self.scalars:
-                continue
-            adj[code] = _neighbor_codes(spec, n, code)
-        self.adj = adj
-
-    @property
-    def vertex_count(self) -> int:
-        return self.total - len(self.scalars)
+# search
 
 
 @functools.lru_cache(maxsize=4)
-def _graph_cache(spec: FieldSpec, n: int) -> _CommGraph:
-    return _CommGraph(spec, n)
+def _adjacency(spec: FieldSpec, n: int) -> list[list[int] | None]:
+    """Neighbor lists of one commuting graph, filled as searches reach codes."""
+    return [None] * space_size(spec, n)
 
 
 def _check_vertex_pair(a: ExactMatrix, b: ExactMatrix):
@@ -133,50 +115,52 @@ def _check_vertex_pair(a: ExactMatrix, b: ExactMatrix):
         raise ScalarVertex("scalar matrices are not graph vertices")
 
 
-def _expander(spec: FieldSpec, n: int, total: int):
-    if total <= PREBUILD_CAP:
-        graph = _graph_cache(spec, n)
-        return graph.adj.__getitem__
-    return lambda code: _neighbor_codes(spec, n, code)
-
-
-def _bfs(spec, n, source: int, target: int | None, radius_cap, want_parents: bool):
+def _bfs(spec, n, source: int, target=None, radius_cap=None, parents=None):
     """Breadth-first search from one code.
 
-    Returns (distances bytearray with 255 = unreached, frontier_sizes,
-    parents dict or None, hit, capped): hit is the level at which the target
-    was found (None otherwise) and capped is True when the radius cap stopped
-    the sweep while the frontier was still growing.
+    Returns (levels, capped): levels is a bytearray holding the BFS level of
+    every code reached (255 = unreached), and capped is True when the radius
+    cap stopped the sweep while the frontier was still growing.  The search
+    stops as soon as it reaches `target`.  When `parents` is a dict it
+    receives the BFS parent of every code reached after the source.  Neighbor
+    lists are kept per (field, n) below PREBUILD_CAP codes and recomputed
+    above it.
     """
     total = space_size(spec, n)
-    expand = _expander(spec, n, total)
-    dist = bytearray([255]) * total
-    dist[source] = 0
-    parents = {source: None} if want_parents else None
+    memo = _adjacency(spec, n) if total <= PREBUILD_CAP else None
+    levels = bytearray([255]) * total
+    levels[source] = 0
     frontier = [source]
-    frontier_sizes = [1]
     level = 0
     if target == source:
-        return dist, frontier_sizes, parents, 0, False
+        return levels, False
     while frontier:
         if radius_cap is not None and level >= radius_cap:
-            return dist, frontier_sizes, parents, None, True
+            return levels, True
         level += 1
         nxt = []
         for code in frontier:
-            for nb in expand(code):
-                if dist[nb] == 255:
-                    dist[nb] = min(level, 255)
-                    if want_parents:
+            nbs = memo[code] if memo is not None else None
+            if nbs is None:
+                nbs = _neighbor_codes(spec, n, code)
+                if memo is not None:
+                    memo[code] = nbs
+            for nb in nbs:
+                if levels[nb] == 255:
+                    levels[nb] = min(level, 255)
+                    if parents is not None:
                         parents[nb] = code
                     if nb == target:
-                        frontier_sizes.append(len(nxt) + 1)
-                        return dist, frontier_sizes, parents, level, False
+                        return levels, False
                     nxt.append(nb)
         frontier = nxt
-        if nxt:
-            frontier_sizes.append(len(nxt))
-    return dist, frontier_sizes, parents, None, False
+    return levels, False
+
+
+def _level_sizes(levels: bytearray) -> list[int]:
+    """Number of codes at each BFS level, the source's level first."""
+    reached = np.frombuffer(levels, dtype=np.uint8)
+    return np.bincount(reached[reached != 255]).tolist()
 
 
 def bfs_distance(a: ExactMatrix, b: ExactMatrix, cap: int | None = None):
@@ -188,9 +172,9 @@ def bfs_distance(a: ExactMatrix, b: ExactMatrix, cap: int | None = None):
     """
     _check_vertex_pair(a, b)
     src, dst = encode_matrix(a), encode_matrix(b)
-    _, _, _, hit, capped = _bfs(a.spec, a.nrows, src, dst, cap, False)
-    if hit is not None:
-        return hit
+    levels, capped = _bfs(a.spec, a.nrows, src, dst, cap)
+    if levels[dst] != 255:
+        return levels[dst]
     return None if capped else INFINITE
 
 
@@ -200,16 +184,17 @@ def bfs_path(a: ExactMatrix, b: ExactMatrix):
     _check_vertex_pair(a, b)
     spec, n = a.spec, a.nrows
     src, dst = encode_matrix(a), encode_matrix(b)
-    _, _, parents, hit, _ = _bfs(spec, n, src, dst, None, True)
-    if hit is None:
+    parents: dict[int, int] = {}
+    levels, _ = _bfs(spec, n, src, dst, parents=parents)
+    if levels[dst] == 255:
         return INFINITE, None
     chain_codes = []
-    cur = parents[dst] if hit > 0 else None
-    while cur is not None and cur != src:
+    cur = parents.get(dst, src)
+    while cur != src:
         chain_codes.append(cur)
         cur = parents[cur]
     chain_codes.reverse()
-    return hit, [decode_matrix(spec, n, c) for c in chain_codes]
+    return levels[dst], [decode_matrix(spec, n, c) for c in chain_codes]
 
 
 @dataclass
@@ -250,9 +235,9 @@ def bfs_report(a: ExactMatrix, cap: int | None = None) -> BfsReport:
         raise ScalarVertex("scalar matrices are not graph vertices")
     spec, n = a.spec, a.nrows
     src = encode_matrix(a)
-    dist, frontier_sizes, _, _, capped = _bfs(spec, n, src, None, cap, False)
-    reached = {code: d for code, d in enumerate(dist) if d != 255}
-    return BfsReport(spec, n, src, cap, not capped, frontier_sizes, reached)
+    levels, capped = _bfs(spec, n, src, radius_cap=cap)
+    reached = {code: d for code, d in enumerate(levels) if d != 255}
+    return BfsReport(spec, n, src, cap, not capped, _level_sizes(levels), reached)
 
 
 @dataclass
@@ -278,9 +263,10 @@ def components(spec: FieldSpec, n: int) -> ComponentsReport:
     for start in range(total):
         if seen[start] or start in scalars:
             continue
-        dist, frontier_sizes, _, _, _ = _bfs(spec, n, start, None, None, False)
-        seen |= np.frombuffer(dist, dtype=np.uint8) != 255
-        sizes.append(sum(frontier_sizes))
+        levels, _ = _bfs(spec, n, start)
+        reached = np.frombuffer(levels, dtype=np.uint8) != 255
+        seen |= reached
+        sizes.append(int(reached.sum()))
     return ComponentsReport(total - len(scalars), len(sizes), sizes)
 
 
@@ -291,8 +277,8 @@ def diameter(spec: FieldSpec, n: int) -> int:
     best = 0
     for start in range(total):
         if start not in scalars:
-            _, frontier_sizes, _, _, _ = _bfs(spec, n, start, None, None, False)
-            best = max(best, len(frontier_sizes) - 1)
+            levels, _ = _bfs(spec, n, start)
+            best = max(best, len(_level_sizes(levels)) - 1)
     return best
 
 
@@ -315,21 +301,12 @@ def restricted_distance_le_3(
     spec, n = a.spec, a.nrows
     ops = spec.ops()
     basis = nullspace_raw(spec, lift_rows_raw(a))
-    ident = [x for row in ExactMatrix.identity(spec, n).rows for x in row]
-    # extend {vec(I)} to a basis of the centralizer; the extras span the quotient
-    rows = [ident]
-    quotient: list[list] = []
-    cur_rank = 1
-    for v in basis:
-        cand = rows + [v]
-        r = rank_raw(spec, cand)
-        if r > cur_rank:
-            rows = cand
-            cur_rank = r
-            quotient.append(v)
+    ident = vec(ExactMatrix.identity(spec, n))
+    # extend {vec(I)} to a basis of the centralizer: the pivot columns of
+    # [vec(I) | basis] after column 0 pick the vectors that span the quotient
+    _, pivots = rref_raw(spec, [list(r) for r in zip(ident, *basis)])
+    quotient = [basis[c - 1] for c in pivots[1:]]
     d = len(quotient)
-    if d == 0:
-        return None  # centralizer is the scalar line only (cannot happen for nonscalar a)
     q = spec.order
     classes = (q**d - 1) // (q - 1)
     if classes > class_cap:

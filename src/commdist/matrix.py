@@ -28,7 +28,7 @@ SIZE_CAP = 8  # all interesting content lives at n <= 4; larger inputs are mista
 SPACE_CAP = 1 << 24  # codes in one enumeration of Mat_n over a finite field
 PAIR_CAP = 1 << 26  # ordered pairs in one exhaustive pair scan
 DIAMETER_CAP = 1 << 20  # codes for an all-pairs BFS
-PREBUILD_CAP = 1 << 17  # adjacency lists are materialized below this many codes
+PREBUILD_CAP = 1 << 17  # neighbor lists are kept below this many codes
 
 
 class ExactMatrix:
@@ -695,19 +695,15 @@ def min_poly(m: ExactMatrix) -> list[FieldElem]:
     ops = spec.ops()
     n = m.nrows
     power = ExactMatrix.identity(spec, n)
-    flats = [[x for row in power.rows for x in row]]
-    for deg in range(1, n + 1):
+    flats = [vec(power)]
+    for _ in range(n):
         power = power @ m
-        flats.append([x for row in power.rows for x in row])
-        # dependence among the rows == nullspace of the transposed stack
-        cols = list(zip(*flats))
-        kernel = nullspace_raw(spec, [list(c) for c in cols])
-        if kernel:
-            coeffs = kernel[0]
-            lead_inv = ops.inv(coeffs[deg])
-            monic = [ops.mul(lead_inv, c) for c in coeffs]
-            return [FieldElem(spec, c) for c in monic]
-    raise AssertionError("powers of an n x n matrix must be dependent by degree n")
+        flats.append(vec(power))
+    # columns vec(I), ..., vec(A^n): the first nullspace vector belongs to the
+    # first free column, the degree; it is one there and zero beyond it
+    first = nullspace_raw(spec, [list(c) for c in zip(*flats)])[0]
+    deg = max(i for i, c in enumerate(first) if c != ops.zero)
+    return [FieldElem(spec, c) for c in first[: deg + 1]]
 
 
 def random_matrix(spec: FieldSpec, nrows: int, ncols: int, rng) -> ExactMatrix:

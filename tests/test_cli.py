@@ -167,6 +167,16 @@ def test_zi_enumeration(capsys):
     assert code == 0 and report["witness"] is not None
 
 
+def test_zi_enumeration_over_qq_is_an_input_error(capsys):
+    # enumerating idempotents needs a finite field: a field error (exit 1),
+    # not a state-space cap (exit 2)
+    code = main(["zi", "--field", "qq", "--a", "fixture:ex25_A", "--b", "fixture:ex25_B",
+                 "--i", "1"])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert err["error"] == "FieldMismatch"
+
+
 def test_bfs_infinite(capsys):
     code, report = run_json(
         capsys, "bfs", "--field", "gf(2)",

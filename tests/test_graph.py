@@ -238,3 +238,13 @@ def test_restricted_mode_blocks_bundled_pair_mod_three():
     a3 = load_fixture("ex46_A").to_field(GF3)
     b3 = load_fixture("ex46_B").to_field(GF3)
     assert gr.restricted_distance_le_3(a3, b3) is None
+
+
+def test_bfs_fills_only_the_neighbor_lists_it_reaches():
+    # a GF(2) 4x4 pair at distance 3, in a space of 2^16 codes
+    a = ExactMatrix(GF2, [[1, 0, 0, 1], [0, 0, 0, 1], [1, 1, 0, 1], [0, 1, 0, 0]])
+    b = ExactMatrix(GF2, [[0, 0, 1, 1], [0, 1, 0, 0], [1, 1, 1, 1], [1, 0, 1, 0]])
+    assert gr.bfs_distance(a, b) == 3
+    memo = gr._adjacency(GF2, 4)
+    assert memo[gr.encode_matrix(a)] is not None
+    assert sum(nbs is not None for nbs in memo) < 1 << 12

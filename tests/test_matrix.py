@@ -179,6 +179,29 @@ def test_min_poly_annihilates_and_is_minimal(spec, n):
                     raise AssertionError(f"{cand} annihilates below degree {deg}")
 
 
+@st.composite
+def _small_square(draw):
+    """A square matrix over GF(2) or GF(3) with n <= 3."""
+    p = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 3))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+    return ExactMatrix(FieldSpec.prime(p), [entries[i * n : (i + 1) * n] for i in range(n)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_square())
+def test_min_poly_is_the_least_monic_annihilator(m):
+    # checked by evaluating polynomials only, with no elimination
+    spec, n = m.spec, m.nrows
+    zero = ExactMatrix.zeros(spec, n, n)
+    coeffs = [c.raw for c in min_poly(m)]
+    assert coeffs[-1] == 1
+    assert _poly_eval_full(m, coeffs) == zero
+    for lower_deg in range(len(coeffs) - 1):
+        for tail in itertools.product(range(spec.p), repeat=lower_deg):
+            assert _poly_eval_full(m, list(tail) + [1]) != zero
+
+
 def test_min_poly_annihilates_over_q():
     rng = random.Random(19)
     for _ in range(10):
