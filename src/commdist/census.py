@@ -134,6 +134,8 @@ def count_dist_le_2(
             {"kind": "exhaustive"},
             count,
         )
+    if samples < 1:
+        raise ValueError(f"the sample count must be at least 1, got {samples}")
     hits = 0
     for pair_code in sample_codes(seed, 0, samples, pair_total):
         a_code, b_code = divmod(pair_code, total)
@@ -191,6 +193,8 @@ def zi_pair_census(
     Every hit is cross-checked against the rank criterion; a hit that failed
     it would be a library bug, so the check raises.
     """
+    if samples < 1:
+        raise ValueError(f"the sample count must be at least 1, got {samples}")
     total = space_size(spec, n, None)
     pool = [
         decode_matrix(spec, n, code)

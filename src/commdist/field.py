@@ -67,12 +67,6 @@ def _factor(n: int) -> dict[int, int]:
 # polynomial helpers over GF(p), coefficients low-to-high as tuples
 
 
-def _poly_trim(c: list[int]) -> tuple[int, ...]:
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
 def _poly_mod(num: tuple[int, ...], den: tuple[int, ...], p: int) -> tuple[int, ...]:
     """Remainder of num modulo den over GF(p); den must be nonzero."""
     num_l = list(num)

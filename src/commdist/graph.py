@@ -115,46 +115,79 @@ def _check_vertex_pair(a: ExactMatrix, b: ExactMatrix):
         raise ScalarVertex("scalar matrices are not graph vertices")
 
 
-def _bfs(spec, n, source: int, target=None, radius_cap=None, parents=None):
-    """Breadth-first search from one code.
+def _neighbor_lists(spec: FieldSpec, n: int):
+    """code -> neighbor codes, kept per (field, n) below PREBUILD_CAP codes."""
+    if space_size(spec, n) > PREBUILD_CAP:
+        return functools.partial(_neighbor_codes, spec, n)
+    memo = _adjacency(spec, n)
+
+    def lookup(code: int) -> list[int]:
+        if memo[code] is None:
+            memo[code] = _neighbor_codes(spec, n, code)
+        return memo[code]
+
+    return lookup
+
+
+def _bfs(spec, n, source: int, radius_cap=None):
+    """Full breadth-first sweep from one code.
 
     Returns (levels, capped): levels is a bytearray holding the BFS level of
     every code reached (255 = unreached), and capped is True when the radius
-    cap stopped the sweep while the frontier was still growing.  The search
-    stops as soon as it reaches `target`.  When `parents` is a dict it
-    receives the BFS parent of every code reached after the source.  Neighbor
-    lists are kept per (field, n) below PREBUILD_CAP codes and recomputed
-    above it.
+    cap stopped the sweep while the frontier was still growing.
     """
-    total = space_size(spec, n)
-    memo = _adjacency(spec, n) if total <= PREBUILD_CAP else None
-    levels = bytearray([255]) * total
+    nbs_of = _neighbor_lists(spec, n)
+    levels = bytearray([255]) * space_size(spec, n)
     levels[source] = 0
     frontier = [source]
     level = 0
-    if target == source:
-        return levels, False
     while frontier:
         if radius_cap is not None and level >= radius_cap:
             return levels, True
         level += 1
         nxt = []
         for code in frontier:
-            nbs = memo[code] if memo is not None else None
-            if nbs is None:
-                nbs = _neighbor_codes(spec, n, code)
-                if memo is not None:
-                    memo[code] = nbs
-            for nb in nbs:
+            for nb in nbs_of(code):
                 if levels[nb] == 255:
                     levels[nb] = min(level, 255)
-                    if parents is not None:
-                        parents[nb] = code
-                    if nb == target:
-                        return levels, False
                     nxt.append(nb)
         frontier = nxt
     return levels, False
+
+
+def _meet(spec, n, src: int, dst: int):
+    """Shortest path between two codes, searched from both ends.
+
+    Each step expands one whole level of the side with the smaller frontier
+    (the source's side on a tie).  Until the sides meet, the distance exceeds
+    the sum of their depths, so the first code both reach lies on a shortest
+    path.  Returns (distance, interior codes of that path), or (INFINITE,
+    None) as soon as either side exhausts its component.
+    """
+    nbs_of = _neighbor_lists(spec, n)
+    if src == dst:
+        return 0, []
+    parents = ({src: None}, {dst: None})
+    frontiers = [[src], [dst]]
+    while frontiers[0] and frontiers[1]:
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        mine, theirs = parents[side], parents[1 - side]
+        nxt = []
+        for code in frontiers[side]:
+            for nb in nbs_of(code):
+                if nb in mine:
+                    continue
+                mine[nb] = code
+                if nb in theirs:
+                    path = [nb]
+                    while (up := parents[0][path[0]]) is not None:
+                        path.insert(0, up)
+                    while (down := parents[1][path[-1]]) is not None:
+                        path.append(down)
+                    return len(path) - 1, path[1:-1]
+                nxt.append(nb)
+        frontiers[side] = nxt
+    return INFINITE, None
 
 
 def _level_sizes(levels: bytearray) -> list[int]:
@@ -166,35 +199,26 @@ def _level_sizes(levels: bytearray) -> list[int]:
 def bfs_distance(a: ExactMatrix, b: ExactMatrix, cap: int | None = None):
     """Exact graph distance between two non-scalar matrices.
 
-    Returns an int when a path of length <= cap exists, INFINITE (math.inf)
-    when the component of `a` is exhausted without reaching `b`, and None when
-    the search stopped at the radius cap undecided.
+    Returns the distance when it is at most `cap` (or no cap is given),
+    INFINITE (math.inf) when `a` and `b` lie in different components, and
+    None when the distance is finite but exceeds the cap.
     """
     _check_vertex_pair(a, b)
-    src, dst = encode_matrix(a), encode_matrix(b)
-    levels, capped = _bfs(a.spec, a.nrows, src, dst, cap)
-    if levels[dst] != 255:
-        return levels[dst]
-    return None if capped else INFINITE
+    if cap is not None and cap < 0:
+        raise ValueError(f"the radius cap must be at least 0, got {cap}")
+    dist, _ = _meet(a.spec, a.nrows, encode_matrix(a), encode_matrix(b))
+    return None if cap is not None and cap < dist < INFINITE else dist
 
 
 def bfs_path(a: ExactMatrix, b: ExactMatrix):
-    """(distance, interior chain) with parent tracking; chain is None when
+    """(distance, interior chain) of one shortest path; the chain is None when
     unreachable and empty for adjacent or identical vertices."""
     _check_vertex_pair(a, b)
     spec, n = a.spec, a.nrows
-    src, dst = encode_matrix(a), encode_matrix(b)
-    parents: dict[int, int] = {}
-    levels, _ = _bfs(spec, n, src, dst, parents=parents)
-    if levels[dst] == 255:
+    dist, chain = _meet(spec, n, encode_matrix(a), encode_matrix(b))
+    if chain is None:
         return INFINITE, None
-    chain_codes = []
-    cur = parents.get(dst, src)
-    while cur != src:
-        chain_codes.append(cur)
-        cur = parents[cur]
-    chain_codes.reverse()
-    return levels[dst], [decode_matrix(spec, n, c) for c in chain_codes]
+    return dist, [decode_matrix(spec, n, c) for c in chain]
 
 
 @dataclass
@@ -229,10 +253,9 @@ class BfsReport:
 
 def bfs_report(a: ExactMatrix, cap: int | None = None) -> BfsReport:
     """Distances from `a` to every vertex it reaches within the radius cap."""
-    if not a.spec.is_finite:
-        raise FieldMismatch("BFS requires a finite field")
-    if is_scalar(a):
-        raise ScalarVertex("scalar matrices are not graph vertices")
+    _check_vertex_pair(a, a)
+    if cap is not None and cap < 0:
+        raise ValueError(f"the radius cap must be at least 0, got {cap}")
     spec, n = a.spec, a.nrows
     src = encode_matrix(a)
     levels, capped = _bfs(spec, n, src, radius_cap=cap)

@@ -315,12 +315,14 @@ def unvec(spec: FieldSpec, n: int, entries) -> ExactMatrix:
 def space_size(spec: FieldSpec, n: int, cap: int | None = SPACE_CAP) -> int:
     """Number q^(n^2) of codes for Mat_n over a finite field.
 
-    Raises FieldMismatch over the rationals and CapExceeded above `cap`
-    (None checks the field only).
+    Raises FieldMismatch over the rationals, DimMismatch for n < 1 and
+    CapExceeded above `cap` (None checks the field and size only).
     """
     q = spec.order
     if q is None:
         raise FieldMismatch("enumerating matrices needs a finite field")
+    if n < 1:
+        raise DimMismatch(f"matrix size must be at least 1, got {n}")
     total = q ** (n * n)
     if cap is not None and total > cap:
         raise CapExceeded(f"state space {total} exceeds 2^{cap.bit_length() - 1}")

@@ -260,3 +260,35 @@ def test_verify_paper_single_check(capsys):
     assert code == 0
     assert "PASS ex25-distance" in out
     assert "ALL CHECKS PASS" in out
+
+
+def test_empty_matrix_size_is_an_input_error(capsys):
+    for argv in (
+        ["census", "--n", "0", "--quantity", "commuting-pairs"],
+        ["census", "--n", "0", "--quantity", "derogatory"],
+        ["census", "--n", "0", "--quantity", "dist-le-2"],
+        ["components", "--n", "0"],
+        ["diameter", "--n", "0"],
+    ):
+        assert main([*argv, "--field", "gf(2)"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err)["error"] == "DimMismatch"
+
+
+def test_sample_counts_below_one_are_input_errors(capsys):
+    for samples in ("0", "-3"):
+        for quantity in (["dist-le-2"], ["zi-pairs", "--i", "1"]):
+            argv = ["census", "--field", "gf(2)", "--n", "2", "--quantity", *quantity]
+            assert main([*argv, "--samples", samples]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert "sample count must be at least 1" in err["detail"]
+
+
+def test_negative_radius_cap_is_an_input_error(capsys):
+    pair = ["--field", "gf(2)", "--a", "fixture:ex25_A", "--b", "fixture:ex25_B"]
+    for argv in (pair, pair[:4]):
+        assert main(["bfs", *argv, "--cap", "-1"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "radius cap" in json.loads(out.err)["detail"]
+    code, report = run_json(capsys, "bfs", *pair, "--cap", "0")
+    assert code == 0 and report["distance"] == "exceeds-cap"

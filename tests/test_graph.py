@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commdist.errors import CapExceeded, FieldMismatch, ScalarVertex
 from commdist.field import FieldSpec
@@ -207,6 +208,29 @@ def test_components_mat3_gf3_snapshot():
     assert sizes[:-1] == [snap["small_size"]] * snap["small_count"]
 
 
+# GF(3) 3x3 first: the test above has just filled its neighbor lists
+@pytest.mark.parametrize("spec,n", [(GF3, 3), (GF2, 2), (GF2, 3), (GF3, 2), (GF4, 2)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pair_search_matches_one_sided_sweep(spec, n, data):
+    # the oracle is a full sweep from `a`, a route that shares no code with
+    # the two-sided pair search beyond the neighbor lists
+    scalars = gr._scalar_codes(spec, n)
+    codes = st.integers(0, spec.order ** (n * n) - 1).filter(lambda c: c not in scalars)
+    a = gr.decode_matrix(spec, n, data.draw(codes))
+    b = gr.decode_matrix(spec, n, data.draw(codes))
+    want = gr.bfs_report(a).distance_of(b)
+    assert gr.bfs_distance(a, b) == want
+    assert gr.bfs_distance(b, a) == want
+    d, chain = gr.bfs_path(a, b)
+    assert d == want
+    if want == math.inf:
+        assert chain is None
+    else:
+        assert len(chain) == max(d - 1, 0) and cm.verify_chain(a, b, chain)
+    assert gr.bfs_path(a, b) == (d, chain)
+
+
 def test_space_caps():
     g7 = FieldSpec.prime(7)
     a = ExactMatrix(g7, [[1, 1, 0], [0, 1, 0], [0, 0, 2]])
@@ -248,3 +272,25 @@ def test_bfs_fills_only_the_neighbor_lists_it_reaches():
     memo = gr._adjacency(GF2, 4)
     assert memo[gr.encode_matrix(a)] is not None
     assert sum(nbs is not None for nbs in memo) < 1 << 12
+
+
+def test_tiny_component_is_exhausted_from_its_own_side():
+    # B is conjugate to the companion of the irreducible x^3 - x - 1, so its
+    # component is F[B] minus the scalars: 24 of the 19,683 codes
+    a = ExactMatrix(GF3, [[1, 1, 1], [0, 0, 0], [1, 2, 1]])
+    b = ExactMatrix(GF3, [[2, 1, 0], [1, 0, 1], [0, 2, 1]])
+    assert a @ b != b @ a
+    gr._adjacency.cache_clear()  # count only the lists this search fills
+    assert gr.bfs_distance(a, b) == math.inf
+    assert gr.bfs_path(b, a) == (math.inf, None)
+    assert sum(nbs is not None for nbs in gr._adjacency(GF3, 3)) < 64
+
+
+def test_tiny_component_over_gf5_is_settled():
+    # B is the companion of x^3 + x + 1, irreducible over GF(5); the space
+    # has 1,953,125 codes, so sweeping A's component would take minutes
+    g5 = FieldSpec.prime(5)
+    a = ExactMatrix(g5, [[3, 3, 0], [2, 4, 3], [3, 2, 3]])
+    b = ExactMatrix(g5, [[0, 0, 4], [1, 0, 4], [0, 1, 0]])
+    r = cm.distance(a, b)
+    assert (r.kind, r.decided_by) == ("infinite", "bfs")
