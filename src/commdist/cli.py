@@ -274,6 +274,9 @@ def _cmd_diameter(args) -> dict:
 def _cmd_census(args) -> dict:
     spec = _require_field(args)
     n = args.n
+    exhaustive = args.quantity in ("commuting-pairs", "derogatory")
+    if exhaustive and (args.samples, args.seed) != (None, None):
+        raise CommdistError(f"{args.quantity} is counted exhaustively; drop --samples and --seed")
     if args.quantity == "commuting-pairs":
         rep = cs.count_commuting_pairs(spec, n)
     elif args.quantity == "dist-le-2":

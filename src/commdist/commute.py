@@ -31,6 +31,7 @@ from .matrix import (
     SPACE_CAP,
     ExactMatrix,
     _check_square,
+    _code_digits,
     _projective_reps,
     decode_matrix,
     is_scalar,
@@ -151,11 +152,9 @@ def _idempotent_pool_cached(spec: FieldSpec, n: int) -> list[tuple[int, int]]:
     if spec.kind == "prime":
         p = spec.p
         chunk = 1 << 16
-        pos_pow = np.array([q**t for t in range(n * n)], dtype=np.int64)
         for start in range(0, total, chunk):
             codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            digits = (codes[:, None] // pos_pow[None, :]) % q
-            mats = digits.reshape(-1, n, n)
+            mats = _code_digits(q, codes, n * n).reshape(-1, n, n)
             sq = np.einsum("aij,ajk->aik", mats, mats) % p
             hit = np.all(sq == mats, axis=(1, 2))
             for code in codes[hit]:

@@ -21,9 +21,12 @@ from .field import FieldSpec
 from .matrix import (
     DIAMETER_CAP,
     PREBUILD_CAP,
+    _BATCH_CELLS,
     ExactMatrix,
+    _centralizer_chunks,
     _projective_reps,
     _scalar_codes,
+    _span_codes,
     decode_matrix,
     encode_matrix,
     is_scalar,
@@ -42,44 +45,10 @@ INFINITE = math.inf
 # neighbor generation
 
 
-def _centralizer_combos(spec: FieldSpec, n: int, code: int) -> list[int]:
-    """Codes of every matrix in the centralizer of the decoded vertex."""
-    mat = decode_matrix(spec, n, code)
-    basis = nullspace_raw(spec, lift_rows_raw(mat))
-    q = spec.order
-    d = len(basis)
-    if spec.kind == "prime":
-        p = spec.p
-        pos_pow = np.array([q**t for t in range(n * n)], dtype=np.int64)
-        bmat = np.array(basis, dtype=np.int64)
-        count = q**d
-        coeff_pow = np.array([q**t for t in range(d)], dtype=np.int64)
-        coeffs = (np.arange(count, dtype=np.int64)[:, None] // coeff_pow[None, :]) % q
-        rows = coeffs @ bmat % p
-        return (rows @ pos_pow).tolist()
-    ops = spec.ops()
-    # extension fields: mixed-radix enumeration keeps combo order aligned with
-    # coefficient codes
-    out = []
-    for t in range(q**d):
-        tt = t
-        acc = [ops.zero] * (n * n)
-        for bi in range(d):
-            digit = tt % q
-            tt //= q
-            if digit:
-                row = basis[bi]
-                acc = [ops.add(x, ops.mul(digit, y)) for x, y in zip(acc, row)]
-        code_acc = 0
-        for raw in reversed(acc):
-            code_acc = code_acc * q + raw
-        out.append(code_acc)
-    return out
-
-
 def _neighbor_codes(spec: FieldSpec, n: int, code: int) -> list[int]:
+    basis = nullspace_raw(spec, lift_rows_raw(decode_matrix(spec, n, code)))
+    combos = _span_codes(spec, np.array([basis], dtype=np.int64))[0].tolist()
     scalars = _scalar_codes(spec, n)
-    combos = _centralizer_combos(spec, n, code)
     return sorted(c for c in combos if c != code and c not in scalars)
 
 
@@ -278,19 +247,42 @@ class ComponentsReport:
 
 
 def components(spec: FieldSpec, n: int) -> ComponentsReport:
-    """Connected components of the commuting graph by repeated BFS."""
+    """Connected components of the commuting graph.
+
+    The edges from each vertex to its centralizer come chunk by chunk from
+    the batched kernel and join trees of least labels, so every component is
+    labelled by its least code and sizes are listed in the order that a sweep
+    from each least unseen code would find them.
+    """
     total = space_size(spec, n)
-    scalars = _scalar_codes(spec, n)
-    seen = np.zeros(total, dtype=bool)
-    sizes = []
-    for start in range(total):
-        if seen[start] or start in scalars:
-            continue
-        levels, _ = _bfs(spec, n, start)
-        reached = np.frombuffer(levels, dtype=np.uint8) != 255
-        seen |= reached
-        sizes.append(int(reached.sum()))
-    return ComponentsReport(total - len(scalars), len(sizes), sizes)
+    scalar = np.zeros(total, dtype=bool)
+    scalar[list(_scalar_codes(spec, n))] = True
+    vertices = np.flatnonzero(~scalar)
+    label = np.arange(total, dtype=np.int32)
+    for codes, free, vecs in _centralizer_chunks(spec, n, vertices):
+        dims = free.sum(1)
+        for d in np.unique(dims).tolist():
+            sel = dims == d
+            ends, bases = codes[sel], vecs[sel][free[sel]].reshape(-1, d, n * n)
+            step = max(1, _BATCH_CELLS // (spec.order**d * n * n))
+            for start in range(0, len(ends), step):
+                v = _span_codes(spec, bases[start : start + step])
+                u = np.broadcast_to(ends[start : start + step, None], v.shape)
+                keep = (u < v) & ~scalar[v]  # each edge once, from its smaller end
+                _hook(label, u[keep], v[keep])
+    sizes = np.bincount(label[vertices])
+    sizes = sizes[sizes > 0].tolist()
+    return ComponentsReport(len(vertices), len(sizes), sizes)
+
+
+def _hook(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Join the trees of u[i] and v[i]: the larger root is hooked under the
+    smaller, then pointer jumping points every code at its root again."""
+    while (apart := label[u] != label[v]).any():
+        lu, lv = label[u[apart]], label[v[apart]]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while not np.array_equal(up := label[label], label):
+            label[:] = up
 
 
 def diameter(spec: FieldSpec, n: int) -> int:

@@ -9,11 +9,13 @@ elimination for extension fields, and fraction-free (Bareiss) forward
 elimination with a final normalization pass over the rationals.
 
 This module also holds what the higher layers share: the integer codec that
-enumerates Mat_n over a finite field, the lift M_A, and the size caps.
+enumerates Mat_n over a finite field, the lift M_A, the size caps, and a
+batched kernel that finds the centralizers of a whole chunk of codes at once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from math import lcm
@@ -633,6 +635,86 @@ def nullspace_raw(spec: FieldSpec, rows: list[list]) -> list[list]:
                 v[pc] = ops.neg(coeff)
         basis.append(v)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# batched centralizers and spans over a finite field
+
+_BATCH_CELLS = 1 << 18  # entries of one batched array: bounds the memory of a chunk
+
+
+def _code_digits(q: int, codes: np.ndarray, length: int) -> np.ndarray:
+    """Base-q digits of each code, least significant first: (len(codes), length)."""
+    return codes[:, None] // q ** np.arange(length, dtype=np.int64) % q
+
+
+@functools.lru_cache(maxsize=None)
+def _np_tables(spec: FieldSpec):
+    """(add, neg, mul, inv) lookup tables of a finite field as uint8 arrays;
+    q <= 64 whenever a space with n >= 2 fits SPACE_CAP."""
+    ops, r = spec.ops(), range(spec.order)
+    table = functools.partial(np.array, dtype=np.uint8)
+    add, mul = (table([[f(a, b) for b in r] for a in r]) for f in (ops.add, ops.mul))
+    return add, table([ops.neg(a) for a in r]), mul, table([0] + [ops.inv(a) for a in r[1:]])
+
+
+def _centralizer_chunks(spec: FieldSpec, n: int, codes):
+    """Centralizer bases of many matrices at once, in chunks of bounded size.
+
+    Gauss-Jordan runs over the lifts M_A of a whole chunk: a column's pivot is
+    the first unused row with a nonzero entry, and rows are never swapped.
+    Yields (codes, free, vecs) per chunk: free[b] marks the free columns of
+    M_A, and vecs[b][free[b]] is the basis nullspace_raw gives.  `codes` is
+    an array or a range, which keeps a whole space from being materialized.
+    """
+    m = n * n
+    step = max(1, _BATCH_CELLS // (m * m))
+    for start in range(0, len(codes), step):
+        chunk = np.asarray(codes[start : start + step])
+        size, batch = len(chunk), np.arange(len(chunk))
+        if n == 1:  # M_A is zero
+            yield chunk, np.ones((size, 1), bool), np.ones((size, 1, 1), np.uint8)
+            continue
+        add, neg, mul, inv = _np_tables(spec)
+        a = _code_digits(spec.order, chunk, m).astype(np.uint8).reshape(size, n, n)
+        eye = np.eye(n, dtype=np.uint8)
+        # M_A = A (x) I - I (x) A^T, row (i, j) and column (k, l)
+        lift = add[np.einsum("bik,jl->bijkl", a, eye), neg[np.einsum("ik,blj->bijkl", eye, a)]]
+        lift = lift.reshape(size, m, m)
+        used, pivot_row = np.zeros((size, m), bool), np.full((size, m), -1)
+        for c in range(m):
+            open_ = (lift[:, :, c] != 0) & ~used
+            has, r = open_.any(1), open_.argmax(1)
+            # a member without a pivot here gets a zero pivot row and zero factors
+            prow = mul[lift[batch, r], inv[lift[batch, r, c] * has][:, None]]
+            factor = lift[:, :, c] * has[:, None]
+            factor[batch, r] = 0
+            hb, hr = np.nonzero(factor)  # only the rows with something to clear
+            lift[hb, hr] = add[lift[hb, hr], neg[mul[factor[hb, hr][:, None], prow[hb]]]]
+            lift[batch[has], r[has]] = prow[has]
+            used[batch[has], r[has]] = True
+            pivot_row[has, c] = r[has]
+        pivot = pivot_row >= 0
+        # vecs[b, f, e] is minus entry f of column e's pivot row, or the identity
+        rref = lift[batch[:, None], np.maximum(pivot_row, 0)].transpose(0, 2, 1)
+        yield chunk, ~pivot, np.where(pivot[:, None, :], neg[rref], np.eye(m, dtype=np.uint8))
+
+
+def _span_codes(spec: FieldSpec, bases: np.ndarray) -> np.ndarray:
+    """Codes of every F_q-combination of each basis in a (k, d, length) array;
+    combination t of the (k, q^d) result takes the base-q digits of t as
+    coefficients."""
+    q = spec.order
+    k, d, length = bases.shape
+    coeffs = _code_digits(q, np.arange(q**d), d)
+    if spec.kind == "prime":
+        combos = coeffs @ bases % q
+    else:
+        add, _, mul, _ = _np_tables(spec)
+        combos = np.zeros((k, q**d, length), dtype=np.uint8)
+        for i in range(d):
+            combos = add[combos, mul[coeffs[None, :, i, None], bases[:, None, i, :]]]
+    return combos @ q ** np.arange(length, dtype=np.int64)
 
 
 def det(m: ExactMatrix) -> FieldElem:

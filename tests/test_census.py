@@ -2,6 +2,8 @@
 snapshot regressions, and deterministic counter-based sampling."""
 
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +24,32 @@ def test_commuting_pairs_tiny_field_matches_brute_force():
     brute = sum(1 for a in mats for b in mats if a @ b == b @ a)
     assert brute == 88
     assert cs.count_commuting_pairs(GF2, 2).value == 88
+
+
+def _feit_fine(q: int, n: int) -> int:
+    """Commuting pairs in Mat_n(F_q) from the Feit-Fine series (Duke Math. J.
+    27, 1960): sum_n C_n x^n / |GL_n(q)| = prod_{i>=1} prod_{j>=0} 1/(1 - q^(1-j) x^i).
+    Each inner product is sum_k q^k x^(ik) / ((1 - q^-1) ... (1 - q^-k))."""
+    series = [Fraction(1)] + [Fraction(0)] * n
+    for i in range(1, n + 1):
+        factor = [Fraction(0)] * (n + 1)
+        denom = Fraction(1)
+        for k in range(n // i + 1):
+            if k:
+                denom *= 1 - Fraction(1, q**k)
+            factor[i * k] = q**k / denom
+        series = [sum(series[a] * factor[b - a] for a in range(b + 1)) for b in range(n + 1)]
+    return series[n] * math.prod(q**n - q**l for l in range(n))
+
+
+@pytest.mark.parametrize(
+    "spec,n,pairs",
+    [(GF2, 2, 88), (GF3, 2, 945), (GF2, 3, 7456), (GF3, 3, 809433),
+     (FieldSpec.parse("gf(2^2):1,1,1"), 2, 5056)],
+)
+def test_commuting_pairs_match_the_feit_fine_series(spec, n, pairs):
+    assert _feit_fine(spec.order, n) == pairs
+    assert cs.count_commuting_pairs(spec, n).value == pairs
 
 
 def test_commuting_pairs_n1_is_q_squared():

@@ -284,6 +284,15 @@ def test_sample_counts_below_one_are_input_errors(capsys):
             assert "sample count must be at least 1" in err["detail"]
 
 
+def test_sample_flags_on_exhaustive_quantities_are_input_errors(capsys):
+    for quantity in ("commuting-pairs", "derogatory"):
+        for flags in (["--samples", "5"], ["--seed", "3"], ["--samples", "5", "--seed", "3"]):
+            argv = ["census", "--field", "gf(2)", "--n", "2", "--quantity", quantity]
+            assert main([*argv, *flags]) == 1
+            out = capsys.readouterr()
+            assert out.out == "" and "counted exhaustively" in json.loads(out.err)["detail"]
+
+
 def test_negative_radius_cap_is_an_input_error(capsys):
     pair = ["--field", "gf(2)", "--a", "fixture:ex25_A", "--b", "fixture:ex25_B"]
     for argv in (pair, pair[:4]):

@@ -208,7 +208,29 @@ def test_components_mat3_gf3_snapshot():
     assert sizes[:-1] == [snap["small_size"]] * snap["small_count"]
 
 
-# GF(3) 3x3 first: the test above has just filled its neighbor lists
+def _components_by_sweeps(spec, n):
+    """(vertex count, sizes) from one full BFS sweep per least unseen code."""
+    scalars = gr._scalar_codes(spec, n)
+    seen, sizes = set(), []
+    for code in range(spec.order ** (n * n)):
+        if code not in seen and code not in scalars:
+            reached = gr.bfs_report(gr.decode_matrix(spec, n, code)).distances
+            seen.update(reached)
+            sizes.append(len(reached))
+    return spec.order ** (n * n) - len(scalars), sizes
+
+
+@pytest.mark.parametrize(
+    "spec,n", [(GF2, 2), (GF3, 2), (GF4, 2), (FieldSpec.prime(5), 2), (GF2, 3)]
+)
+def test_components_match_per_start_sweeps(spec, n):
+    comp = gr.components(spec, n)
+    vertex_count, sizes = _components_by_sweeps(spec, n)
+    assert (comp.vertex_count, comp.count, comp.sizes) == (vertex_count, len(sizes), sizes)
+
+
+# GF(3) 3x3 first: the sweeps of its first example fill the neighbor lists
+# that the other examples reuse
 @pytest.mark.parametrize("spec,n", [(GF3, 3), (GF2, 2), (GF2, 3), (GF3, 2), (GF4, 2)])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())

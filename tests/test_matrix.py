@@ -4,24 +4,31 @@ powers, and minimal polynomials, checked against independent oracles."""
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+from commdist import matrix
+from commdist.commute import derogatory
 from commdist.errors import DimMismatch, DivisionByZero, FieldMismatch, ParseError
 from commdist.field import FieldSpec
 from commdist.matrix import (
     ExactMatrix,
     commutator,
+    decode_matrix,
     det,
     kron,
+    lift_rows_raw,
     mat_op,
     mat_pow,
     mat_vec,
     min_poly,
     nullspace_basis,
+    nullspace_raw,
     random_matrix,
     rank,
     rref_raw,
@@ -256,6 +263,28 @@ def test_rref_matches_sympy_over_small_prime_fields(case):
     got, pivots = rref_raw(FieldSpec.prime(p), rows)
     assert pivots == list(want_pivots)
     assert got == [[int(x) % p for x in row] for row in want.to_list()[: len(pivots)]]
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_batched_centralizers_match_the_per_matrix_route(data):
+    spec = data.draw(st.sampled_from([GF2, GF3, GF5, FieldSpec.parse("gf(2^2):1,1,1")]))
+    n = data.draw(st.integers(1, 3))
+    total = spec.order ** (n * n)
+    start = data.draw(st.integers(0, total - 1))
+    codes = np.arange(start, min(start + data.draw(st.integers(1, 40)), total))
+    # small cell budgets split the range into several chunks
+    cells = data.draw(st.sampled_from([1, 300, 1 << 18]))
+    with mock.patch.object(matrix, "_BATCH_CELLS", cells):
+        chunks = list(matrix._centralizer_chunks(spec, n, codes))
+    assert np.concatenate([c for c, _, _ in chunks]).tolist() == codes.tolist()
+    for chunk, free, vecs in chunks:
+        for code, f, v in zip(chunk.tolist(), free, vecs):
+            m = decode_matrix(spec, n, code)
+            assert v[f].tolist() == nullspace_raw(spec, lift_rows_raw(m))
+            if n >= 2:
+                # A is nonderogatory iff its centralizer has dimension n
+                assert (f.sum() > n) == derogatory(m)
 
 
 def test_det_singular():
