@@ -17,18 +17,16 @@ from fractions import Fraction
 import numpy as np
 from numpy.random import Philox
 
-from .commute import dist_le_2, idempotent_pool
+from .commute import _code_stack, _pool_commutes, dist_le_2, idempotent_pool
 from .errors import CapExceeded, DimMismatch
 from .field import FieldSpec
 from .matrix import (
     PAIR_CAP,
-    ExactMatrix,
     _centralizer_chunks,
+    _commuting_pairs,
+    _scalar_codes,
     decode_matrix,
-    echelon_gf2,
     lift_rows_raw,  # unused here, but the benchmark's tracer wraps census.lift_rows_raw
-    pack_gf2,
-    rank_raw,
     space_size,
 )
 
@@ -102,32 +100,32 @@ def count_commuting_pairs(spec: FieldSpec, n: int) -> CensusReport:
 def count_dist_le_2(
     spec: FieldSpec, n: int, samples: int | None = None, seed: int = 0
 ) -> CensusReport:
-    """Pairs whose stacked lift drops rank to n^2 - 2 or lower.
+    """Pairs whose stacked lift drops rank to n^2 - 2 or lower, i.e. pairs
+    that commute with a common non-scalar matrix.
 
     Exhaustive when the ordered-pair space fits 2^26, else give `samples` for
-    a seeded estimate.
+    a seeded estimate.  The exhaustive count adds up, for each A, the union of
+    the centralizers of A's non-scalar commuters.
     """
     total = space_size(spec, n, None)
     pair_total = total * total
     if samples is None:
         if pair_total > PAIR_CAP:
             raise CapExceeded(f"{pair_total} ordered pairs exceed 2^26; use sampling")
-        # GF(2) bases stay bit-packed: the pair loop below is the hot spot
-        gf2 = spec.kind == "prime" and spec.p == 2
-        bases = []
-        for _, free, vecs in _centralizer_chunks(spec, n, range(total)):
-            for f, v in zip(free, vecs):
-                bases.append([pack_gf2(x) for x in v[f]] if gf2 else v[f].tolist())
-        count = total  # the diagonal: every pair (A, A) qualifies
-        for a in range(total):
-            ba = bases[a]
-            da = len(ba)
-            for b in range(a + 1, total):
-                bb = bases[b]
-                joint = ba + bb
-                r = len(echelon_gf2(joint)) if gf2 else rank_raw(spec, joint)
-                if da + len(bb) - r >= 2:
-                    count += 2
+        if n < 2:
+            raise DimMismatch("the rank criterion needs n >= 2")
+        # row A, bit-packed, is the centralizer of A
+        table = np.zeros((total, (total + 7) // 8), np.uint8)
+        for ends, spans in _commuting_pairs(spec, n, range(total)):
+            rows = np.zeros((len(ends), total), bool)
+            rows[np.arange(len(ends))[:, None], spans] = True
+            table[ends] = np.packbits(rows, axis=1)
+        nonscalar = np.ones(total, bool)
+        nonscalar[list(_scalar_codes(spec, n))] = False
+        count = 0
+        for row in table:
+            commuters = np.unpackbits(row, count=total).view(bool) & nonscalar
+            count += int(np.unpackbits(np.bitwise_or.reduce(table[commuters])).sum())
         return CensusReport(
             spec.to_string(),
             n,
@@ -197,32 +195,15 @@ def zi_pair_census(
     if samples < 1:
         raise ValueError(f"the sample count must be at least 1, got {samples}")
     total = space_size(spec, n, None)
-    pool = [
-        decode_matrix(spec, n, code)
-        for code, r in idempotent_pool(spec, n)
-        if r == i
-    ]
-    use_numpy = spec.kind == "prime" and pool
-    if use_numpy:
-        stack = np.array(
-            [[[x for x in row] for row in m.rows] for m in pool], dtype=np.int64
-        )
+    if not 1 <= i <= n // 2:
+        raise DimMismatch(f"rank {i} outside 1..floor(n/2)")
+    pool = _code_stack(spec, n, [code for code, r in idempotent_pool(spec, n) if r == i])
     hits = 0
     for pair_code in sample_codes(seed, 0, samples, total * total):
         a_code, b_code = divmod(pair_code, total)
         a = decode_matrix(spec, n, a_code)
         b = decode_matrix(spec, n, b_code)
-        if use_numpy:
-            hit = bool(
-                np.any(
-                    _commute_mask(stack, a, spec.p) & _commute_mask(stack, b, spec.p)
-                )
-            )
-        else:
-            hit = any(
-                (a @ pm == pm @ a) and (b @ pm == pm @ b) for pm in pool
-            )
-        if hit:
+        if (_pool_commutes(spec, pool, a) & _pool_commutes(spec, pool, b)).any():
             if not dist_le_2(a, b):
                 raise AssertionError(
                     "idempotent witness without rank-criterion membership"
@@ -238,9 +219,3 @@ def zi_pair_census(
     )
     return report
 
-
-def _commute_mask(stack: np.ndarray, m: ExactMatrix, p: int) -> np.ndarray:
-    arr = np.array([[x for x in row] for row in m.rows], dtype=np.int64)
-    left = np.einsum("ij,ajk->aik", arr, stack) % p
-    right = np.einsum("aij,jk->aik", stack, arr) % p
-    return np.all(left == right, axis=(1, 2))

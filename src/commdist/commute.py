@@ -32,6 +32,7 @@ from .matrix import (
     ExactMatrix,
     _check_square,
     _code_digits,
+    _ff_matmul,
     _projective_reps,
     decode_matrix,
     is_scalar,
@@ -146,26 +147,27 @@ def idempotent_pool(spec: FieldSpec, n: int) -> list[tuple[int, int]]:
 
 @functools.lru_cache(maxsize=8)
 def _idempotent_pool_cached(spec: FieldSpec, n: int) -> list[tuple[int, int]]:
-    q = spec.order
-    total = q ** (n * n)
+    if n == 1:  # the idempotents of a field are 0 and 1
+        return [(0, 0), (1, 1)]
+    total = spec.order ** (n * n)
     out: list[tuple[int, int]] = []
-    if spec.kind == "prime":
-        p = spec.p
-        chunk = 1 << 16
-        for start in range(0, total, chunk):
-            codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            mats = _code_digits(q, codes, n * n).reshape(-1, n, n)
-            sq = np.einsum("aij,ajk->aik", mats, mats) % p
-            hit = np.all(sq == mats, axis=(1, 2))
-            for code in codes[hit]:
-                m = decode_matrix(spec, n, int(code))
-                out.append((int(code), rank(m)))
-    else:
-        for code in range(total):
-            m = decode_matrix(spec, n, code)
-            if m @ m == m:
-                out.append((code, rank(m)))
+    for start in range(0, total, 1 << 16):
+        codes = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
+        mats = _code_stack(spec, n, codes)
+        hit = np.all(_ff_matmul(spec, mats, mats) == mats, axis=(1, 2))
+        out += [(code, rank(decode_matrix(spec, n, code))) for code in codes[hit].tolist()]
     return out
+
+
+def _code_stack(spec: FieldSpec, n: int, codes) -> np.ndarray:
+    """The matrices with the given codes as an (len(codes), n, n) raw array."""
+    return _code_digits(spec.order, np.asarray(codes, np.int64), n * n).reshape(-1, n, n)
+
+
+def _pool_commutes(spec: FieldSpec, pool: np.ndarray, m: ExactMatrix) -> np.ndarray:
+    """Which matrices of a (k, n, n) raw array commute with m."""
+    arr = np.array(m.rows, dtype=np.int64)
+    return np.all(_ff_matmul(spec, arr, pool) == _ff_matmul(spec, pool, arr), axis=(1, 2))
 
 
 def zi_membership(
@@ -196,13 +198,10 @@ def zi_membership(
         if not commutes(b, witness):
             raise BadWitness("commutes-with-second")
         return witness
-    for code, r in idempotent_pool(a.spec, n):
-        if r != i:
-            continue
-        p_mat = decode_matrix(a.spec, n, code)
-        if commutes(a, p_mat) and commutes(b, p_mat):
-            return p_mat
-    return None
+    codes = [code for code, r in idempotent_pool(a.spec, n) if r == i]
+    pool = _code_stack(a.spec, n, codes)
+    hits = np.flatnonzero(_pool_commutes(a.spec, pool, a) & _pool_commutes(a.spec, pool, b))
+    return decode_matrix(a.spec, n, codes[hits[0]]) if hits.size else None
 
 
 # ---------------------------------------------------------------------------

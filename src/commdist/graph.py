@@ -21,9 +21,8 @@ from .field import FieldSpec
 from .matrix import (
     DIAMETER_CAP,
     PREBUILD_CAP,
-    _BATCH_CELLS,
     ExactMatrix,
-    _centralizer_chunks,
+    _commuting_pairs,
     _projective_reps,
     _scalar_codes,
     _span_codes,
@@ -250,7 +249,7 @@ def components(spec: FieldSpec, n: int) -> ComponentsReport:
     """Connected components of the commuting graph.
 
     The edges from each vertex to its centralizer come chunk by chunk from
-    the batched kernel and join trees of least labels, so every component is
+    `_commuting_pairs` and join trees of least labels, so every component is
     labelled by its least code and sizes are listed in the order that a sweep
     from each least unseen code would find them.
     """
@@ -259,17 +258,10 @@ def components(spec: FieldSpec, n: int) -> ComponentsReport:
     scalar[list(_scalar_codes(spec, n))] = True
     vertices = np.flatnonzero(~scalar)
     label = np.arange(total, dtype=np.int32)
-    for codes, free, vecs in _centralizer_chunks(spec, n, vertices):
-        dims = free.sum(1)
-        for d in np.unique(dims).tolist():
-            sel = dims == d
-            ends, bases = codes[sel], vecs[sel][free[sel]].reshape(-1, d, n * n)
-            step = max(1, _BATCH_CELLS // (spec.order**d * n * n))
-            for start in range(0, len(ends), step):
-                v = _span_codes(spec, bases[start : start + step])
-                u = np.broadcast_to(ends[start : start + step, None], v.shape)
-                keep = (u < v) & ~scalar[v]  # each edge once, from its smaller end
-                _hook(label, u[keep], v[keep])
+    for ends, spans in _commuting_pairs(spec, n, vertices):
+        u = np.broadcast_to(ends[:, None], spans.shape)
+        keep = (u < spans) & ~scalar[spans]  # each edge once, from its smaller end
+        _hook(label, u[keep], spans[keep])
     sizes = np.bincount(label[vertices])
     sizes = sizes[sizes > 0].tolist()
     return ComponentsReport(len(vertices), len(sizes), sizes)

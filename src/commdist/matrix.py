@@ -9,8 +9,9 @@ elimination for extension fields, and fraction-free (Bareiss) forward
 elimination with a final normalization pass over the rationals.
 
 This module also holds what the higher layers share: the integer codec that
-enumerates Mat_n over a finite field, the lift M_A, the size caps, and a
-batched kernel that finds the centralizers of a whole chunk of codes at once.
+enumerates Mat_n over a finite field, the lift M_A, the size caps, a batched
+kernel that finds the centralizers of a whole chunk of codes at once, and the
+one batched finite-field product the other batched paths multiply with.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .field import FieldElem, FieldSpec
 _MAX_DIM = 128  # lift stacks for n = 8 are 128 x 64; anything larger is a mistake
 SIZE_CAP = 8  # all interesting content lives at n <= 4; larger inputs are mistakes
 SPACE_CAP = 1 << 24  # codes in one enumeration of Mat_n over a finite field
-PAIR_CAP = 1 << 26  # ordered pairs in one exhaustive pair scan
+PAIR_CAP = 1 << 26  # ordered pairs: bits of the exhaustive dist-le-2 table; one certificate scan
 DIAMETER_CAP = 1 << 20  # codes for an all-pairs BFS
 PREBUILD_CAP = 1 << 17  # neighbor lists are kept below this many codes
 
@@ -700,21 +701,48 @@ def _centralizer_chunks(spec: FieldSpec, n: int, codes):
         yield chunk, ~pivot, np.where(pivot[:, None, :], neg[rref], np.eye(m, dtype=np.uint8))
 
 
+def _ff_matmul(spec: FieldSpec, x, y) -> np.ndarray:
+    """Batched product x @ y of raw-entry arrays over a finite field, with
+    numpy broadcasting over the leading axes.
+
+    Prime fields multiply in int64 and reduce once, exact while the inner
+    dimension times (p - 1)^2 stays below 2^63; extension fields sum table
+    lookups, which needs q <= 256 (q <= 64 whenever n >= 2 fits SPACE_CAP).
+    """
+    if spec.kind == "prime":
+        return np.asarray(x, np.int64) @ np.asarray(y, np.int64) % spec.p
+    add, _, mul, _ = _np_tables(spec)
+    lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    out = np.zeros(lead + (x.shape[-2], y.shape[-1]), np.uint8)
+    for j in range(x.shape[-1]):
+        out = add[out, mul[x[..., :, j, None], y[..., None, j, :]]]
+    return out
+
+
 def _span_codes(spec: FieldSpec, bases: np.ndarray) -> np.ndarray:
     """Codes of every F_q-combination of each basis in a (k, d, length) array;
     combination t of the (k, q^d) result takes the base-q digits of t as
     coefficients."""
-    q = spec.order
-    k, d, length = bases.shape
-    coeffs = _code_digits(q, np.arange(q**d), d)
-    if spec.kind == "prime":
-        combos = coeffs @ bases % q
-    else:
-        add, _, mul, _ = _np_tables(spec)
-        combos = np.zeros((k, q**d, length), dtype=np.uint8)
-        for i in range(d):
-            combos = add[combos, mul[coeffs[None, :, i, None], bases[:, None, i, :]]]
+    q, d, length = spec.order, bases.shape[1], bases.shape[2]
+    combos = _ff_matmul(spec, _code_digits(q, np.arange(q**d), d), bases)
     return combos @ q ** np.arange(length, dtype=np.int64)
+
+
+def _commuting_pairs(spec: FieldSpec, n: int, codes):
+    """Every commuting pair whose first member is among `codes`, in bounded chunks.
+
+    Yields (ends, spans): spans[j] holds the codes of the whole centralizer of
+    ends[j], scalars and ends[j] itself included, and one chunk of spans has at
+    most _BATCH_CELLS matrix entries.  `codes` is an array or a range.
+    """
+    for chunk, free, vecs in _centralizer_chunks(spec, n, codes):
+        dims = free.sum(1)
+        for d in np.unique(dims).tolist():
+            sel = dims == d
+            ends, bases = chunk[sel], vecs[sel][free[sel]].reshape(-1, d, n * n)
+            step = max(1, _BATCH_CELLS // (spec.order**d * n * n))
+            for start in range(0, len(ends), step):
+                yield ends[start : start + step], _span_codes(spec, bases[start : start + step])
 
 
 def det(m: ExactMatrix) -> FieldElem:

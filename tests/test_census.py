@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from commdist.errors import CapExceeded, FieldMismatch
+from commdist.errors import CapExceeded, DimMismatch, FieldMismatch
 from commdist.field import FieldSpec
 from commdist import census as cs
 from commdist import commute as cm
@@ -16,6 +16,8 @@ from commdist.verify import load_snapshot
 
 GF2 = FieldSpec.prime(2)
 GF3 = FieldSpec.prime(3)
+GF4 = FieldSpec.parse("gf(2^2):1,1,1")
+GF8 = FieldSpec.parse("gf(2^3):1,1,0,1")
 QQ = FieldSpec.rationals()
 
 
@@ -75,6 +77,25 @@ def test_dist_le_2_equals_commuting_count_for_two_by_two():
         cs.count_dist_le_2(GF3, 2).value
         == cs.count_commuting_pairs(GF3, 2).value
     )
+
+
+@pytest.mark.parametrize(
+    "spec", [GF2, GF3, GF4, FieldSpec.prime(5), FieldSpec.prime(7), GF8], ids=str
+)
+def test_dist_le_2_two_by_two_closed_form(spec):
+    # at n = 2 distance <= 2 means commuting, and Feit & Fine (Duke Math. J.
+    # 27, 1960) count q^3 (q^3 + q^2 - 1) commuting pairs in Mat_2(F_q)
+    q = spec.order
+    assert cs.count_dist_le_2(spec, 2).value == q**3 * (q**3 + q**2 - 1)
+
+
+def test_exhaustive_dist_le_2_needs_n_at_least_2_after_field_and_cap_checks():
+    with pytest.raises(FieldMismatch):
+        cs.count_dist_le_2(QQ, 1)
+    with pytest.raises(CapExceeded):
+        cs.count_dist_le_2(FieldSpec.prime(10007), 1)  # 10007^2 pairs exceed 2^26
+    with pytest.raises(DimMismatch, match="the rank criterion needs n >= 2"):
+        cs.count_dist_le_2(GF2, 1)
 
 
 def test_dist_le_2_exhaustive_snapshot_and_bounds():
@@ -151,6 +172,19 @@ def test_zi_pair_census_crosschecks():
     assert rep.value["hits"] >= 1
     assert rep.value["samples"] == 60
     assert 0 <= rep.value["hits"] <= 60
+
+
+def test_zi_pair_census_matches_membership_over_gf4():
+    rep = cs.zi_pair_census(GF4, 2, 1, samples=200, seed=5)
+    hits = 0
+    for pair_code in cs.sample_codes(5, 0, 200, 256 * 256):
+        a_code, b_code = divmod(pair_code, 256)
+        a, b = decode_matrix(GF4, 2, a_code), decode_matrix(GF4, 2, b_code)
+        wit = cm.zi_membership(a, b, 1)
+        if wit is not None:
+            assert cm.zi_membership(a, b, 1, witness=wit) == wit
+            hits += 1
+    assert rep.value["hits"] == hits > 0
 
 
 @pytest.mark.slow

@@ -301,3 +301,25 @@ def test_negative_radius_cap_is_an_input_error(capsys):
         assert out.out == "" and "radius cap" in json.loads(out.err)["detail"]
     code, report = run_json(capsys, "bfs", *pair, "--cap", "0")
     assert code == 0 and report["distance"] == "exceeds-cap"
+
+
+def test_dist_le_2_at_n1_is_an_input_error(capsys):
+    argv = ["census", "--field", "gf(2)", "--n", "1", "--quantity", "dist-le-2"]
+    for flags in ([], ["--samples", "3"]):
+        assert main([*argv, *flags]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {
+            "error": "DimMismatch", "detail": "the rank criterion needs n >= 2"
+        }
+
+
+def test_zi_pairs_rank_outside_range_is_an_input_error(capsys):
+    for i in ("0", "3"):
+        argv = ["census", "--field", "gf(2)", "--n", "2", "--quantity", "zi-pairs"]
+        assert main([*argv, "--i", i, "--samples", "5"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert json.loads(out.err) == {
+            "error": "DimMismatch", "detail": f"rank {i} outside 1..floor(n/2)"
+        }

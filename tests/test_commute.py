@@ -22,6 +22,8 @@ from commdist.matrix import (
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
 GF3 = FieldSpec.prime(3)
+GF4 = FieldSpec.parse("gf(2^2):1,1,1")
+GF8 = FieldSpec.parse("gf(2^3):1,1,0,1")
 GF9 = FieldSpec.parse("gf(9)")
 
 A25 = ExactMatrix(QQ, [[1, 2, 0], [3, 4, 0], [0, 0, 5]])
@@ -187,6 +189,21 @@ def test_zi_enumeration_matches_independent_oracle():
                 want = p
                 break
         assert got == want
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, GF9], ids=str)
+def test_idempotent_pool_over_extension_fields(spec):
+    want = []
+    for code in range(spec.order**4):
+        m = decode_matrix(spec, 2, code)
+        if m @ m == m:
+            want.append((code, rank(m)))
+    assert cm.idempotent_pool(spec, 2) == want
+
+
+def test_idempotent_pool_of_one_by_one_matrices():
+    for spec in (FieldSpec.prime(5), FieldSpec.parse("gf(31^2)")):
+        assert cm.idempotent_pool(spec, 1) == [(0, 0), (1, 1)]
 
 
 def test_zi_block_diagonal_pair_has_rank_two_witness():

@@ -1,7 +1,9 @@
-"""Module layout: imports sit at the top of each module, and the graph layer
-reaches the matrix codec without going through commute."""
+"""Module layout: imports sit at the top of each module, the graph layer
+reaches the matrix codec without going through commute, and every attribute
+the benchmark's tracer patches exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import commdist
@@ -46,3 +48,29 @@ def test_graph_does_not_import_commute():
     ]
     assert "matrix" in imported
     assert "commute" not in imported
+
+
+def _resolve(node):
+    """The object a module name or dotted attribute in tracing.py names."""
+    if isinstance(node, ast.Name):
+        return importlib.import_module(f"commdist.{node.id}")
+    return getattr(_resolve(node.value), node.attr)
+
+
+def test_tracer_patch_targets_exist():
+    # parsed, not imported: installing the tracer would patch the library
+    tracing = SRC.parent.parent / "perfbench" / "tracing.py"
+    targets = []
+    for node in ast.walk(ast.parse(tracing.read_text())):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("wrap", "_patch")
+            and isinstance(node.args[0], ast.List)
+        ):
+            attr = node.args[1].value
+            targets += [(ast.unparse(owner), attr, _resolve(owner)) for owner in node.args[0].elts]
+    names = {f"{owner}.{attr}" for owner, attr, _ in targets}
+    assert {
+        "census.lift_rows_raw", "census.dist_le_2", "census.idempotent_pool", "graph.lift_rows_raw"
+    } <= names
+    assert [f"{owner}.{attr}" for owner, attr, obj in targets if not hasattr(obj, attr)] == []
