@@ -32,8 +32,10 @@ from .matrix import (
     ExactMatrix,
     _check_square,
     _code_digits,
+    _crt,
     _ff_matmul,
     _projective_reps,
+    _rational_reconstruct,
     decode_matrix,
     is_scalar,
     lift_rows_raw,
@@ -388,34 +390,6 @@ def _minpoly_certificate(a: ExactMatrix, b: ExactMatrix, side: str) -> PcCertifi
         is_scalar(poly_eval_no_const(b, _elems(spec, ds))),
     )
     return cert if pc_verify(a, b, cert) else None
-
-
-def _crt(residues: list[int], moduli: list[int]) -> int:
-    acc, mod = 0, 1
-    for r, m in zip(residues, moduli):
-        inv = pow(mod % m, -1, m)
-        acc = acc + mod * ((r - acc) % m * inv % m)
-        mod *= m
-    return acc % mod
-
-
-def _rational_reconstruct(r: int, m: int) -> Fraction | None:
-    """Smallest-height fraction a/b with a = r*b (mod m), |a|, b <= sqrt(m/2)."""
-    bound = math.isqrt(m // 2)
-    s0, s1 = m, r % m
-    t0, t1 = 0, 1
-    while s1 > bound:
-        quo = s0 // s1
-        s0, s1 = s1, s0 - quo * s1
-        t0, t1 = t1, t0 - quo * t1
-    if t1 == 0 or abs(t1) > bound:
-        return None
-    a, b = s1, t1
-    if b < 0:
-        a, b = -a, -b
-    if math.gcd(a, b) != 1:
-        return None
-    return Fraction(a, b)
 
 
 def _rational_pc(a: ExactMatrix, b: ExactMatrix) -> PcSearchResult:

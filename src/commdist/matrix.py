@@ -5,8 +5,9 @@ the rationals).  Rank and nullspace go through reduced row echelon form, which
 is unique, so nullspace bases are reproducible across runs and backends.  Four
 elimination backends share that contract: XOR elimination on bit-packed rows
 for GF(2), numpy modular elimination for odd prime fields, table-driven
-elimination for extension fields, and fraction-free (Bareiss) forward
-elimination with a final normalization pass over the rationals.
+elimination for extension fields, and over the rationals the prime-field kernel
+run modulo primes below 2^31, lifted by CRT and rational reconstruction and
+certified by an exact nullspace check over the integers.
 
 This module also holds what the higher layers share: the integer codec that
 enumerates Mat_n over a finite field, the lift M_A, the size caps, a batched
@@ -17,9 +18,11 @@ one batched finite-field product the other batched paths multiply with.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import math
+import operator
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
@@ -32,6 +35,7 @@ SPACE_CAP = 1 << 24  # codes in one enumeration of Mat_n over a finite field
 PAIR_CAP = 1 << 26  # ordered pairs: bits of the exhaustive dist-le-2 table; one certificate scan
 DIAMETER_CAP = 1 << 20  # codes for an all-pairs BFS
 PREBUILD_CAP = 1 << 17  # neighbor lists are kept below this many codes
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class ExactMatrix:
@@ -504,18 +508,17 @@ def _rref_prime(p, rows):
         pr = r + int(nz[0])
         if pr != r:
             mat[[r, pr]] = mat[[pr, r]]
-        inv = pow(int(mat[r, c]), p - 2, p)
-        mat[r] = mat[r] * inv % p
+        mat[r] = mat[r] * pow(int(mat[r, c]), -1, p) % p
         col = mat[:, c].copy()
         col[r] = 0
         hot = np.nonzero(col)[0]
         if hot.size:
-            mat[hot] = (mat[hot] - np.outer(col[hot], mat[r])) % p
+            mat[hot] = (mat[hot] - col[hot, None] * mat[r]) % p
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return [[int(x) for x in mat[i]] for i in range(r)], pivots
+    return mat[:r].tolist(), pivots
 
 
 def _rref_generic(spec: FieldSpec, rows):
@@ -549,53 +552,96 @@ def _rref_generic(spec: FieldSpec, rows):
     return work[:r], pivots
 
 
+def _is_prime32(n: int) -> bool:
+    """Miller-Rabin with bases 2, 7 and 61, exact for odd n with 61 < n < 2^32."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or n - 1 in {pow(a, d << k, n) for k in range(s)} for a in (2, 7, 61))
+
+
+@functools.cache
+def _lift_prime(i: int) -> int:
+    """The i-th prime below 2^31, counting down from 2^31 - 1."""
+    p = _lift_prime(i - 1) - 2 if i else 2**31 - 1
+    while not _is_prime32(p):
+        p -= 2
+    return p
+
+
+def _crt(residues: list[int], moduli: list[int]) -> int:
+    """The residue modulo prod(moduli) with the given residues (moduli coprime)."""
+    basis, modulus = _crt_basis(tuple(moduli))
+    return sum(map(operator.mul, residues, basis)) % modulus
+
+
+@functools.lru_cache(maxsize=64)
+def _crt_basis(moduli: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    modulus = math.prod(moduli)
+    return tuple(modulus // m * pow(modulus // m, -1, m) for m in moduli), modulus
+
+
+def _rational_reconstruct(r: int, m: int) -> Fraction | None:
+    """Smallest-height fraction a/b with a = r*b (mod m), |a|, b <= sqrt(m/2)."""
+    bound = math.isqrt(m // 2)
+    (s0, t0), (s1, t1) = (m, 0), (r % m, 1)
+    while s1 > bound:
+        quo = s0 // s1
+        (s0, t0), (s1, t1) = (s1, t1), (s0 - quo * s1, t0 - quo * t1)
+    if t1 == 0 or abs(t1) > bound or math.gcd(s1, t1) != 1:
+        return None
+    return Fraction(s1, t1)
+
+
 def _rref_rationals(rows):
-    # Clear denominators row by row, then run fraction-free (Bareiss) forward
-    # elimination on integers; a final pass normalizes pivots to 1 and clears
-    # entries above them with exact Fraction arithmetic.
+    # Clear denominators row by row, take the RREF modulo primes below 2^31 and
+    # lift it by CRT and rational reconstruction.  A bad prime loses rank or
+    # moves a pivot right, so only primes of the least key (-rank, pivots) are
+    # kept.  A candidate R is accepted once M v = 0 over the integers for every
+    # nullspace vector v R names: rank(M) <= rank(R) = rank(M mod p) <= rank(M).
     work = []
     for row in rows:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        work.append([int(f * scale) for f in fracs])
-    m = len(work)
-    n = len(work[0])
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(n):
-        pr = -1
-        for i in range(r, m):
-            if work[i][c] != 0:
-                pr = i
-                break
-        if pr < 0:
+        scale = math.lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (scale // x.denominator) for x in row])
+    ncols = len(work[0])
+    # each RREF entry is a quotient of minors of at most `height` (Hadamard),
+    # so good primes whose product exceeds 2 height^2 always reconstruct it
+    height = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in work)
+    best, kept = None, []
+    for p in map(_lift_prime, itertools.count()):
+        red, pivots = _rref_prime(p, [[x % p for x in row] for row in work])
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, kept = key, []
+        elif key > best:
             continue
-        work[r], work[pr] = work[pr], work[r]
-        piv = work[r][c]
-        for i in range(r + 1, m):
-            fi = work[i][c]
-            row_i = work[i]
-            prow = work[r]
-            work[i] = [(piv * x - fi * y) // prev for x, y in zip(row_i, prow)]
-        pivots.append(c)
-        prev = piv
-        r += 1
-        if r == m:
-            break
-    # normalization pass: integer echelon rows -> unique RREF over Q
-    echelon = [[Fraction(x) for x in work[i]] for i in range(r)]
-    for i in range(r):
-        pc = pivots[i]
-        inv = 1 / echelon[i][pc]
-        echelon[i] = [x * inv for x in echelon[i]]
-    for i in range(r - 1, -1, -1):
-        pc = pivots[i]
-        for j in range(i):
-            f = echelon[j][pc]
-            if f:
-                echelon[j] = [x - f * y for x, y in zip(echelon[j], echelon[i])]
-    return echelon, pivots
+        kept.append((p, red))
+        moduli = [q for q, _ in kept]
+        modulus = math.prod(moduli)
+        rref = [[_ONE if c == pc else _ZERO for c in range(ncols)] for pc in pivots]
+        free = [c for c in range(ncols) if c not in pivots]
+        # The entries share a denominator, so most lift with one product by the
+        # running one, den.  Bottom rows first: with too few primes they tend to fail first.
+        bound, den = math.isqrt(modulus // 2), 1
+        for r, c in reversed([(r, c) for r, pc in enumerate(pivots) for c in free if c > pc]):
+            x = _crt([red[r][c] for _, red in kept], moduli)
+            y = (x * den + modulus // 2) % modulus - modulus // 2
+            if abs(y) <= bound:
+                rref[r][c] = Fraction(y, den) if y else _ZERO
+                continue
+            rref[r][c] = _rational_reconstruct(x, modulus)
+            if rref[r][c] is None:
+                break
+            den = math.lcm(den, rref[r][c].denominator)
+        else:  # den v is integral for each named v; check M (den v) = 0 row by row
+            num = [[x.numerator * (den // x.denominator) for x in row] for row in rref]
+            if all(
+                sum(w[pc] * row[c] for pc, row in zip(pivots, num)) == den * w[c]
+                for w in work
+                for c in free
+            ):
+                return rref, pivots
+        if modulus > 2 * height * height:
+            raise RuntimeError("multimodular RREF over QQ failed past the Hadamard bound")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Module layout: imports sit at the top of each module, the graph layer
-reaches the matrix codec without going through commute, and every attribute
-the benchmark's tracer patches exists."""
+reaches the matrix codec without going through commute, the CRT and rational
+reconstruction helpers live in matrix alone, and every attribute the
+benchmark's tracer patches exists."""
 
 import ast
 import importlib
@@ -48,6 +49,17 @@ def test_graph_does_not_import_commute():
     ]
     assert "matrix" in imported
     assert "commute" not in imported
+
+
+def test_one_copy_of_the_lifting_helpers_and_no_bareiss_loop():
+    defined = {
+        (path.name, node.name)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in ("_crt", "_rational_reconstruct")
+    }
+    assert defined == {("matrix.py", "_crt"), ("matrix.py", "_rational_reconstruct")}
+    assert "// prev" not in (SRC / "matrix.py").read_text()
 
 
 def _resolve(node):

@@ -2,6 +2,7 @@
 powers, and minimal polynomials, checked against independent oracles."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 from unittest import mock
@@ -9,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import GF
+from sympy import GF, QQ as SQQ, prevprime
 from sympy.polys.matrices import DomainMatrix
 
 from commdist import matrix
@@ -43,6 +44,7 @@ GF5 = FieldSpec.prime(5)
 GF9 = FieldSpec.parse("gf(9)")
 
 ALL_FIELDS = [QQ, GF2, GF3, GF9]
+P0 = 2**31 - 1  # the first prime the rational kernel eliminates modulo
 
 A25 = ExactMatrix(QQ, [[1, 2, 0], [3, 4, 0], [0, 0, 5]])
 B25 = ExactMatrix(QQ, [[1, 1, 0], [2, 2, 0], [0, 0, 3]])
@@ -244,8 +246,9 @@ def test_det_against_permanent_expansion(spec):
 
 @st.composite
 def _low_rank_rows(draw):
-    """(p, rows): an m x n product L @ R mod p with inner size k, so ranks vary."""
-    p = draw(st.sampled_from([2, 3]))
+    """(p, rows): an m x n product L @ R mod p with inner size k, so ranks vary;
+    p = 2^31 - 1 sits at the prime cap, where int64 has the least headroom."""
+    p = draw(st.sampled_from([2, 3, P0]))
     m, n, k = draw(st.integers(1, 32)), draw(st.integers(1, 16)), draw(st.integers(1, 16))
     digits = st.integers(0, p - 1)
     left = draw(st.lists(st.lists(digits, min_size=k, max_size=k), min_size=m, max_size=m))
@@ -263,6 +266,74 @@ def test_rref_matches_sympy_over_small_prime_fields(case):
     got, pivots = rref_raw(FieldSpec.prime(p), rows)
     assert pivots == list(want_pivots)
     assert got == [[int(x) % p for x in row] for row in want.to_list()[: len(pivots)]]
+
+
+def _sympy_rref_qq(rows):
+    dm = DomainMatrix(
+        [[SQQ(x.numerator, x.denominator) for x in row] for row in rows],
+        (len(rows), len(rows[0])),
+        SQQ,
+    )
+    want, pivots = dm.rref()
+    out = [[Fraction(int(x.numerator), int(x.denominator)) for x in row] for row in want.to_list()]
+    return out[: len(pivots)], list(pivots)
+
+
+@st.composite
+def _low_rank_rationals(draw):
+    """An m x n product L @ R over Q with inner size k: factor heights up to
+    10^12, denominators that include the first lift prime, ranks that vary."""
+    m, n, k = draw(st.integers(1, 10)), draw(st.integers(1, 10)), draw(st.integers(1, 6))
+    nums = st.integers(-(10**12), 10**12) | st.integers(-2, 2)
+    entry = st.builds(Fraction, nums, st.sampled_from([1, 2, 9, 10**6 + 3, P0]))
+    left = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return [[sum(map(operator.mul, row, col), Fraction(0)) for col in zip(*right)] for row in left]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_low_rank_rationals())
+def test_rref_matches_sympy_over_the_rationals(rows):
+    assert rref_raw(QQ, rows) == _sympy_rref_qq(rows)
+
+
+TALL = [[3, 2**40 + 1, 0], [5, 7, 2**35]]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 0], [0, P0]],  # rank 2 over Q, rank 1 modulo P0
+        [[P0, 1], [2 * P0, 2]],  # pivot in column 0 over Q, in column 1 modulo P0
+        TALL,  # RREF heights above 2^31
+    ],
+    ids=["rank-drops", "pivot-moves-right", "tall-entries"],
+)
+def test_rref_over_q_drops_bad_primes_and_lifts_tall_entries(rows):
+    rows = [[Fraction(x) for x in row] for row in rows]
+    assert rref_raw(QQ, rows) == _sympy_rref_qq(rows)
+
+
+def test_tall_entries_take_several_primes():
+    with mock.patch.object(matrix, "_rref_prime", wraps=matrix._rref_prime) as spy:
+        rref, _ = rref_raw(QQ, [[Fraction(x) for x in row] for row in TALL])
+    assert max(abs(x.numerator) for row in rref for x in row) > 2**31
+    assert spy.call_count > 1
+
+
+def test_lift_primes_count_down_from_the_prime_cap():
+    want, p = [], 2**31
+    for _ in range(20):
+        p = prevprime(p)
+        want.append(p)
+    assert [matrix._lift_prime(i) for i in range(20)] == want
+
+
+def test_rref_over_q_raises_instead_of_looping_past_the_hadamard_bound():
+    # the Hadamard bound of [[3, 1]] is 4, so one prime already exceeds 2 * 4^2
+    with mock.patch.object(matrix, "_rational_reconstruct", return_value=None):
+        with pytest.raises(RuntimeError, match="Hadamard"):
+            rref_raw(QQ, [[Fraction(3), Fraction(1)]])
 
 
 @settings(max_examples=120, deadline=None)
