@@ -15,18 +15,19 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
-from numpy.random import Philox
 
 from .commute import _code_stack, _pool_commutes, dist_le_2, idempotent_pool
 from .errors import CapExceeded, DimMismatch
 from .field import FieldSpec
 from .matrix import (
+    _BATCH_CELLS,
     PAIR_CAP,
+    SAMPLE_CAP,
     _centralizer_chunks,
     _commuting_pairs,
     _scalar_codes,
-    decode_matrix,
-    lift_rows_raw,  # unused here, but the benchmark's tracer wraps census.lift_rows_raw
+    _stack_ranks,
+    lift_rows_raw,  # like dist_le_2, unused here: kept only for the benchmark's tracer
     space_size,
 )
 
@@ -61,20 +62,25 @@ def sample_codes(seed: int, start: int, count: int, modulus: int) -> list[int]:
     """Counter-based uniform codes: sample j is derived from Philox block j.
 
     The same (seed, j) always yields the same code, so partitioning a range
-    across workers cannot change the results.
+    across workers cannot change the results.  A code is 128 random bits
+    reduced modulo `modulus`, which SAMPLE_CAP bounds.
     """
-    if count == 0:
-        return []
-    bg = Philox(key=seed)
-    if start:
-        bg = bg.advance(start)
-    raw = bg.random_raw(4 * count)
-    out = []
-    for idx in range(count):
-        hi = int(raw[4 * idx])
-        lo = int(raw[4 * idx + 1])
-        out.append(((hi << 64) | lo) % modulus)
-    return out
+    if modulus > SAMPLE_CAP:
+        raise CapExceeded(f"sampling universe {modulus} exceeds 2^{SAMPLE_CAP.bit_length() - 1}")
+    # np.random is imported on first use, so commands that never sample skip it
+    raw = np.random.Philox(key=seed).advance(start).random_raw((count, 4)).tolist()
+    return [(hi << 64 | lo) % modulus for hi, lo, _, _ in raw]
+
+
+def _sampled_pairs(spec: FieldSpec, n: int, samples: int, seed: int):
+    """Blocks of sampled pairs as two (k, n, n) raw arrays of at most
+    _BATCH_CELLS entries; SAMPLE_CAP keeps codes below 2^48, in int64 range."""
+    total = space_size(spec, n, None)
+    step = max(1, _BATCH_CELLS // (n * n))
+    for start in range(0, samples, step):
+        codes = sample_codes(seed, start, min(step, samples - start), total * total)
+        a_codes, b_codes = zip(*(divmod(code, total) for code in codes))
+        yield _code_stack(spec, n, a_codes), _code_stack(spec, n, b_codes)
 
 
 def _nullity_counts(spec: FieldSpec, n: int) -> list[int]:
@@ -104,8 +110,9 @@ def count_dist_le_2(
     that commute with a common non-scalar matrix.
 
     Exhaustive when the ordered-pair space fits 2^26, else give `samples` for
-    a seeded estimate.  The exhaustive count adds up, for each A, the union of
-    the centralizers of A's non-scalar commuters.
+    a seeded estimate (at most 2^96 pairs), which ranks the samples in
+    batches.  The exhaustive count adds up, for each A, the union of the
+    centralizers of A's non-scalar commuters.
     """
     total = space_size(spec, n, None)
     pair_total = total * total
@@ -135,13 +142,12 @@ def count_dist_le_2(
         )
     if samples < 1:
         raise ValueError(f"the sample count must be at least 1, got {samples}")
-    hits = 0
-    for pair_code in sample_codes(seed, 0, samples, pair_total):
-        a_code, b_code = divmod(pair_code, total)
-        a = decode_matrix(spec, n, a_code)
-        b = decode_matrix(spec, n, b_code)
-        if dist_le_2(a, b):
-            hits += 1
+    if n < 2:
+        raise DimMismatch("the rank criterion needs n >= 2")
+    hits = sum(
+        int((_stack_ranks(spec, n, a, b) <= n * n - 2).sum())
+        for a, b in _sampled_pairs(spec, n, samples, seed)
+    )
     return CensusReport(
         spec.to_string(),
         n,
@@ -199,17 +205,12 @@ def zi_pair_census(
         raise DimMismatch(f"rank {i} outside 1..floor(n/2)")
     pool = _code_stack(spec, n, [code for code, r in idempotent_pool(spec, n) if r == i])
     hits = 0
-    for pair_code in sample_codes(seed, 0, samples, total * total):
-        a_code, b_code = divmod(pair_code, total)
-        a = decode_matrix(spec, n, a_code)
-        b = decode_matrix(spec, n, b_code)
-        if (_pool_commutes(spec, pool, a) & _pool_commutes(spec, pool, b)).any():
-            if not dist_le_2(a, b):
-                raise AssertionError(
-                    "idempotent witness without rank-criterion membership"
-                )
-            hits += 1
-    report = CensusReport(
+    for a, b in _sampled_pairs(spec, n, samples, seed):
+        both = (_pool_commutes(spec, pool, a) & _pool_commutes(spec, pool, b)).any(1)
+        if (_stack_ranks(spec, n, a[both], b[both]) > n * n - 2).any():
+            raise AssertionError("idempotent witness without rank-criterion membership")
+        hits += int(both.sum())
+    return CensusReport(
         spec.to_string(),
         n,
         f"zi_pair_count({i})",
@@ -217,5 +218,4 @@ def zi_pair_census(
         _estimate(hits, samples, total * total),
         extra={"i": i, "idempotents_of_rank_i": len(pool), "crosschecked": True},
     )
-    return report
 

@@ -29,6 +29,7 @@ from .field import FieldElem, FieldSpec
 from .matrix import (
     PAIR_CAP,
     SPACE_CAP,
+    _BATCH_CELLS,
     ExactMatrix,
     _check_square,
     _code_digits,
@@ -153,8 +154,9 @@ def _idempotent_pool_cached(spec: FieldSpec, n: int) -> list[tuple[int, int]]:
         return [(0, 0), (1, 1)]
     total = spec.order ** (n * n)
     out: list[tuple[int, int]] = []
-    for start in range(0, total, 1 << 16):
-        codes = np.arange(start, min(start + (1 << 16), total), dtype=np.int64)
+    step = _BATCH_CELLS // (n * n)
+    for start in range(0, total, step):
+        codes = np.arange(start, min(start + step, total), dtype=np.int64)
         mats = _code_stack(spec, n, codes)
         hit = np.all(_ff_matmul(spec, mats, mats) == mats, axis=(1, 2))
         out += [(code, rank(decode_matrix(spec, n, code))) for code in codes[hit].tolist()]
@@ -166,10 +168,14 @@ def _code_stack(spec: FieldSpec, n: int, codes) -> np.ndarray:
     return _code_digits(spec.order, np.asarray(codes, np.int64), n * n).reshape(-1, n, n)
 
 
-def _pool_commutes(spec: FieldSpec, pool: np.ndarray, m: ExactMatrix) -> np.ndarray:
-    """Which matrices of a (k, n, n) raw array commute with m."""
-    arr = np.array(m.rows, dtype=np.int64)
-    return np.all(_ff_matmul(spec, arr, pool) == _ff_matmul(spec, pool, arr), axis=(1, 2))
+def _pool_commutes(spec: FieldSpec, pool: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """mask[s, j]: whether pool[j] commutes with mats[s], for (k, n, n) and
+    (S, n, n) raw arrays; the products run in chunks of _BATCH_CELLS entries."""
+    step = max(1, _BATCH_CELLS // pool.size)
+    chunks = (mats[start : start + step, None] for start in range(0, len(mats), step))
+    return np.concatenate(
+        [np.all(_ff_matmul(spec, x, pool) == _ff_matmul(spec, pool, x), axis=(2, 3)) for x in chunks]
+    )
 
 
 def zi_membership(
@@ -202,7 +208,7 @@ def zi_membership(
         return witness
     codes = [code for code, r in idempotent_pool(a.spec, n) if r == i]
     pool = _code_stack(a.spec, n, codes)
-    hits = np.flatnonzero(_pool_commutes(a.spec, pool, a) & _pool_commutes(a.spec, pool, b))
+    hits = np.flatnonzero(_pool_commutes(a.spec, pool, np.array([a.rows, b.rows], np.int64)).all(0))
     return decode_matrix(a.spec, n, codes[hits[0]]) if hits.size else None
 
 

@@ -163,6 +163,8 @@ class FieldSpec:
         if m is None:
             raise ParseError(f"bad field spec {text!r}")
         base = int(m.group(1))
+        if base >= _MAX_PRIME:  # before any trial division: no supported field is this large
+            raise ParseError(f"gf({base}) exceeds the 2^31 cap")
         caret = m.group(2)
         coeffs = m.group(3)
         if caret is not None:
@@ -177,7 +179,7 @@ class FieldSpec:
         if k == 1:
             if coeffs is not None:
                 raise ParseError("prime fields take no modulus")
-            return cls.prime(p)
+            return cls("prime", p=p)  # _factor proved p prime, and it is below the cap
         if coeffs is None:
             if k == 2 and p % 4 == 3:
                 modulus: tuple[int, ...] = (1, 0, 1)  # x^2 + 1, irreducible since -1 is a non-square

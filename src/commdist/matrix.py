@@ -33,6 +33,7 @@ _MAX_DIM = 128  # lift stacks for n = 8 are 128 x 64; anything larger is a mista
 SIZE_CAP = 8  # all interesting content lives at n <= 4; larger inputs are mistakes
 SPACE_CAP = 1 << 24  # codes in one enumeration of Mat_n over a finite field
 PAIR_CAP = 1 << 26  # ordered pairs: bits of the exhaustive dist-le-2 table; one certificate scan
+SAMPLE_CAP = 1 << 96  # sampled pairs: 128-bit draws modulo the universe stay 2^-32 from uniform
 DIAMETER_CAP = 1 << 20  # codes for an all-pairs BFS
 PREBUILD_CAP = 1 << 17  # neighbor lists are kept below this many codes
 _ZERO, _ONE = Fraction(0), Fraction(1)
@@ -434,19 +435,20 @@ def lift_rows_raw(a: ExactMatrix) -> list[list]:
 # elimination backends (shared by rank / nullspace / solving)
 
 
-def rref_raw(spec: FieldSpec, rows: list[list]) -> tuple[list[list], list[int]]:
+def rref_raw(spec: FieldSpec, rows: list[list], rank_only=False) -> tuple[list | None, list[int]]:
     """Reduced row echelon form of raw rows.
 
     Returns (pivot_rows, pivot_cols): only the nonzero rows of the RREF, with
     each pivot normalized to one.  Pivot columns are scanned left to right, so
-    the output is the unique RREF and independent of the backend.
+    the output is the unique RREF and independent of the backend.  A full-rank
+    rational input with `rank_only` may return (None, pivot_cols).
     """
     if spec.kind == "prime" and spec.p == 2:
         return _rref_gf2(rows)
     if spec.kind == "prime":
         return _rref_prime(spec.p, rows)
     if spec.kind == "rationals":
-        return _rref_rationals(rows)
+        return _rref_rationals(rows, rank_only)
     return _rref_generic(spec, rows)
 
 
@@ -592,7 +594,7 @@ def _rational_reconstruct(r: int, m: int) -> Fraction | None:
     return Fraction(s1, t1)
 
 
-def _rref_rationals(rows):
+def _rref_rationals(rows, rank_only=False):
     # Clear denominators row by row, take the RREF modulo primes below 2^31 and
     # lift it by CRT and rational reconstruction.  A bad prime loses rank or
     # moves a pivot right, so only primes of the least key (-rank, pivots) are
@@ -609,6 +611,8 @@ def _rref_rationals(rows):
     best, kept = None, []
     for p in map(_lift_prime, itertools.count()):
         red, pivots = _rref_prime(p, [[x % p for x in row] for row in work])
+        if rank_only and len(pivots) == min(len(work), ncols):
+            return None, pivots  # the rank modulo p never exceeds the rank over Q
         key = (-len(pivots), pivots)
         if best is None or key < best:
             best, kept = key, []
@@ -654,7 +658,7 @@ def rank(m: ExactMatrix) -> int:
 
 
 def rank_raw(spec: FieldSpec, rows: list[list]) -> int:
-    return len(rref_raw(spec, rows)[1])
+    return len(rref_raw(spec, rows, rank_only=True)[1])
 
 
 def nullspace_basis(m: ExactMatrix) -> list[tuple[FieldElem, ...]]:
@@ -698,21 +702,53 @@ def _code_digits(q: int, codes: np.ndarray, length: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _np_tables(spec: FieldSpec):
     """(add, neg, mul, inv) lookup tables of a finite field as uint8 arrays;
-    q <= 64 whenever a space with n >= 2 fits SPACE_CAP."""
+    needs q <= 256, which sampled spaces do not guarantee."""
     ops, r = spec.ops(), range(spec.order)
     table = functools.partial(np.array, dtype=np.uint8)
     add, mul = (table([[f(a, b) for b in r] for a in r]) for f in (ops.add, ops.mul))
     return add, table([ops.neg(a) for a in r]), mul, table([0] + [ops.inv(a) for a in r[1:]])
 
 
+def _lifts(spec: FieldSpec, mats: np.ndarray) -> np.ndarray:
+    """The lifts M_A of an (S, n, n) uint8 raw array, as an (S, n^2, n^2) array."""
+    add, neg, _, _ = _np_tables(spec)
+    size, n = mats.shape[:2]
+    eye = np.eye(n, dtype=np.uint8)
+    # M_A = A (x) I - I (x) A^T, row (i, j) and column (k, l)
+    lift = add[np.einsum("bik,jl->bijkl", mats, eye), neg[np.einsum("ik,blj->bijkl", eye, mats)]]
+    return lift.reshape(size, n * n, n * n)
+
+
+def _gauss_jordan(spec: FieldSpec, mat: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan in place over an (S, rows, cols) uint8 batch; returns
+    pivot_row (S, cols), -1 for a free column.  A column's pivot is the first
+    unused row with a nonzero entry, and rows are never swapped."""
+    add, neg, mul, inv = _np_tables(spec)
+    size, rows, cols = mat.shape
+    batch = np.arange(size)
+    used, pivot_row = np.zeros((size, rows), bool), np.full((size, cols), -1)
+    for c in range(cols):
+        open_ = (mat[:, :, c] != 0) & ~used
+        has, r = open_.any(1), open_.argmax(1)
+        # a member without a pivot here gets a zero pivot row and zero factors
+        prow = mul[mat[batch, r], inv[mat[batch, r, c] * has][:, None]]
+        factor = mat[:, :, c] * has[:, None]
+        factor[batch, r] = 0
+        hb, hr = np.nonzero(factor)  # only the rows with something to clear
+        mat[hb, hr] = add[mat[hb, hr], neg[mul[factor[hb, hr][:, None], prow[hb]]]]
+        mat[batch[has], r[has]] = prow[has]
+        used[batch[has], r[has]] = True
+        pivot_row[has, c] = r[has]
+    return pivot_row
+
+
 def _centralizer_chunks(spec: FieldSpec, n: int, codes):
     """Centralizer bases of many matrices at once, in chunks of bounded size.
 
-    Gauss-Jordan runs over the lifts M_A of a whole chunk: a column's pivot is
-    the first unused row with a nonzero entry, and rows are never swapped.
-    Yields (codes, free, vecs) per chunk: free[b] marks the free columns of
-    M_A, and vecs[b][free[b]] is the basis nullspace_raw gives.  `codes` is
-    an array or a range, which keeps a whole space from being materialized.
+    Gauss-Jordan runs over the lifts M_A of a whole chunk.  Yields (codes,
+    free, vecs) per chunk: free[b] marks the free columns of M_A, and
+    vecs[b][free[b]] is the basis nullspace_raw gives.  `codes` is an array
+    or a range, which keeps a whole space from being materialized.
     """
     m = n * n
     step = max(1, _BATCH_CELLS // (m * m))
@@ -722,29 +758,34 @@ def _centralizer_chunks(spec: FieldSpec, n: int, codes):
         if n == 1:  # M_A is zero
             yield chunk, np.ones((size, 1), bool), np.ones((size, 1, 1), np.uint8)
             continue
-        add, neg, mul, inv = _np_tables(spec)
-        a = _code_digits(spec.order, chunk, m).astype(np.uint8).reshape(size, n, n)
-        eye = np.eye(n, dtype=np.uint8)
-        # M_A = A (x) I - I (x) A^T, row (i, j) and column (k, l)
-        lift = add[np.einsum("bik,jl->bijkl", a, eye), neg[np.einsum("ik,blj->bijkl", eye, a)]]
-        lift = lift.reshape(size, m, m)
-        used, pivot_row = np.zeros((size, m), bool), np.full((size, m), -1)
-        for c in range(m):
-            open_ = (lift[:, :, c] != 0) & ~used
-            has, r = open_.any(1), open_.argmax(1)
-            # a member without a pivot here gets a zero pivot row and zero factors
-            prow = mul[lift[batch, r], inv[lift[batch, r, c] * has][:, None]]
-            factor = lift[:, :, c] * has[:, None]
-            factor[batch, r] = 0
-            hb, hr = np.nonzero(factor)  # only the rows with something to clear
-            lift[hb, hr] = add[lift[hb, hr], neg[mul[factor[hb, hr][:, None], prow[hb]]]]
-            lift[batch[has], r[has]] = prow[has]
-            used[batch[has], r[has]] = True
-            pivot_row[has, c] = r[has]
+        lift = _lifts(spec, _code_digits(spec.order, chunk, m).astype(np.uint8).reshape(size, n, n))
+        pivot_row = _gauss_jordan(spec, lift)
         pivot = pivot_row >= 0
         # vecs[b, f, e] is minus entry f of column e's pivot row, or the identity
         rref = lift[batch[:, None], np.maximum(pivot_row, 0)].transpose(0, 2, 1)
+        neg = _np_tables(spec)[1]
         yield chunk, ~pivot, np.where(pivot[:, None, :], neg[rref], np.eye(m, dtype=np.uint8))
+
+
+def _stack_ranks(spec: FieldSpec, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rank of each stacked lift [M_A; M_B] for (S, n, n) raw arrays a and b.
+
+    Fields with q <= 256 eliminate chunks of at most _BATCH_CELLS entries at
+    once; larger fields rank one pair at a time with rank_raw.
+    """
+    if spec.order > 256:
+        lifts = [lift_rows_raw(ExactMatrix._from_raw(spec, x)) for x in np.concatenate([a, b]).tolist()]
+        pairs = zip(lifts[: len(a)], lifts[len(a) :])
+        return np.array([rank_raw(spec, x + y) for x, y in pairs], np.int64)
+    m = n * n
+    step = max(1, _BATCH_CELLS // (2 * m * m))
+    ranks = np.zeros(len(a), np.int64)
+    for start in range(0, len(a), step):
+        part = slice(start, start + step)
+        # lifts of A_s and B_s sit next to each other, so a reshape stacks them
+        pairs = np.stack([a[part], b[part]], 1).astype(np.uint8).reshape(-1, n, n)
+        ranks[part] = (_gauss_jordan(spec, _lifts(spec, pairs).reshape(-1, 2 * m, m)) >= 0).sum(1)
+    return ranks
 
 
 def _ff_matmul(spec: FieldSpec, x, y) -> np.ndarray:

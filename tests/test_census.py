@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from commdist.errors import CapExceeded, DimMismatch, FieldMismatch
@@ -127,6 +128,54 @@ def test_sampled_mode_is_deterministic_and_sound():
     assert r1.value["hits"] == hits
 
 
+def _recount(spec, n, samples, seed, hit) -> int:
+    """Per-pair recount of a sampled census: how many drawn pairs satisfy hit(A, B)."""
+    total = spec.order ** (n * n)
+    pairs = (divmod(code, total) for code in cs.sample_codes(seed, 0, samples, total * total))
+    return sum(bool(hit(decode_matrix(spec, n, x), decode_matrix(spec, n, y))) for x, y in pairs)
+
+
+@pytest.mark.parametrize(
+    "spec,n",
+    [(GF2, 3), (GF3, 3), (GF4, 2), (GF8, 3), (GF2, 4), (FieldSpec.prime(257), 2)],
+    ids=str,
+)
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_sampled_dist_le_2_matches_a_per_pair_recount(spec, n, seed):
+    rep = cs.count_dist_le_2(spec, n, samples=150, seed=seed)
+    assert rep.value["hits"] == _recount(spec, n, 150, seed, cm.dist_le_2)
+
+
+@pytest.mark.parametrize(
+    "field,seed,hits",
+    [("gf(3)", 1001, 20), ("gf(3)", 1003, 22), ("gf(5)", 1002, 3), ("gf(5)", 1004, 3)],
+)
+def test_sampled_dist_le_2_keeps_the_benchmark_counts(field, seed, hits):
+    # the 1,500-sample GF(3) and GF(5) 3x3 calls of the benchmark's census pass
+    rep = cs.count_dist_le_2(FieldSpec.parse(field), 3, samples=1500, seed=seed)
+    assert rep.value["hits"] == hits
+
+
+def test_sampled_dist_le_2_needs_n_at_least_2():
+    with pytest.raises(DimMismatch, match="the rank criterion needs n >= 2"):
+        cs.count_dist_le_2(GF2, 1, samples=10, seed=0)
+
+
+def test_sampling_universes_above_2_to_the_96_are_capped():
+    # 128-bit draws reduced modulo a larger universe used to decode every A
+    # as the zero matrix, so these calls reported a fraction of 1/1
+    for spec, n in [(FieldSpec.prime(65537), 3), (FieldSpec.prime(2147483629), 3), (GF2, 7)]:
+        with pytest.raises(CapExceeded, match="sampling universe"):
+            cs.count_dist_le_2(spec, n, samples=50)
+    with pytest.raises(CapExceeded):
+        cs.sample_codes(0, 0, 1, 2**96 + 1)
+    # up to the cap the draws are unchanged, so seeded reports replay
+    assert cs.sample_codes(5, 0, 3, 2**96) == [
+        16399138097141313079191595592, 11029767064695396478891275231, 12176923267846507798202680999
+    ]
+    assert cs.count_dist_le_2(GF2, 6, samples=20, seed=1).value["samples"] == 20
+
+
 @pytest.mark.slow
 def test_dist_le_2_dimension_trend_diagnostic():
     # data-level sanity only: the base-q log of the distance<=2 count should
@@ -185,6 +234,24 @@ def test_zi_pair_census_matches_membership_over_gf4():
             assert cm.zi_membership(a, b, 1, witness=wit) == wit
             hits += 1
     assert rep.value["hits"] == hits > 0
+
+
+@pytest.mark.parametrize("spec,n,i", [(GF2, 3, 1), (GF2, 4, 2), (GF3, 2, 1), (GF4, 2, 1)], ids=str)
+@pytest.mark.parametrize("seed", [1, 4])
+def test_zi_pair_census_matches_a_per_pair_recount(spec, n, i, seed):
+    def hit(a, b):
+        wit = cm.zi_membership(a, b, i)
+        assert wit is None or cm.dist_le_2(a, b)
+        return wit is not None
+
+    rep = cs.zi_pair_census(spec, n, i, samples=100, seed=seed)
+    assert rep.value["hits"] == _recount(spec, n, 100, seed, hit)
+
+
+def test_zi_pair_census_raises_on_a_hit_outside_the_rank_criterion(monkeypatch):
+    monkeypatch.setattr(cs, "_stack_ranks", lambda spec, n, a, b: np.full(len(a), n * n))
+    with pytest.raises(AssertionError, match="idempotent witness"):
+        cs.zi_pair_census(GF2, 3, 1, samples=60, seed=7)
 
 
 @pytest.mark.slow

@@ -59,6 +59,30 @@ def test_module_entry_point_is_quiet():
     assert json.loads(proc.stdout)["count"] == 7
 
 
+def test_huge_field_base_exits_1_at_once():
+    # the base used to be trial-divided before the 2^31 cap was checked
+    src = str(Path(commdist.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for field in ("gf(1000000000000000000000000000057)", "gf(1000000000000000000000000000057^2)"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "commdist.cli", "census", "--field", field, "--n", "2",
+             "--quantity", "dist-le-2", "--samples", "5"],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        err = json.loads(proc.stderr)
+        assert proc.returncode == 1
+        assert err["error"] == "ParseError" and "exceeds the 2^31 cap" in err["detail"]
+
+
+def test_sampling_universe_above_2_to_the_96_exits_2(capsys):
+    argv = ["census", "--field", "gf(65537)", "--n", "3", "--quantity", "dist-le-2", "--samples", "50"]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = json.loads(out.err)
+    assert err["error"] == "cap-exceeded" and "sampling universe" in err["detail"]
+
+
 def test_derogatory(capsys):
     code, report = run_json(capsys, "derogatory", "--a", "fixture:ex46_A")
     assert code == 0 and report["derogatory"] is True

@@ -1,7 +1,7 @@
 """Module layout: imports sit at the top of each module, the graph layer
 reaches the matrix codec without going through commute, the CRT and rational
-reconstruction helpers live in matrix alone, and every attribute the
-benchmark's tracer patches exists."""
+reconstruction helpers live in matrix alone, the sampled censuses rank in
+batches, and every attribute the benchmark's tracer patches exists."""
 
 import ast
 import importlib
@@ -60,6 +60,17 @@ def test_one_copy_of_the_lifting_helpers_and_no_bareiss_loop():
     }
     assert defined == {("matrix.py", "_crt"), ("matrix.py", "_rational_reconstruct")}
     assert "// prev" not in (SRC / "matrix.py").read_text()
+
+
+def test_census_ranks_no_pair_alone():
+    tree = ast.parse((SRC / "census.py").read_text())
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert "_stack_ranks" in called
+    assert called & {"dist_le_2", "decode_matrix", "rank_raw"} == set()
 
 
 def _resolve(node):

@@ -32,6 +32,7 @@ from commdist.matrix import (
     nullspace_raw,
     random_matrix,
     rank,
+    rank_raw,
     rref_raw,
     unvec,
     vec,
@@ -42,6 +43,8 @@ GF2 = FieldSpec.prime(2)
 GF3 = FieldSpec.prime(3)
 GF5 = FieldSpec.prime(5)
 GF9 = FieldSpec.parse("gf(9)")
+GF4 = FieldSpec.parse("gf(2^2):1,1,1")
+GF8 = FieldSpec.parse("gf(2^3):1,1,0,1")
 
 ALL_FIELDS = [QQ, GF2, GF3, GF9]
 P0 = 2**31 - 1  # the first prime the rational kernel eliminates modulo
@@ -297,6 +300,17 @@ def test_rref_matches_sympy_over_the_rationals(rows):
     assert rref_raw(QQ, rows) == _sympy_rref_qq(rows)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_low_rank_rationals())
+def test_rank_matches_sympy_over_the_rationals(rows):
+    dm = DomainMatrix(
+        [[SQQ(x.numerator, x.denominator) for x in row] for row in rows],
+        (len(rows), len(rows[0])),
+        SQQ,
+    )
+    assert rank_raw(QQ, rows) == dm.rank()
+
+
 TALL = [[3, 2**40 + 1, 0], [5, 7, 2**35]]
 
 
@@ -319,6 +333,23 @@ def test_tall_entries_take_several_primes():
         rref, _ = rref_raw(QQ, [[Fraction(x) for x in row] for row in TALL])
     assert max(abs(x.numerator) for row in rref for x in row) > 2**31
     assert spy.call_count > 1
+
+
+@pytest.mark.parametrize(
+    "rows,want",
+    [(TALL, 2), ([[1, 0], [0, P0]], 2), ([[1, 2], [P0, 2 * P0]], 1), ([[2, 4], [3, 6]], 1)],
+    ids=["full", "drops-modulo-p0", "row-times-p0", "deficient"],
+)
+def test_rank_over_q_with_bad_primes(rows, want):
+    assert rank_raw(QQ, [[Fraction(x) for x in row] for row in rows]) == want
+
+
+def test_full_rank_over_q_takes_one_prime():
+    # a full rank modulo one prime is already the rank over Q, while the RREF
+    # of TALL takes several primes to lift
+    with mock.patch.object(matrix, "_rref_prime", wraps=matrix._rref_prime) as spy:
+        assert rank_raw(QQ, [[Fraction(x) for x in row] for row in TALL]) == 2
+    assert spy.call_count == 1
 
 
 def test_lift_primes_count_down_from_the_prime_cap():
@@ -410,3 +441,33 @@ def test_extension_int_entries_embed_as_constants():
 def test_dimension_cap():
     with pytest.raises(DimMismatch):
         ExactMatrix.zeros(QQ, 200, 1)
+
+
+STACK_FIELDS = [GF2, GF3, GF5, GF4, GF9, GF8, FieldSpec.prime(101), FieldSpec.prime(257), FieldSpec.prime(P0)]
+
+
+@st.composite
+def _pair_batches(draw):
+    """(spec, n, a, b): a few pairs of n x n raw matrices, some of them equal
+    or with entries mostly 0 and 1, so that stacked ranks vary."""
+    spec = draw(st.sampled_from(STACK_FIELDS))
+    n, size = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    digit = st.integers(0, spec.order - 1) | st.sampled_from([0, 0, 1])
+    flat = draw(st.lists(digit, min_size=2 * size * n * n, max_size=2 * size * n * n))
+    a, b = np.array(flat, np.int64).reshape(2, size, n, n)
+    if draw(st.booleans()):
+        b[0] = a[0]
+    return spec, n, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pair_batches())
+def test_stack_ranks_match_rank_raw_of_the_stacked_lifts(case):
+    spec, n, a, b = case
+    def lift(x):
+        return lift_rows_raw(ExactMatrix._from_raw(spec, x.tolist()))
+
+    want = [rank_raw(spec, lift(x) + lift(y)) for x, y in zip(a, b)]
+    assert matrix._stack_ranks(spec, n, a, b).tolist() == want
+    with mock.patch.object(matrix, "_BATCH_CELLS", 1):  # one pair per chunk
+        assert matrix._stack_ranks(spec, n, a, b).tolist() == want
