@@ -25,6 +25,7 @@ from .matrix import (
     SAMPLE_CAP,
     _centralizer_chunks,
     _commuting_pairs,
+    _orbits,
     _scalar_codes,
     _stack_ranks,
     lift_rows_raw,  # like dist_le_2, unused here: kept only for the benchmark's tracer
@@ -84,10 +85,12 @@ def _sampled_pairs(spec: FieldSpec, n: int, samples: int, seed: int):
 
 
 def _nullity_counts(spec: FieldSpec, n: int) -> list[int]:
-    """Number of codes of Mat_n whose centralizer has each dimension 0..n^2."""
+    """Number of codes of Mat_n whose centralizer has each dimension 0..n^2,
+    from one centralizer per orbit weighted by the orbit's size."""
+    reps, sizes = _orbits(spec, n)
+    dims = np.concatenate([free.sum(1) for _, free, _ in _centralizer_chunks(spec, n, reps)])
     counts = np.zeros(n * n + 1, dtype=np.int64)
-    for _, free, _ in _centralizer_chunks(spec, n, range(space_size(spec, n))):
-        counts += np.bincount(free.sum(1), minlength=n * n + 1)
+    np.add.at(counts, dims, sizes)
     return counts.tolist()
 
 
@@ -111,8 +114,8 @@ def count_dist_le_2(
 
     Exhaustive when the ordered-pair space fits 2^26, else give `samples` for
     a seeded estimate (at most 2^96 pairs), which ranks the samples in
-    batches.  The exhaustive count adds up, for each A, the union of the
-    centralizers of A's non-scalar commuters.
+    batches.  The exhaustive count adds up the union of the centralizers of
+    A's non-scalar commuters for one A per orbit, weighted by the orbit's size.
     """
     total = space_size(spec, n, None)
     pair_total = total * total
@@ -130,9 +133,9 @@ def count_dist_le_2(
         nonscalar = np.ones(total, bool)
         nonscalar[list(_scalar_codes(spec, n))] = False
         count = 0
-        for row in table:
-            commuters = np.unpackbits(row, count=total).view(bool) & nonscalar
-            count += int(np.unpackbits(np.bitwise_or.reduce(table[commuters])).sum())
+        for a, size in zip(*(x.tolist() for x in _orbits(spec, n))):
+            commuters = np.unpackbits(table[a], count=total).view(bool) & nonscalar
+            count += size * int(np.unpackbits(np.bitwise_or.reduce(table[commuters])).sum())
         return CensusReport(
             spec.to_string(),
             n,

@@ -23,6 +23,8 @@ from .matrix import (
     PREBUILD_CAP,
     ExactMatrix,
     _commuting_pairs,
+    _hook,
+    _orbits,
     _projective_reps,
     _scalar_codes,
     _span_codes,
@@ -267,26 +269,13 @@ def components(spec: FieldSpec, n: int) -> ComponentsReport:
     return ComponentsReport(len(vertices), len(sizes), sizes)
 
 
-def _hook(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """Join the trees of u[i] and v[i]: the larger root is hooked under the
-    smaller, then pointer jumping points every code at its root again."""
-    while (apart := label[u] != label[v]).any():
-        lu, lv = label[u[apart]], label[v[apart]]
-        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-        while not np.array_equal(up := label[label], label):
-            label[:] = up
-
-
 def diameter(spec: FieldSpec, n: int) -> int:
-    """Largest finite eccentricity over all vertices (all-pairs BFS)."""
-    total = space_size(spec, n, DIAMETER_CAP)
+    """Largest finite eccentricity over all vertices: one BFS sweep from each
+    non-scalar orbit representative, since automorphisms keep eccentricity."""
+    space_size(spec, n, DIAMETER_CAP)
     scalars = _scalar_codes(spec, n)
-    best = 0
-    for start in range(total):
-        if start not in scalars:
-            levels, _ = _bfs(spec, n, start)
-            best = max(best, len(_level_sizes(levels)) - 1)
-    return best
+    sweeps = (_bfs(spec, n, c)[0] for c in _orbits(spec, n)[0].tolist() if c not in scalars)
+    return max((len(_level_sizes(levels)) - 1 for levels in sweeps), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ certified by an exact nullspace check over the integers.
 
 This module also holds what the higher layers share: the integer codec that
 enumerates Mat_n over a finite field, the lift M_A, the size caps, a batched
-kernel that finds the centralizers of a whole chunk of codes at once, and the
-one batched finite-field product the other batched paths multiply with.
+kernel that finds the centralizers of a whole chunk of codes at once, the one
+batched finite-field product, and the orbits of Mat_n under graph automorphisms.
 """
 
 from __future__ import annotations
@@ -440,11 +440,12 @@ def rref_raw(spec: FieldSpec, rows: list[list], rank_only=False) -> tuple[list |
 
     Returns (pivot_rows, pivot_cols): only the nonzero rows of the RREF, with
     each pivot normalized to one.  Pivot columns are scanned left to right, so
-    the output is the unique RREF and independent of the backend.  A full-rank
-    rational input with `rank_only` may return (None, pivot_cols).
+    the output is the unique RREF and independent of the backend.  With
+    `rank_only`, GF(2) and full-rank rational inputs may return (None,
+    pivot_cols).
     """
     if spec.kind == "prime" and spec.p == 2:
-        return _rref_gf2(rows)
+        return _rref_gf2(rows, rank_only)
     if spec.kind == "prime":
         return _rref_prime(spec.p, rows)
     if spec.kind == "rationals":
@@ -479,9 +480,11 @@ def echelon_gf2(packed) -> dict[int, int]:
     return kept
 
 
-def _rref_gf2(rows):
+def _rref_gf2(rows, rank_only=False):
     ncols = len(rows[0])
     kept = echelon_gf2([pack_gf2(r) for r in rows])
+    if rank_only:  # the leading bits of any echelon basis are the RREF pivots
+        return None, sorted(low.bit_length() - 1 for low in kept)
     pivot_mask = sum(kept)
     # back-reduction from the rightmost pivot: every row used is already clean,
     # so clearing one pivot bit never sets another
@@ -830,6 +833,61 @@ def _commuting_pairs(spec: FieldSpec, n: int, codes):
             step = max(1, _BATCH_CELLS // (spec.order**d * n * n))
             for start in range(0, len(ends), step):
                 yield ends[start : start + step], _span_codes(spec, bases[start : start + step])
+
+
+def _hook(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Join the trees of u[i] and v[i]: the larger root is hooked under the
+    smaller, then pointer jumping points every code at its root again."""
+    while (apart := label[u] != label[v]).any():
+        lu, lv = label[u[apart]], label[v[apart]]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while not np.array_equal(up := label[label], label):
+            label[:] = up
+
+
+@functools.lru_cache(maxsize=8)
+def _orbits(spec: FieldSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least code and size of each orbit of Mat_n under automorphisms of its
+    commuting graph, as int64 arrays in increasing order of code; the arrays
+    are memoized and shared, so callers must not write to them.
+
+    The group is generated by conjugation with I + E_12, the n-cycle and
+    diag(g, 1, ..., 1), which together give GL_n(q) for g generating F_q^*;
+    the transpose; A -> A + I and A -> gA; and over GF(p^k) entrywise
+    x -> x^p.  Each fixes the scalars and maps C(A) (semi)linearly onto the
+    centralizer of the image, so centralizer dimensions, distances and
+    eccentricities are constant on orbits.  Every code is joined to its
+    images in trees of least labels.
+    """
+    total, q, m = space_size(spec, n), spec.order, n * n
+    if n == 1:  # A -> A + I alone is transitive on Mat_1
+        return np.zeros(1, np.int64), np.full(1, q, np.int64)
+    add, neg, mul, inv = _np_tables(spec)
+    eye, e12 = np.eye(n, dtype=np.uint8), np.zeros((n, n), np.uint8)
+    e12[0, 1] = 1
+    # g generates F_q^*: its powers g, g^2, ..., g^(q-1) are q - 1 distinct elements
+    g = next(x for x in range(1, q) if len({*itertools.accumulate([x] * (q - 1), mul.item)}) == q - 1)
+
+    def conj(p, p_inv):  # A -> P A P^-1
+        return lambda a: _ff_matmul(spec, _ff_matmul(spec, p, a), p_inv)
+
+    maps = [
+        conj(eye + e12, eye + neg[1] * e12),
+        conj(*(np.diag([x] + [1] * (n - 1)) for x in (g, inv[g]))),
+        lambda a: np.roll(a, 1, (1, 2)), lambda a: a.transpose(0, 2, 1),
+        lambda a: np.where(eye, add[a, 1], a), lambda a: mul[g, a],
+    ]
+    if spec.kind == "extension":  # x -> x^p
+        maps.append(lambda a: functools.reduce(lambda y, _: mul[y, a], range(spec.p - 1), a))
+    # codes stay below SPACE_CAP = 2^24, so int32 holds them
+    step, codes = max(1, _BATCH_CELLS // m), np.arange(total, dtype=np.int32)
+    chunks = [_code_digits(q, c, m).astype(np.uint8) for c in np.split(codes, range(step, total, step))]
+    label, weights = codes.copy(), q ** np.arange(m, dtype=np.int32)
+    for f in maps:
+        images = [f(c.reshape(-1, n, n)).reshape(-1, m) @ weights for c in chunks]
+        _hook(label, codes, np.concatenate(images))
+    reps = np.flatnonzero(label == codes)
+    return reps, np.bincount(label)[reps]
 
 
 def det(m: ExactMatrix) -> FieldElem:

@@ -48,7 +48,7 @@ def _feit_fine(q: int, n: int) -> int:
 @pytest.mark.parametrize(
     "spec,n,pairs",
     [(GF2, 2, 88), (GF3, 2, 945), (GF2, 3, 7456), (GF3, 3, 809433),
-     (FieldSpec.parse("gf(2^2):1,1,1"), 2, 5056)],
+     (FieldSpec.parse("gf(2^2):1,1,1"), 2, 5056), (GF2, 4, 2526976)],
 )
 def test_commuting_pairs_match_the_feit_fine_series(spec, n, pairs):
     assert _feit_fine(spec.order, n) == pairs
@@ -58,6 +58,7 @@ def test_commuting_pairs_match_the_feit_fine_series(spec, n, pairs):
 def test_commuting_pairs_n1_is_q_squared():
     for spec in (GF2, GF3):
         assert cs.count_commuting_pairs(spec, 1).value == spec.order**2
+    assert cs.count_commuting_pairs(FieldSpec.prime(16777213), 1).value == 16777213**2
 
 
 def test_commuting_pairs_snapshots():

@@ -229,6 +229,15 @@ def test_components_match_per_start_sweeps(spec, n):
     assert (comp.vertex_count, comp.count, comp.sizes) == (vertex_count, len(sizes), sizes)
 
 
+@pytest.mark.parametrize(
+    "spec,n", [(GF2, 2), (GF3, 2), (GF4, 2), (FieldSpec.prime(5), 2), (GF2, 3)]
+)
+def test_diameter_matches_a_sweep_from_every_vertex(spec, n):
+    scalars = gr._scalar_codes(spec, n)
+    sweeps = (gr._bfs(spec, n, c)[0] for c in range(spec.order ** (n * n)) if c not in scalars)
+    assert gr.diameter(spec, n) == max(len(gr._level_sizes(levels)) - 1 for levels in sweeps)
+
+
 # GF(3) 3x3 first: the sweeps of its first example fill the neighbor lists
 # that the other examples reuse
 @pytest.mark.parametrize("spec,n", [(GF3, 3), (GF2, 2), (GF2, 3), (GF3, 2), (GF4, 2)])

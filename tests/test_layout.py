@@ -1,7 +1,7 @@
 """Module layout: imports sit at the top of each module, the graph layer
-reaches the matrix codec without going through commute, the CRT and rational
-reconstruction helpers live in matrix alone, the sampled censuses rank in
-batches, and every attribute the benchmark's tracer patches exists."""
+reaches the matrix codec without going through commute, the CRT, rational
+reconstruction and orbit helpers live in matrix alone, the sampled censuses
+rank in batches, and every attribute the benchmark's tracer patches exists."""
 
 import ast
 import importlib
@@ -51,15 +51,24 @@ def test_graph_does_not_import_commute():
     assert "commute" not in imported
 
 
-def test_one_copy_of_the_lifting_helpers_and_no_bareiss_loop():
-    defined = {
+def _definers(*names) -> set[tuple[str, str]]:
+    return {
         (path.name, node.name)
         for path in MODULES
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.FunctionDef) and node.name in ("_crt", "_rational_reconstruct")
+        if isinstance(node, ast.FunctionDef) and node.name in names
     }
-    assert defined == {("matrix.py", "_crt"), ("matrix.py", "_rational_reconstruct")}
+
+
+def test_one_copy_of_the_lifting_helpers_and_no_bareiss_loop():
+    assert _definers("_crt", "_rational_reconstruct") == {
+        ("matrix.py", "_crt"), ("matrix.py", "_rational_reconstruct")
+    }
     assert "// prev" not in (SRC / "matrix.py").read_text()
+
+
+def test_one_copy_of_the_orbit_helpers():
+    assert _definers("_hook", "_orbits") == {("matrix.py", "_hook"), ("matrix.py", "_orbits")}
 
 
 def test_census_ranks_no_pair_alone():

@@ -271,6 +271,17 @@ def test_rref_matches_sympy_over_small_prime_fields(case):
     assert got == [[int(x) % p for x in row] for row in want.to_list()[: len(pivots)]]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 32), st.integers(1, 16), st.data())
+def test_gf2_rank_only_pivots_match_the_full_rref_and_sympy(m, n, data):
+    row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=m, max_size=m))
+    none, pivots = rref_raw(GF2, rows, rank_only=True)
+    assert none is None and pivots == rref_raw(GF2, rows)[1]
+    dm = DomainMatrix([[GF(2)(x) for x in row] for row in rows], (m, n), GF(2))
+    assert rank_raw(GF2, rows) == len(pivots) == dm.rank()
+
+
 def _sympy_rref_qq(rows):
     dm = DomainMatrix(
         [[SQQ(x.numerator, x.denominator) for x in row] for row in rows],
