@@ -21,8 +21,8 @@ from .errors import CapExceeded, DimMismatch
 from .field import FieldSpec
 from .matrix import (
     _BATCH_CELLS,
-    PAIR_CAP,
     SAMPLE_CAP,
+    SPACE_CAP,
     _centralizer_chunks,
     _commuting_pairs,
     _orbits,
@@ -112,30 +112,26 @@ def count_dist_le_2(
     """Pairs whose stacked lift drops rank to n^2 - 2 or lower, i.e. pairs
     that commute with a common non-scalar matrix.
 
-    Exhaustive when the ordered-pair space fits 2^26, else give `samples` for
-    a seeded estimate (at most 2^96 pairs), which ranks the samples in
-    batches.  The exhaustive count adds up the union of the centralizers of
-    A's non-scalar commuters for one A per orbit, weighted by the orbit's size.
+    Exhaustive when Mat_n fits SPACE_CAP, else give `samples` for a seeded
+    estimate (at most 2^96 pairs), which ranks the samples in batches.  The
+    exhaustive count adds up, for one A per orbit weighted by its size, every B
+    if A is scalar and else the union of the centralizers of A's non-scalar commuters.
     """
-    total = space_size(spec, n, None)
-    pair_total = total * total
+    total = space_size(spec, n, SPACE_CAP if samples is None else None)
     if samples is None:
-        if pair_total > PAIR_CAP:
-            raise CapExceeded(f"{pair_total} ordered pairs exceed 2^26; use sampling")
         if n < 2:
             raise DimMismatch("the rank criterion needs n >= 2")
-        # row A, bit-packed, is the centralizer of A
-        table = np.zeros((total, (total + 7) // 8), np.uint8)
-        for ends, spans in _commuting_pairs(spec, n, range(total)):
-            rows = np.zeros((len(ends), total), bool)
-            rows[np.arange(len(ends))[:, None], spans] = True
-            table[ends] = np.packbits(rows, axis=1)
-        nonscalar = np.ones(total, bool)
-        nonscalar[list(_scalar_codes(spec, n))] = False
-        count = 0
-        for a, size in zip(*(x.tolist() for x in _orbits(spec, n))):
-            commuters = np.unpackbits(table[a], count=total).view(bool) & nonscalar
-            count += size * int(np.unpackbits(np.bitwise_or.reduce(table[commuters])).sum())
+        scalars = list(_scalar_codes(spec, n))
+        reps, sizes = _orbits(spec, n)  # the orbit of code 0 is the scalars
+        count = int(sizes[0]) * total
+        commuters = {}  # the non-scalar codes in each representative's centralizer
+        for ends, spans in _commuting_pairs(spec, n, reps[1:]):
+            commuters.update((a, span[~np.isin(span, scalars)]) for a, span in zip(ends.tolist(), spans))
+        for a, size in zip(reps[1:].tolist(), sizes[1:].tolist()):
+            reached = np.zeros(total, bool)
+            for _, spans in _commuting_pairs(spec, n, commuters[a]):
+                reached[spans] = True
+            count += size * int(reached.sum())
         return CensusReport(
             spec.to_string(),
             n,
@@ -156,7 +152,7 @@ def count_dist_le_2(
         n,
         "pairs_dist_le_2",
         {"kind": "sampled", "samples": samples, "seed": seed},
-        _estimate(hits, samples, pair_total),
+        _estimate(hits, samples, total * total),
     )
 
 

@@ -17,7 +17,7 @@ import sys
 from . import census as cs
 from . import commute as cm
 from . import graph as gr
-from .errors import BadWitness, CapExceeded, CommdistError
+from .errors import BadWitness, CapExceeded, CommdistError, DimMismatch
 from .field import FieldSpec
 from .matrix import ExactMatrix, det, min_poly, rank, rref_raw
 from .verify import load_fixture, verify_paper
@@ -123,8 +123,10 @@ def _cmd_dist2(args) -> dict:
     a = _load_matrix(args.a, spec)
     b = _load_matrix(args.b, spec)
     stacked = cm.stack_M(a, b)
-    r = rank(stacked)
     n = a.nrows
+    if n < 2:
+        raise DimMismatch("the rank criterion needs n >= 2")
+    r = rank(stacked)
     report = {
         "dist_le_2": r <= n * n - 2,
         "rank": r,

@@ -240,8 +240,8 @@ class PcCertificate:
 
     @classmethod
     def from_json(cls, spec: FieldSpec, obj) -> "PcCertificate":
-        if not isinstance(obj, dict) or "cs" not in obj or "ds" not in obj:
-            raise ParseError("certificate JSON needs 'cs' and 'ds'")
+        if not isinstance(obj, dict) or not all(isinstance(obj.get(k), list) for k in ("cs", "ds")):
+            raise ParseError("certificate JSON needs 'cs' and 'ds' lists")
         return cls(
             tuple(spec.elem(x) for x in obj["cs"]),
             tuple(spec.elem(x) for x in obj["ds"]),

@@ -40,6 +40,7 @@ from .matrix import (
 )
 
 INFINITE = math.inf
+_CLASS_CAP = 1 << 20  # projective classes one restricted distance-3 search enumerates
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +283,7 @@ def diameter(spec: FieldSpec, n: int) -> int:
 # restricted mode: decide distance <= 3 for one pair without global BFS
 
 
-def restricted_distance_le_3(
-    a: ExactMatrix, b: ExactMatrix, class_cap: int = 1 << 20
-):
+def restricted_distance_le_3(a: ExactMatrix, b: ExactMatrix):
     """Search for a chain a <-> C <-> D <-> B with non-scalar C, D.
 
     Enumerates the centralizer of `a` up to scaling and shifts by the
@@ -305,8 +304,8 @@ def restricted_distance_le_3(
     d = len(quotient)
     q = spec.order
     classes = (q**d - 1) // (q - 1)
-    if classes > class_cap:
-        raise CapExceeded(f"{classes} centralizer classes exceed the cap {class_cap}")
+    if classes > _CLASS_CAP:
+        raise CapExceeded(f"{classes} centralizer classes exceed the cap {_CLASS_CAP}")
     b_rows = lift_rows_raw(b)
     for _, coeffs in _projective_reps(spec, d):
         acc = [ops.zero] * (n * n)

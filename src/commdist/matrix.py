@@ -32,7 +32,7 @@ from .field import FieldElem, FieldSpec
 _MAX_DIM = 128  # lift stacks for n = 8 are 128 x 64; anything larger is a mistake
 SIZE_CAP = 8  # all interesting content lives at n <= 4; larger inputs are mistakes
 SPACE_CAP = 1 << 24  # codes in one enumeration of Mat_n over a finite field
-PAIR_CAP = 1 << 26  # ordered pairs: bits of the exhaustive dist-le-2 table; one certificate scan
+PAIR_CAP = 1 << 26  # projective pairs (c, d) one certificate scan may visit
 SAMPLE_CAP = 1 << 96  # sampled pairs: 128-bit draws modulo the universe stay 2^-32 from uniform
 DIAMETER_CAP = 1 << 20  # codes for an all-pairs BFS
 PREBUILD_CAP = 1 << 17  # neighbor lists are kept below this many codes
@@ -97,7 +97,7 @@ class ExactMatrix:
         ops = spec.ops()
         raws = [spec.raw_from(x) for x in entries]
         n = len(raws)
-        return cls(
+        return cls._from_raw(
             spec,
             [[raws[i] if i == j else ops.zero for j in range(n)] for i in range(n)],
         )
@@ -107,10 +107,11 @@ class ExactMatrix:
         """Build from ``{"field": spec-string, "rows": [[entry, ...], ...]}``."""
         if isinstance(obj, str):
             obj = json.loads(obj)
-        if not isinstance(obj, dict) or "field" not in obj or "rows" not in obj:
-            raise ParseError("matrix JSON needs 'field' and 'rows' keys")
-        spec = FieldSpec.parse(obj["field"])
-        return cls(spec, obj["rows"])
+        if not isinstance(obj, dict) or not isinstance(obj.get("field"), str):
+            raise ParseError("matrix JSON needs a 'field' string and 'rows'")
+        if not isinstance(obj.get("rows"), list) or not all(isinstance(r, list) for r in obj["rows"]):
+            raise ParseError("matrix JSON 'rows' must be a list of lists")
+        return cls(FieldSpec.parse(obj["field"]), obj["rows"])
 
     def to_json(self) -> dict:
         return {
@@ -853,11 +854,11 @@ def _orbits(spec: FieldSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The group is generated by conjugation with I + E_12, the n-cycle and
     diag(g, 1, ..., 1), which together give GL_n(q) for g generating F_q^*;
-    the transpose; A -> A + I and A -> gA; and over GF(p^k) entrywise
-    x -> x^p.  Each fixes the scalars and maps C(A) (semi)linearly onto the
-    centralizer of the image, so centralizer dimensions, distances and
-    eccentricities are constant on orbits.  Every code is joined to its
-    images in trees of least labels.
+    A -> A + I, A -> gA and over GF(p^k) entrywise x -> x^p; the transpose
+    joins no orbits, as every matrix is similar to its transpose.  Each fixes
+    the scalars and maps C(A) (semi)linearly onto the centralizer of the image,
+    so centralizer dimensions, distances and eccentricities are constant on
+    orbits.  Every code is joined to its images in trees of least labels.
     """
     total, q, m = space_size(spec, n), spec.order, n * n
     if n == 1:  # A -> A + I alone is transitive on Mat_1
@@ -874,8 +875,7 @@ def _orbits(spec: FieldSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     maps = [
         conj(eye + e12, eye + neg[1] * e12),
         conj(*(np.diag([x] + [1] * (n - 1)) for x in (g, inv[g]))),
-        lambda a: np.roll(a, 1, (1, 2)), lambda a: a.transpose(0, 2, 1),
-        lambda a: np.where(eye, add[a, 1], a), lambda a: mul[g, a],
+        lambda a: np.roll(a, 1, (1, 2)), lambda a: np.where(eye, add[a, 1], a), lambda a: mul[g, a],
     ]
     if spec.kind == "extension":  # x -> x^p
         maps.append(lambda a: functools.reduce(lambda y, _: mul[y, a], range(spec.p - 1), a))

@@ -95,16 +95,40 @@ def test_exhaustive_dist_le_2_needs_n_at_least_2_after_field_and_cap_checks():
     with pytest.raises(FieldMismatch):
         cs.count_dist_le_2(QQ, 1)
     with pytest.raises(CapExceeded):
-        cs.count_dist_le_2(FieldSpec.prime(10007), 1)  # 10007^2 pairs exceed 2^26
+        cs.count_dist_le_2(FieldSpec.prime(16777259), 1)  # the first prime above 2^24
     with pytest.raises(DimMismatch, match="the rank criterion needs n >= 2"):
         cs.count_dist_le_2(GF2, 1)
 
 
 def test_dist_le_2_exhaustive_snapshot_and_bounds():
     snap = load_snapshot("census")
-    count = cs.count_dist_le_2(GF2, 3).value
-    assert count == snap["pairs_dist_le_2"]["3|gf(2)"]
-    assert snap["pairs_dist_le_1"]["3|gf(2)"] < count < 2**18
+    for spec in (GF2, GF3):
+        key = f"3|{spec}"
+        count = cs.count_dist_le_2(spec, 3).value
+        assert count == snap["pairs_dist_le_2"][key]
+        assert snap["pairs_dist_le_1"][key] < count < spec.order**18
+
+
+@pytest.mark.slow
+def test_exhaustive_dist_le_2_matches_the_rank_criterion_per_orbit(monkeypatch):
+    # each GF(3) 3x3 representative, ranked against all of Mat_3 by the
+    # pairwise rank criterion, reaches exactly the B its centralizer union marks
+    total = 3**9
+    everything = cm._code_stack(GF3, 3, range(total))
+    reps, sizes = cs._orbits(GF3, 3)
+    weighted = 0
+    for rep, size in zip(reps.tolist(), sizes.tolist()):
+        a = np.broadcast_to(everything[rep], everything.shape)
+        reached = int((cs._stack_ranks(GF3, 3, a, everything) <= 7).sum())
+        weighted += size * reached
+        if rep == 0:  # the scalar orbit reaches every B
+            assert reached == total
+            continue
+        # the scalar orbit and this representative alone, with weight 1
+        orbits = (np.array([0, rep]), np.array([3, 1]))
+        monkeypatch.setattr(cs, "_orbits", lambda spec, n, orbits=orbits: orbits)
+        assert cs.count_dist_le_2(GF3, 3).value == 3 * total + reached
+    assert weighted == 8947017
 
 
 def test_dist_le_2_containment():
@@ -179,16 +203,13 @@ def test_sampling_universes_above_2_to_the_96_are_capped():
 
 @pytest.mark.slow
 def test_dist_le_2_dimension_trend_diagnostic():
-    # data-level sanity only: the base-q log of the distance<=2 count should
-    # sit above 14 = 2n^2 - 2n + 2 for n = 3 and shrink toward it as q grows
-    import math
-
-    exact = cs.count_dist_le_2(GF2, 3).value
-    log2_count = math.log2(exact)
-    sampled = cs.count_dist_le_2(GF3, 3, samples=4000, seed=14).value
-    est = sampled["hits"] / sampled["samples"] * 3**18
-    log3_count = math.log(est, 3)
-    assert 14 < log3_count < log2_count
+    # data-level sanity only: the base-q log of the exact distance<=2 count
+    # sits above 14 = 2n^2 - 2n + 2 for n = 3, and the ratio to q^14 falls
+    # toward 1 as q grows (2.219, 1.871, 1.639)
+    counts = {q: cs.count_dist_le_2(spec, 3).value for q, spec in ((2, GF2), (3, GF3), (4, GF4))}
+    assert all(math.log(c, q) > 14 for q, c in counts.items())
+    ratios = [Fraction(c, q**14) for q, c in counts.items()]
+    assert ratios[0] > ratios[1] > ratios[2]
 
 
 def test_sample_codes_partition_independent():
@@ -277,7 +298,8 @@ def test_caps_and_field_requirements():
     g7 = FieldSpec.prime(7)
     with pytest.raises(CapExceeded):
         cs.count_commuting_pairs(g7, 3)
+    assert cs.count_dist_le_2(GF3, 3).value == 8947017
     with pytest.raises(CapExceeded):
-        cs.count_dist_le_2(GF3, 3)  # 3^18 ordered pairs exceed 2^26 exhaustively
+        cs.count_dist_le_2(GF3, 4)  # 3^16 codes exceed 2^24 exhaustively
     with pytest.raises(FieldMismatch):
         cs.count_commuting_pairs(QQ, 2)

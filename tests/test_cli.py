@@ -328,9 +328,11 @@ def test_negative_radius_cap_is_an_input_error(capsys):
 
 
 def test_dist_le_2_at_n1_is_an_input_error(capsys):
-    argv = ["census", "--field", "gf(2)", "--n", "1", "--quantity", "dist-le-2"]
-    for flags in ([], ["--samples", "3"]):
-        assert main([*argv, *flags]) == 1
+    census = ["census", "--field", "gf(2)", "--n", "1", "--quantity", "dist-le-2"]
+    one = '{"field": "gf(2)", "rows": [[1]]}'
+    dist2 = ["dist2", "--a", one, "--b", one]
+    for argv in (census, [*census, "--samples", "3"], dist2, [*dist2, "--minors"]):
+        assert main(argv) == 1
         out = capsys.readouterr()
         assert out.out == ""
         assert json.loads(out.err) == {
@@ -347,3 +349,21 @@ def test_zi_pairs_rank_outside_range_is_an_input_error(capsys):
         assert json.loads(out.err) == {
             "error": "DimMismatch", "detail": f"rank {i} outside 1..floor(n/2)"
         }
+
+
+def test_malformed_matrix_rows_are_parse_errors(capsys):
+    for rows in ("5", "[5]", '[[1], 5]', '"11"'):
+        a = f'{{"field": "gf(2)", "rows": {rows}}}'
+        assert main(["centralizer", "--a", a]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err)["error"] == "ParseError"
+    assert main(["centralizer", "--a", '{"field": 5, "rows": [[1]]}']) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
+def test_malformed_certificate_lists_are_parse_errors(capsys):
+    a = '{"field": "gf(2)", "rows": [[1, 1], [0, 1]]}'
+    for cert in ('{"cs": 5, "ds": [1]}', '{"cs": [1], "ds": "1"}', '{"cs": [1], "ds": null}'):
+        assert main(["pc-verify", "--a", a, "--b", a, "--cert", cert]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err)["error"] == "ParseError"

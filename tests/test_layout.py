@@ -1,7 +1,8 @@
 """Module layout: imports sit at the top of each module, the graph layer
 reaches the matrix codec without going through commute, the CRT, rational
 reconstruction and orbit helpers live in matrix alone, the sampled censuses
-rank in batches, and every attribute the benchmark's tracer patches exists."""
+rank in batches, only the certificate scan reads the pair cap, and every
+attribute the benchmark's tracer patches exists."""
 
 import ast
 import importlib
@@ -80,6 +81,19 @@ def test_census_ranks_no_pair_alone():
     }
     assert "_stack_ranks" in called
     assert called & {"dist_le_2", "decode_matrix", "rank_raw"} == set()
+
+
+def test_only_commute_imports_the_pair_cap():
+    # the exhaustive dist-le-2 count marks one space-sized array per orbit
+    # representative, so no census is bounded by the ordered-pair cap
+    importers = {
+        path.name
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and "PAIR_CAP" in {alias.name for alias in node.names}
+    }
+    assert importers == {"commute.py"}
+    assert "packbits" not in (SRC / "census.py").read_text()
 
 
 def _resolve(node):

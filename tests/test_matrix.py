@@ -93,6 +93,15 @@ def test_kron_examples():
     assert kron(ExactMatrix.diag(QQ, [1, 2]), i2) == ExactMatrix.diag(QQ, [1, 1, 2, 2])
 
 
+@pytest.mark.parametrize("spec", [GF4, GF9], ids=str)
+def test_diag_keeps_extension_field_entries(spec):
+    # an entry keeps its element: code 2 of GF(4) is x, not the constant 2 = 0
+    for code in range(spec.order):
+        d = ExactMatrix.diag(spec, [spec.elem_from_code(code)] * 2 + [spec.elem_from_code(1)])
+        assert [d[i, i].raw for i in range(3)] == [code, code, 1]
+        assert d == decode_matrix(spec, 3, code + code * spec.order**4 + spec.order**8)
+
+
 def test_kron_builds_the_lift():
     # the lift of a matrix equals kron(A, I) - kron(I, A^T) entrywise
     from commdist.commute import lift_M

@@ -68,7 +68,8 @@ def test_orbits_match_an_enumeration_of_the_whole_group(spec, n):
 
 
 def _generators(spec, n):
-    """The automorphisms `_orbits` uses, written with ExactMatrix arithmetic."""
+    """The automorphisms `_orbits` uses and the transpose, which it joins
+    without a generator, written with ExactMatrix arithmetic."""
     ops, q = spec.ops(), spec.order
     ident = ExactMatrix.identity(spec, n)
     g = next(x for x in range(1, q) if len({_power(ops, x, e) for e in range(1, q)}) == q - 1)
