@@ -19,6 +19,7 @@ import numpy as np
 from .commute import _code_stack, _pool_commutes, dist_le_2, idempotent_pool
 from .errors import CapExceeded, DimMismatch
 from .field import FieldSpec
+from .graph import _neighbor_lists
 from .matrix import (
     _BATCH_CELLS,
     SAMPLE_CAP,
@@ -26,7 +27,6 @@ from .matrix import (
     _centralizer_chunks,
     _commuting_pairs,
     _orbits,
-    _scalar_codes,
     _stack_ranks,
     lift_rows_raw,  # like dist_le_2, unused here: kept only for the benchmark's tracer
     space_size,
@@ -115,21 +115,18 @@ def count_dist_le_2(
     Exhaustive when Mat_n fits SPACE_CAP, else give `samples` for a seeded
     estimate (at most 2^96 pairs), which ranks the samples in batches.  The
     exhaustive count adds up, for one A per orbit weighted by its size, every B
-    if A is scalar and else the union of the centralizers of A's non-scalar commuters.
+    if A is scalar and else the union of the centralizers of A's graph neighbors.
     """
     total = space_size(spec, n, SPACE_CAP if samples is None else None)
     if samples is None:
         if n < 2:
             raise DimMismatch("the rank criterion needs n >= 2")
-        scalars = list(_scalar_codes(spec, n))
         reps, sizes = _orbits(spec, n)  # the orbit of code 0 is the scalars
         count = int(sizes[0]) * total
-        commuters = {}  # the non-scalar codes in each representative's centralizer
-        for ends, spans in _commuting_pairs(spec, n, reps[1:]):
-            commuters.update((a, span[~np.isin(span, scalars)]) for a, span in zip(ends.tolist(), spans))
-        for a, size in zip(reps[1:].tolist(), sizes[1:].tolist()):
+        # A's neighbors include A + I, whose centralizer is C(A)
+        for nbs, size in zip(_neighbor_lists(spec, n, reps[1:].tolist()), sizes[1:].tolist()):
             reached = np.zeros(total, bool)
-            for _, spans in _commuting_pairs(spec, n, commuters[a]):
+            for _, spans in _commuting_pairs(spec, n, np.array(nbs)):
                 reached[spans] = True
             count += size * int(reached.sum())
         return CensusReport(

@@ -98,6 +98,11 @@ def _field_arg(args) -> FieldSpec | None:
     return FieldSpec.parse(args.field) if getattr(args, "field", None) else None
 
 
+def _load_pair(args) -> tuple[ExactMatrix, ExactMatrix]:
+    spec = _field_arg(args)
+    return _load_matrix(args.a, spec), _load_matrix(args.b, spec)
+
+
 def _require_field(args) -> FieldSpec:
     if not getattr(args, "field", None):
         raise CommdistError("this subcommand needs --field")
@@ -109,9 +114,7 @@ def _require_field(args) -> FieldSpec:
 
 
 def _cmd_distance(args) -> dict:
-    spec = _field_arg(args)
-    a = _load_matrix(args.a, spec)
-    b = _load_matrix(args.b, spec)
+    a, b = _load_pair(args)
     res = cm.distance(a, b)
     report = res.to_json()
     report["config"] = _config(args, a=a.to_json(), b=b.to_json())
@@ -119,9 +122,11 @@ def _cmd_distance(args) -> dict:
 
 
 def _cmd_dist2(args) -> dict:
-    spec = _field_arg(args)
-    a = _load_matrix(args.a, spec)
-    b = _load_matrix(args.b, spec)
+    if not args.minors and (args.samples, args.seed) != (None, None):
+        raise CommdistError("--samples and --seed apply only with --minors")
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"the sample count must be at least 1, got {args.samples}")
+    a, b = _load_pair(args)
     stacked = cm.stack_M(a, b)
     n = a.nrows
     if n < 2:
@@ -147,7 +152,7 @@ def _minors_report(stack: ExactMatrix, r: int, n: int, args) -> dict:
     """
     size = n * n - 1
     rng = random.Random(args.seed or 0)
-    samples = args.samples or 200
+    samples = 200 if args.samples is None else args.samples
     nonzero = 0
     zero_raw = stack.spec.ops().zero
     for _ in range(samples):
@@ -201,9 +206,7 @@ def _cmd_derogatory(args) -> dict:
 
 
 def _cmd_pc_search(args) -> dict:
-    spec = _field_arg(args)
-    a = _load_matrix(args.a, spec)
-    b = _load_matrix(args.b, spec)
+    a, b = _load_pair(args)
     res = cm.pc_search(a, b)
     return {
         "status": res.status,
@@ -214,9 +217,7 @@ def _cmd_pc_search(args) -> dict:
 
 
 def _cmd_pc_verify(args) -> dict:
-    spec = _field_arg(args)
-    a = _load_matrix(args.a, spec)
-    b = _load_matrix(args.b, spec)
+    a, b = _load_pair(args)
     cert = cm.PcCertificate.from_json(a.spec, _load_json_arg(args.cert))
     return {
         "valid": cm.pc_verify(a, b, cert),
@@ -225,9 +226,7 @@ def _cmd_pc_verify(args) -> dict:
 
 
 def _cmd_zi(args) -> dict:
-    spec = _field_arg(args)
-    a = _load_matrix(args.a, spec)
-    b = _load_matrix(args.b, spec)
+    a, b = _load_pair(args)
     cfg = _config(args, a=a.to_json(), b=b.to_json())
     if args.p:
         witness = _load_matrix(args.p, a.spec)
@@ -276,7 +275,8 @@ def _cmd_diameter(args) -> dict:
 def _cmd_census(args) -> dict:
     spec = _require_field(args)
     n = args.n
-    exhaustive = args.quantity in ("commuting-pairs", "derogatory")
+    # commuting-pairs and derogatory are always exhaustive, dist-le-2 without --samples
+    exhaustive = args.samples is None if args.quantity == "dist-le-2" else args.quantity != "zi-pairs"
     if exhaustive and (args.samples, args.seed) != (None, None):
         raise CommdistError(f"{args.quantity} is counted exhaustively; drop --samples and --seed")
     if args.quantity == "commuting-pairs":
@@ -362,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
         "rank criterion for distance <= 2",
         ("a", "b"),
         minors={"action": "store_true", "help": "sampled maximal-minor verification"},
-        samples={"type": int, "help": "minor sample count (default 200)"},
-        seed={"type": int, "help": "sampling seed"},
+        samples={"type": int, "help": "minor sample count with --minors (default 200)"},
+        seed={"type": int, "help": "sampling seed with --minors"},
     )
     add("centralizer", _cmd_centralizer, "echelon basis of the centralizer", ("a",))
     add("derogatory", _cmd_derogatory, "minimal-polynomial degree test", ("a",))

@@ -5,20 +5,23 @@ between commuting pairs.  Matrices are addressed by an integer code: entries
 read row-major, each entry contributing one base-q digit, least significant
 first.  Neighbor expansion enumerates the centralizer of a vertex instead of
 scanning the whole space, which is what makes exhaustive BFS workable at desk
-scale.
+scale.  Searches expand one whole frontier level at a time through
+`_commuting_pairs`, the batched centralizer kernel that `components` and the
+censuses use too.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import CapExceeded, DimMismatch, FieldMismatch, ScalarVertex
 from .field import FieldSpec
 from .matrix import (
+    _BATCH_CELLS,
     DIAMETER_CAP,
     PREBUILD_CAP,
     ExactMatrix,
@@ -27,7 +30,6 @@ from .matrix import (
     _orbits,
     _projective_reps,
     _scalar_codes,
-    _span_codes,
     decode_matrix,
     encode_matrix,
     is_scalar,
@@ -47,26 +49,12 @@ _CLASS_CAP = 1 << 20  # projective classes one restricted distance-3 search enum
 # neighbor generation
 
 
-def _neighbor_codes(spec: FieldSpec, n: int, code: int) -> list[int]:
-    basis = nullspace_raw(spec, lift_rows_raw(decode_matrix(spec, n, code)))
-    combos = _span_codes(spec, np.array([basis], dtype=np.int64))[0].tolist()
-    scalars = _scalar_codes(spec, n)
-    return sorted(c for c in combos if c != code and c not in scalars)
-
-
 def neighbors(a: ExactMatrix):
     """Iterate the non-scalar matrices other than `a` in its centralizer."""
-    if not a.spec.is_finite:
-        raise FieldMismatch("the commuting graph is only enumerable over finite fields")
-    if is_scalar(a):
-        raise ScalarVertex("scalar matrices are not graph vertices")
+    _check_vertex_pair(a, a)
     spec, n = a.spec, a.nrows
-    for code in _neighbor_codes(spec, n, encode_matrix(a)):
+    for code in next(_neighbor_lists(spec, n, [encode_matrix(a)])):
         yield decode_matrix(spec, n, code)
-
-
-# ---------------------------------------------------------------------------
-# search
 
 
 @functools.lru_cache(maxsize=4)
@@ -75,7 +63,32 @@ def _adjacency(spec: FieldSpec, n: int) -> list[list[int] | None]:
     return [None] * space_size(spec, n)
 
 
-def _check_vertex_pair(a: ExactMatrix, b: ExactMatrix):
+def _neighbor_lists(spec: FieldSpec, n: int, codes: list[int]):
+    """Yield each code's sorted centralizer span minus the scalars and itself,
+    in frontier order.  Below PREBUILD_CAP codes the lists are kept in
+    `_adjacency` and the codes it lacks are expanded in one `_commuting_pairs`
+    batch; above it, blocks whose spans hold at most _BATCH_CELLS codes are
+    expanded in turn and dropped once yielded."""
+    memo = _adjacency(spec, n) if space_size(spec, n, None) <= PREBUILD_CAP else None
+    # a non-scalar centralizer has dimension at most n^2 - 2n + 2
+    step = len(codes) if memo else max(1, _BATCH_CELLS // spec.order ** (n * n - 2 * n + 2))
+    for start in range(0, len(codes), step):
+        block = codes[start : start + step]
+        lists = memo or dict.fromkeys(block)
+        missing = np.array([c for c in block if lists[c] is None], np.int64)
+        for ends, spans in _commuting_pairs(spec, n, missing):
+            # every span holds the q scalars and its own end once
+            keep = ~np.isin(spans, list(_scalar_codes(spec, n))) & (spans != ends[:, None])
+            for end, nbs in zip(ends.tolist(), np.sort(spans[keep].reshape(len(ends), -1)).tolist()):
+                lists[end] = nbs
+        yield from map(lists.__getitem__, block)
+
+
+# ---------------------------------------------------------------------------
+# search
+
+
+def _check_vertex_pair(a: ExactMatrix, b: ExactMatrix, cap: int | None = None):
     if a.spec != b.spec:
         raise FieldMismatch(f"{a.spec} vs {b.spec}")
     if a.nrows != b.nrows or not (a.is_square and b.is_square):
@@ -84,20 +97,8 @@ def _check_vertex_pair(a: ExactMatrix, b: ExactMatrix):
         raise FieldMismatch("BFS requires a finite field")
     if is_scalar(a) or is_scalar(b):
         raise ScalarVertex("scalar matrices are not graph vertices")
-
-
-def _neighbor_lists(spec: FieldSpec, n: int):
-    """code -> neighbor codes, kept per (field, n) below PREBUILD_CAP codes."""
-    if space_size(spec, n) > PREBUILD_CAP:
-        return functools.partial(_neighbor_codes, spec, n)
-    memo = _adjacency(spec, n)
-
-    def lookup(code: int) -> list[int]:
-        if memo[code] is None:
-            memo[code] = _neighbor_codes(spec, n, code)
-        return memo[code]
-
-    return lookup
+    if cap is not None and cap < 0:
+        raise ValueError(f"the radius cap must be at least 0, got {cap}")
 
 
 def _bfs(spec, n, source: int, radius_cap=None):
@@ -107,7 +108,6 @@ def _bfs(spec, n, source: int, radius_cap=None):
     every code reached (255 = unreached), and capped is True when the radius
     cap stopped the sweep while the frontier was still growing.
     """
-    nbs_of = _neighbor_lists(spec, n)
     levels = bytearray([255]) * space_size(spec, n)
     levels[source] = 0
     frontier = [source]
@@ -117,8 +117,8 @@ def _bfs(spec, n, source: int, radius_cap=None):
             return levels, True
         level += 1
         nxt = []
-        for code in frontier:
-            for nb in nbs_of(code):
+        for nbs in _neighbor_lists(spec, n, frontier):
+            for nb in nbs:
                 if levels[nb] == 255:
                     levels[nb] = min(level, 255)
                     nxt.append(nb)
@@ -135,7 +135,7 @@ def _meet(spec, n, src: int, dst: int):
     path.  Returns (distance, interior codes of that path), or (INFINITE,
     None) as soon as either side exhausts its component.
     """
-    nbs_of = _neighbor_lists(spec, n)
+    space_size(spec, n)  # capped like a sweep, even for src == dst
     if src == dst:
         return 0, []
     parents = ({src: None}, {dst: None})
@@ -144,8 +144,8 @@ def _meet(spec, n, src: int, dst: int):
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         mine, theirs = parents[side], parents[1 - side]
         nxt = []
-        for code in frontiers[side]:
-            for nb in nbs_of(code):
+        for code, nbs in zip(frontiers[side], _neighbor_lists(spec, n, frontiers[side])):
+            for nb in nbs:
                 if nb in mine:
                     continue
                 mine[nb] = code
@@ -174,9 +174,7 @@ def bfs_distance(a: ExactMatrix, b: ExactMatrix, cap: int | None = None):
     INFINITE (math.inf) when `a` and `b` lie in different components, and
     None when the distance is finite but exceeds the cap.
     """
-    _check_vertex_pair(a, b)
-    if cap is not None and cap < 0:
-        raise ValueError(f"the radius cap must be at least 0, got {cap}")
+    _check_vertex_pair(a, b, cap)
     dist, _ = _meet(a.spec, a.nrows, encode_matrix(a), encode_matrix(b))
     return None if cap is not None and cap < dist < INFINITE else dist
 
@@ -224,9 +222,7 @@ class BfsReport:
 
 def bfs_report(a: ExactMatrix, cap: int | None = None) -> BfsReport:
     """Distances from `a` to every vertex it reaches within the radius cap."""
-    _check_vertex_pair(a, a)
-    if cap is not None and cap < 0:
-        raise ValueError(f"the radius cap must be at least 0, got {cap}")
+    _check_vertex_pair(a, a, cap)
     spec, n = a.spec, a.nrows
     src = encode_matrix(a)
     levels, capped = _bfs(spec, n, src, radius_cap=cap)
@@ -241,11 +237,7 @@ class ComponentsReport:
     sizes: list[int]  # in discovery order (ascending smallest code)
 
     def to_json(self) -> dict:
-        return {
-            "vertex_count": self.vertex_count,
-            "count": self.count,
-            "sizes": self.sizes,
-        }
+        return asdict(self)
 
 
 def components(spec: FieldSpec, n: int) -> ComponentsReport:

@@ -35,7 +35,7 @@ SPACE_CAP = 1 << 24  # codes in one enumeration of Mat_n over a finite field
 PAIR_CAP = 1 << 26  # projective pairs (c, d) one certificate scan may visit
 SAMPLE_CAP = 1 << 96  # sampled pairs: 128-bit draws modulo the universe stay 2^-32 from uniform
 DIAMETER_CAP = 1 << 20  # codes for an all-pairs BFS
-PREBUILD_CAP = 1 << 17  # neighbor lists are kept below this many codes
+PREBUILD_CAP = 1 << 17  # searches keep the neighbor lists they fill below this many codes
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
@@ -706,7 +706,9 @@ def _code_digits(q: int, codes: np.ndarray, length: int) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _np_tables(spec: FieldSpec):
     """(add, neg, mul, inv) lookup tables of a finite field as uint8 arrays;
-    needs q <= 256, which sampled spaces do not guarantee."""
+    CapExceeded above q = 256, which sampled spaces and `neighbors` allow."""
+    if spec.order > 256:
+        raise CapExceeded(f"table arithmetic needs q <= 256, got {spec.order}")
     ops, r = spec.ops(), range(spec.order)
     table = functools.partial(np.array, dtype=np.uint8)
     add, mul = (table([[f(a, b) for b in r] for a in r]) for f in (ops.add, ops.mul))
@@ -733,16 +735,18 @@ def _gauss_jordan(spec: FieldSpec, mat: np.ndarray) -> np.ndarray:
     used, pivot_row = np.zeros((size, rows), bool), np.full((size, cols), -1)
     for c in range(cols):
         open_ = (mat[:, :, c] != 0) & ~used
-        has, r = open_.any(1), open_.argmax(1)
-        # a member without a pivot here gets a zero pivot row and zero factors
-        prow = mul[mat[batch, r], inv[mat[batch, r, c] * has][:, None]]
-        factor = mat[:, :, c] * has[:, None]
-        factor[batch, r] = 0
-        hb, hr = np.nonzero(factor)  # only the rows with something to clear
-        mat[hb, hr] = add[mat[hb, hr], neg[mul[factor[hb, hr][:, None], prow[hb]]]]
-        mat[batch[has], r[has]] = prow[has]
-        used[batch[has], r[has]] = True
-        pivot_row[has, c] = r[has]
+        has = open_.any(1)
+        b, r = batch[has], open_[has].argmax(1)  # the members with a pivot here
+        if not len(b):
+            continue
+        prow = mul[mat[b, r], inv[mat[b, r, c]][:, None]]
+        factor = mat[b, :, c]
+        factor[np.arange(len(b)), r] = 0
+        fb, fr = np.nonzero(factor)  # only the rows with something to clear
+        mat[b[fb], fr] = add[mat[b[fb], fr], neg[mul[factor[fb, fr][:, None], prow[fb]]]]
+        mat[b, r] = prow
+        used[b, r] = True
+        pivot_row[b, c] = r
     return pivot_row
 
 
@@ -751,16 +755,22 @@ def _centralizer_chunks(spec: FieldSpec, n: int, codes):
 
     Gauss-Jordan runs over the lifts M_A of a whole chunk.  Yields (codes,
     free, vecs) per chunk: free[b] marks the free columns of M_A, and
-    vecs[b][free[b]] is the basis nullspace_raw gives.  `codes` is an array
-    or a range, which keeps a whole space from being materialized.
+    vecs[b][free[b]] is the basis nullspace_raw gives, which fields with
+    q > 256 run one matrix at a time.  `codes` is an array or a range, which
+    keeps a whole space from being materialized.
     """
     m = n * n
     step = max(1, _BATCH_CELLS // (m * m))
     for start in range(0, len(codes), step):
         chunk = np.asarray(codes[start : start + step])
         size, batch = len(chunk), np.arange(len(chunk))
-        if n == 1:  # M_A is zero
-            yield chunk, np.ones((size, 1), bool), np.ones((size, 1, 1), np.uint8)
+        if n == 1 or spec.order > 256:  # M_A is zero at n = 1; the tables need q <= 256
+            free, vecs = np.zeros((size, m), bool), np.zeros((size, m, m), np.int64)
+            for b, code in enumerate(chunk.tolist()):
+                for v in nullspace_raw(spec, lift_rows_raw(decode_matrix(spec, n, code))):
+                    f = max(i for i, x in enumerate(v) if x)  # v is 1 at its free column, 0 after
+                    free[b, f], vecs[b, f] = True, v
+            yield chunk, free, vecs
             continue
         lift = _lifts(spec, _code_digits(spec.order, chunk, m).astype(np.uint8).reshape(size, n, n))
         pivot_row = _gauss_jordan(spec, lift)

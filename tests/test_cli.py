@@ -317,6 +317,33 @@ def test_sample_flags_on_exhaustive_quantities_are_input_errors(capsys):
             assert out.out == "" and "counted exhaustively" in json.loads(out.err)["detail"]
 
 
+def test_dist_le_2_seed_without_samples_is_an_input_error(capsys):
+    # without --samples the count is exhaustive, so a seed would be ignored
+    argv = ["census", "--field", "gf(2)", "--n", "2", "--quantity", "dist-le-2", "--seed", "5"]
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "counted exhaustively" in json.loads(out.err)["detail"]
+
+
+DIST2 = ["dist2", "--field", "gf(3)", "--a", "fixture:ex410_A", "--b", "fixture:ex410_B"]
+
+
+def test_dist2_minor_sample_counts_below_one_are_input_errors(capsys):
+    for samples in ("0", "-3"):
+        assert main([*DIST2, "--minors", "--samples", samples]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "sample count must be at least 1" in json.loads(out.err)["detail"]
+
+
+def test_dist2_sample_flags_without_minors_are_input_errors(capsys):
+    for flags in (["--samples", "7"], ["--seed", "2"], ["--samples", "7", "--seed", "2"]):
+        assert main([*DIST2, *flags]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "only with --minors" in json.loads(out.err)["detail"]
+    code, report = run_json(capsys, *DIST2, "--minors", "--samples", "7", "--seed", "2")
+    assert code == 0 and report["minors"]["sampled"] == 7
+
+
 def test_negative_radius_cap_is_an_input_error(capsys):
     pair = ["--field", "gf(2)", "--a", "fixture:ex25_A", "--b", "fixture:ex25_B"]
     for argv in (pair, pair[:4]):

@@ -4,6 +4,7 @@ diameter, and the restricted distance-3 search."""
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +12,7 @@ from commdist.errors import CapExceeded, FieldMismatch, ScalarVertex
 from commdist.field import FieldSpec
 from commdist import commute as cm
 from commdist import graph as gr
-from commdist.matrix import ExactMatrix, random_matrix
+from commdist.matrix import ExactMatrix, _span_codes, lift_rows_raw, nullspace_raw, random_matrix
 from commdist.verify import load_fixture, load_snapshot
 
 GF2 = FieldSpec.prime(2)
@@ -81,6 +82,52 @@ def test_neighbors_never_yield_scalars():
             continue
         for m in gr.neighbors(a):
             assert not cm.is_scalar(m) and m != a
+
+
+def _one_code_neighbors(spec, n, code):
+    """The per-code route: one nullspace, its span, minus scalars and self."""
+    basis = nullspace_raw(spec, lift_rows_raw(gr.decode_matrix(spec, n, code)))
+    combos = _span_codes(spec, np.array([basis], dtype=np.int64))[0].tolist()
+    scalars = gr._scalar_codes(spec, n)
+    return sorted(c for c in combos if c != code and c not in scalars)
+
+
+# GF(5) 3x3 lies above PREBUILD_CAP, so it takes the unmemoized block route
+@pytest.mark.parametrize(
+    "spec,n",
+    [(GF2, 2), (GF2, 3), (GF3, 2), (GF3, 3), (FieldSpec.prime(5), 2), (FieldSpec.prime(5), 3), (GF4, 2)],
+)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_frontier_batch_matches_one_code_at_a_time(spec, n, data):
+    scalars = gr._scalar_codes(spec, n)
+    vertex = st.integers(0, spec.order ** (n * n) - 1).filter(lambda c: c not in scalars)
+    frontier = data.draw(st.lists(vertex, min_size=1, max_size=6, unique=True))
+    got = list(gr._neighbor_lists(spec, n, frontier))
+    assert got == [_one_code_neighbors(spec, n, code) for code in frontier]
+
+
+def test_neighbors_over_gf257_use_the_per_matrix_kernel():
+    # q > 256 overflows the uint8 tables, so each matrix is eliminated alone
+    g257 = FieldSpec.prime(257)
+    a = ExactMatrix(g257, [[1, 2], [3, 4]])
+    codes = [gr.encode_matrix(m) for m in gr.neighbors(a)]
+    assert len(codes) == 257**2 - 257 - 1 == 65791
+    assert codes == sorted(codes)
+
+
+def test_neighbors_over_large_extension_fields_exceed_the_table_cap():
+    for spec in (FieldSpec.parse("gf(5^4):1,0,1,1,1"), FieldSpec.parse("gf(31^2)")):
+        a = gr.decode_matrix(spec, 2, 12345)
+        with pytest.raises(CapExceeded, match="q <= 256"):
+            list(gr.neighbors(a))
+
+
+def test_sweep_above_the_prebuild_cap():
+    # GF(4) 3x3 has 262,144 codes, so no neighbor list is kept; diag(1, 0, 0)
+    # has a 5-dimensional centralizer: 4^5 codes minus four scalars and itself
+    report = gr.bfs_report(ExactMatrix.diag(GF4, [1, 0, 0]), cap=1)
+    assert report.frontier_sizes == [1, 1019]
 
 
 def test_scalar_vertex_and_field_errors():
@@ -245,7 +292,8 @@ def test_diameter_matches_a_sweep_from_every_vertex(spec, n):
 @given(data=st.data())
 def test_pair_search_matches_one_sided_sweep(spec, n, data):
     # the oracle is a full sweep from `a`, a route that shares no code with
-    # the two-sided pair search beyond the neighbor lists
+    # the two-sided pair search beyond `_neighbor_lists`, whose batches
+    # test_frontier_batch_matches_one_code_at_a_time checks on its own
     scalars = gr._scalar_codes(spec, n)
     codes = st.integers(0, spec.order ** (n * n) - 1).filter(lambda c: c not in scalars)
     a = gr.decode_matrix(spec, n, data.draw(codes))
@@ -268,6 +316,8 @@ def test_space_caps():
     b = ExactMatrix(g7, [[2, 0, 0], [0, 1, 1], [0, 0, 1]])
     with pytest.raises(CapExceeded):
         gr.bfs_distance(a, b)  # 7^9 > 2^24
+    with pytest.raises(CapExceeded):
+        gr.bfs_path(a, a)  # the cap holds before the trivial answer
     g5 = FieldSpec.prime(5)
     with pytest.raises(CapExceeded):
         gr.diameter(g5, 3)  # 5^9 > 2^20

@@ -1,8 +1,8 @@
 """Module layout: imports sit at the top of each module, the graph layer
 reaches the matrix codec without going through commute, the CRT, rational
 reconstruction and orbit helpers live in matrix alone, the sampled censuses
-rank in batches, only the certificate scan reads the pair cap, and every
-attribute the benchmark's tracer patches exists."""
+rank in batches, only the certificate scan reads the pair cap, graph has one
+neighbor kernel, and every attribute the benchmark's tracer patches exists."""
 
 import ast
 import importlib
@@ -94,6 +94,22 @@ def test_only_commute_imports_the_pair_cap():
     }
     assert importers == {"commute.py"}
     assert "packbits" not in (SRC / "census.py").read_text()
+
+
+def test_graph_has_one_neighbor_kernel():
+    # neighbor lists come from the batched `_commuting_pairs`; only the
+    # restricted distance-3 search eliminates a single lift
+    tree = ast.parse((SRC / "graph.py").read_text())
+    assert _definers("_neighbor_codes") == set()
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "nullspace_raw"
+    }
+    assert callers == {"restricted_distance_le_3"}
+    assert "partial" not in (SRC / "graph.py").read_text()
 
 
 def _resolve(node):
