@@ -19,7 +19,6 @@ import numpy as np
 from .commute import _code_stack, _pool_commutes, dist_le_2, idempotent_pool
 from .errors import CapExceeded, DimMismatch
 from .field import FieldSpec
-from .graph import _neighbor_lists
 from .matrix import (
     _BATCH_CELLS,
     SAMPLE_CAP,
@@ -28,6 +27,7 @@ from .matrix import (
     _commuting_pairs,
     _orbits,
     _stack_ranks,
+    _twin_reps,
     lift_rows_raw,  # like dist_le_2, unused here: kept only for the benchmark's tracer
     space_size,
 )
@@ -115,20 +115,23 @@ def count_dist_le_2(
     Exhaustive when Mat_n fits SPACE_CAP, else give `samples` for a seeded
     estimate (at most 2^96 pairs), which ranks the samples in batches.  The
     exhaustive count adds up, for one A per orbit weighted by its size, every B
-    if A is scalar and else the union of the centralizers of A's graph neighbors.
+    if A is scalar and else the union of C(C) over the non-scalar C in C(A),
+    where C runs over the `_twin_reps` codes only, as twins share C(C).
     """
     total = space_size(spec, n, SPACE_CAP if samples is None else None)
     if samples is None:
         if n < 2:
             raise DimMismatch("the rank criterion needs n >= 2")
         reps, sizes = _orbits(spec, n)  # the orbit of code 0 is the scalars
+        twin = np.zeros(total, bool)
+        twin[_twin_reps(spec, n)] = True
         count = int(sizes[0]) * total
-        # A's neighbors include A + I, whose centralizer is C(A)
-        for nbs, size in zip(_neighbor_lists(spec, n, reps[1:].tolist()), sizes[1:].tolist()):
-            reached = np.zeros(total, bool)
-            for _, spans in _commuting_pairs(spec, n, np.array(nbs)):
-                reached[spans] = True
-            count += size * int(reached.sum())
+        for ends, spans in _commuting_pairs(spec, n, reps[1:]):
+            for a, span in zip(ends.tolist(), spans):
+                reached = np.zeros(total, bool)
+                for _, cents in _commuting_pairs(spec, n, span[twin[span]]):
+                    reached[cents] = True
+                count += int(sizes[np.searchsorted(reps, a)]) * int(reached.sum())
         return CensusReport(
             spec.to_string(),
             n,

@@ -334,10 +334,10 @@ def _exhaustive_pc(a: ExactMatrix, b: ExactMatrix) -> PcCertificate | None:
         for j in range(1, n):
             diff = a_pows[i] @ b_pows[j] - b_pows[j] @ a_pows[i]
             kflat[i, j] = [x for row in diff.rows for x in row]
-    reps = _projective_reps(spec, n - 1)
+    reps = _code_digits(q, _projective_reps(spec, n - 1), n - 1).tolist()
     nsq = n * n
     zero = ops.zero
-    for _, cs in reps:
+    for cs in reps:
         # columns of the linear system the d-vector must solve
         cols = []
         for j in range(1, n):
@@ -353,7 +353,7 @@ def _exhaustive_pc(a: ExactMatrix, b: ExactMatrix) -> PcCertificate | None:
         if rank_raw(spec, rows) == n - 1:
             continue  # only d = 0 solves; no certificate with this c
         lmat = ExactMatrix._from_raw(spec, rows)
-        for _, ds in reps:
+        for ds in reps:
             out = mat_vec(lmat, ds)
             if all(x == zero for x in out):
                 pa = poly_eval_no_const(a, _elems(spec, cs))

@@ -7,7 +7,8 @@ first.  Neighbor expansion enumerates the centralizer of a vertex instead of
 scanning the whole space, which is what makes exhaustive BFS workable at desk
 scale.  Searches expand one whole frontier level at a time through
 `_commuting_pairs`, the batched centralizer kernel that `components` and the
-censuses use too.
+censuses use too.  `components` expands one matrix per twin class
+{aA + bI : a != 0}, whose members share one centralizer.
 """
 
 from __future__ import annotations
@@ -25,11 +26,14 @@ from .matrix import (
     DIAMETER_CAP,
     PREBUILD_CAP,
     ExactMatrix,
+    _code_digits,
     _commuting_pairs,
     _hook,
     _orbits,
     _projective_reps,
+    _roots,
     _scalar_codes,
+    _twin_reps,
     decode_matrix,
     encode_matrix,
     is_scalar,
@@ -243,21 +247,21 @@ class ComponentsReport:
 def components(spec: FieldSpec, n: int) -> ComponentsReport:
     """Connected components of the commuting graph.
 
-    The edges from each vertex to its centralizer come chunk by chunk from
-    `_commuting_pairs` and join trees of least labels, so every component is
-    labelled by its least code and sizes are listed in the order that a sweep
-    from each least unseen code would find them.
+    A vertex and its neighbors lie in the centralizer of the `_twin_reps`
+    code of its twin class, so hooking those codes to the non-scalar codes of
+    their centralizers joins trees of least labels into the components.  Each
+    is labelled by its least code, and sizes are listed in the order that a
+    sweep from each least unseen code would find them.
     """
     total = space_size(spec, n)
     scalar = np.zeros(total, dtype=bool)
     scalar[list(_scalar_codes(spec, n))] = True
     vertices = np.flatnonzero(~scalar)
     label = np.arange(total, dtype=np.int32)
-    for ends, spans in _commuting_pairs(spec, n, vertices):
-        u = np.broadcast_to(ends[:, None], spans.shape)
-        keep = (u < spans) & ~scalar[spans]  # each edge once, from its smaller end
-        _hook(label, u[keep], spans[keep])
-    sizes = np.bincount(label[vertices])
+    for ends, spans in _commuting_pairs(spec, n, _twin_reps(spec, n)):
+        keep = ~scalar[spans]
+        _hook(label, np.broadcast_to(ends[:, None], spans.shape)[keep], spans[keep])
+    sizes = np.bincount(_roots(label, vertices))
     sizes = sizes[sizes > 0].tolist()
     return ComponentsReport(len(vertices), len(sizes), sizes)
 
@@ -299,7 +303,7 @@ def restricted_distance_le_3(a: ExactMatrix, b: ExactMatrix):
     if classes > _CLASS_CAP:
         raise CapExceeded(f"{classes} centralizer classes exceed the cap {_CLASS_CAP}")
     b_rows = lift_rows_raw(b)
-    for _, coeffs in _projective_reps(spec, d):
+    for coeffs in _code_digits(q, _projective_reps(spec, d), d).tolist():
         acc = [ops.zero] * (n * n)
         for coef, vec_ in zip(coeffs, quotient):
             if coef != ops.zero:

@@ -373,26 +373,20 @@ def _scalar_codes(spec: FieldSpec, n: int) -> frozenset[int]:
     return frozenset(lam * stride for lam in range(q))
 
 
-def _projective_reps(spec: FieldSpec, length: int) -> list[tuple[int, tuple]]:
-    """Normalized coefficient vectors sorted by code (first coordinate least
-    significant), i.e. the canonical enumeration order of projective classes."""
-    ops = spec.ops()
+def _projective_reps(spec: FieldSpec, length: int) -> np.ndarray:
+    """Codes of the coefficient vectors whose least significant nonzero
+    coordinate is 1, ascending: one per projective class (first coordinate
+    least significant)."""
     q = spec.order
-    reps = []
-    for lead in range(length):
-        tail = length - lead - 1
-        for t in range(q**tail):
-            vec_ = [ops.zero] * lead + [ops.one]
-            tt = t
-            code = q**lead  # the leading one
-            for pos in range(tail):
-                digit = tt % q
-                tt //= q
-                vec_.append(digit)
-                code += digit * q ** (lead + 1 + pos)
-            reps.append((code, tuple(vec_)))
-    reps.sort(key=lambda item: item[0])
-    return reps
+    leads = [q**i * (1 + q * np.arange(q ** (length - i - 1), dtype=np.int64)) for i in range(length)]
+    return np.sort(np.concatenate([np.zeros(0, np.int64), *leads]))
+
+
+def _twin_reps(spec: FieldSpec, n: int) -> np.ndarray:
+    """One code per twin class {aA + bI : a != 0} of non-scalar matrices,
+    ascending: entry (0, 0) is 0 and the first nonzero entry row by row is 1.
+    Twins share their centralizer, so each neighbors the others in the graph."""
+    return spec.order * _projective_reps(spec, n * n - 1)
 
 
 def _check_square(a: ExactMatrix, what: str = "operand"):
@@ -846,14 +840,24 @@ def _commuting_pairs(spec: FieldSpec, n: int, codes):
                 yield ends[start : start + step], _span_codes(spec, bases[start : start + step])
 
 
+def _roots(label: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Roots of `codes` in the forest `label`, climbing two levels a step and
+    pointing each of `codes` at its root on the way."""
+    r = label[codes]
+    while not np.array_equal(up := label[r], r):
+        label[codes] = r = label[up]
+    return r
+
+
 def _hook(label: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """Join the trees of u[i] and v[i]: the larger root is hooked under the
-    smaller, then pointer jumping points every code at its root again."""
-    while (apart := label[u] != label[v]).any():
-        lu, lv = label[u[apart]], label[v[apart]]
-        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-        while not np.array_equal(up := label[label], label):
-            label[:] = up
+    """Join the trees of u[i] and v[i], hooking the larger root under the
+    smaller, so each root is its tree's least code.  Only the paths from u and
+    v are walked: callers run `_roots` on every code once all pairs are in."""
+    while len(u):
+        ru, rv = _roots(label, u), _roots(label, v)
+        apart = ru != rv
+        u, v, ru, rv = u[apart], v[apart], ru[apart], rv[apart]
+        np.minimum.at(label, np.maximum(ru, rv), np.minimum(ru, rv))
 
 
 @functools.lru_cache(maxsize=8)
@@ -896,7 +900,7 @@ def _orbits(spec: FieldSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     for f in maps:
         images = [f(c.reshape(-1, n, n)).reshape(-1, m) @ weights for c in chunks]
         _hook(label, codes, np.concatenate(images))
-    reps = np.flatnonzero(label == codes)
+    reps = np.flatnonzero(_roots(label, codes) == codes)
     return reps, np.bincount(label)[reps]
 
 

@@ -109,6 +109,18 @@ def test_dist_le_2_exhaustive_snapshot_and_bounds():
         assert snap["pairs_dist_le_1"][key] < count < spec.order**18
 
 
+# both also equal the d <= 2 part of the exact pair-distance distribution that
+# one BFS sweep per orbit representative gives (ROADMAP item 3, prototype B)
+@pytest.mark.parametrize("spec,n,count", [(GF4, 3, 439975936), (GF2, 4, 217405696)])
+def test_exhaustive_dist_le_2_past_gf3(spec, n, count):
+    assert cs.count_dist_le_2(spec, n).value == count
+
+
+@pytest.mark.slow
+def test_exhaustive_dist_le_2_gf5_mat3():
+    assert cs.count_dist_le_2(FieldSpec.prime(5), 3).value == 9137265625
+
+
 @pytest.mark.slow
 def test_exhaustive_dist_le_2_matches_the_rank_criterion_per_orbit(monkeypatch):
     # each GF(3) 3x3 representative, ranked against all of Mat_3 by the

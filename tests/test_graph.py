@@ -267,8 +267,11 @@ def _components_by_sweeps(spec, n):
     return spec.order ** (n * n) - len(scalars), sizes
 
 
+# GF(3) 3x3 pins the discovery order of its 145 components, and GF(7) 2x2
+# has the most twins per class, q(q - 1) = 42
 @pytest.mark.parametrize(
-    "spec,n", [(GF2, 2), (GF3, 2), (GF4, 2), (FieldSpec.prime(5), 2), (GF2, 3)]
+    "spec,n",
+    [(GF2, 2), (GF3, 2), (GF4, 2), (FieldSpec.prime(5), 2), (GF2, 3), (GF3, 3), (FieldSpec.prime(7), 2)],
 )
 def test_components_match_per_start_sweeps(spec, n):
     comp = gr.components(spec, n)

@@ -1,8 +1,9 @@
 """Module layout: imports sit at the top of each module, the graph layer
 reaches the matrix codec without going through commute, the CRT, rational
-reconstruction and orbit helpers live in matrix alone, the sampled censuses
-rank in batches, only the certificate scan reads the pair cap, graph has one
-neighbor kernel, and every attribute the benchmark's tracer patches exists."""
+reconstruction, orbit and twin-class helpers live in matrix alone, the
+sampled censuses rank in batches, only the certificate scan reads the pair
+cap, graph has one neighbor kernel, and every attribute the benchmark's
+tracer patches exists."""
 
 import ast
 import importlib
@@ -69,16 +70,30 @@ def test_one_copy_of_the_lifting_helpers_and_no_bareiss_loop():
 
 
 def test_one_copy_of_the_orbit_helpers():
-    assert _definers("_hook", "_orbits") == {("matrix.py", "_hook"), ("matrix.py", "_orbits")}
+    assert _definers("_hook", "_roots", "_orbits") == {
+        ("matrix.py", "_hook"), ("matrix.py", "_roots"), ("matrix.py", "_orbits")
+    }
+
+
+def _called(path) -> set[str]:
+    return {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+    }
+
+
+def test_one_twin_normalization():
+    # one code per twin class {aA + bI}, from the projective normal form, for
+    # both `components` and the exhaustive dist-le-2 count
+    assert _definers("_twin_reps", "_projective_reps") == {
+        ("matrix.py", "_twin_reps"), ("matrix.py", "_projective_reps")
+    }
+    assert "_twin_reps" in _called(SRC / "graph.py") & _called(SRC / "census.py")
 
 
 def test_census_ranks_no_pair_alone():
-    tree = ast.parse((SRC / "census.py").read_text())
-    called = {
-        getattr(node.func, "id", getattr(node.func, "attr", None))
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-    }
+    called = _called(SRC / "census.py")
     assert "_stack_ranks" in called
     assert called & {"dist_le_2", "decode_matrix", "rank_raw"} == set()
 

@@ -1,17 +1,28 @@
 """Orbits of Mat_n under automorphisms of the commuting graph: an orbit
-enumeration built from scratch with ExactMatrix arithmetic, and invariance of
-the orbit-reduced quantities under random words in the generators."""
+enumeration built from scratch with ExactMatrix arithmetic, invariance of the
+orbit-reduced quantities under random words in the generators, and the twin
+classes {aA + bI : a != 0} that `components` and `dist-le-2` expand once."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from commdist.commute import centralizer_basis, derogatory, distance
 from commdist.field import FieldSpec
-from commdist.matrix import ExactMatrix, _orbits, decode_matrix, det, encode_matrix
+from commdist.graph import components
+from commdist.matrix import (
+    ExactMatrix,
+    _orbits,
+    _scalar_codes,
+    _twin_reps,
+    decode_matrix,
+    det,
+    encode_matrix,
+)
 
 GF2 = FieldSpec.prime(2)
 GF3 = FieldSpec.prime(3)
 GF4 = FieldSpec.parse("gf(2^2):1,1,1")
+GF5 = FieldSpec.prime(5)
 
 
 def _scalar(spec, n, raw):
@@ -108,3 +119,27 @@ def test_orbit_quantities_are_invariant_under_the_generators(spec, n, data):
     assert derogatory(ga) == derogatory(a)
     want, got = distance(a, b), distance(ga, gb)
     assert (got.kind, got.value) == (want.kind, want.value)
+
+
+@pytest.mark.parametrize("spec,n", [(GF2, 2), (GF3, 2), (GF4, 2), (GF5, 2), (GF2, 3)])
+def test_twin_reps_pick_one_matrix_per_twin_class(spec, n):
+    q = spec.order
+    reps = _twin_reps(spec, n)
+    assert len(reps) == (q ** (n * n - 1) - 1) // (q - 1)
+    assert (reps[1:] > reps[:-1]).all()
+    reps = set(reps.tolist())
+    assert not reps & _scalar_codes(spec, n)
+    affine = [(_scalar(spec, n, a), _scalar(spec, n, b)) for a in range(1, q) for b in range(q)]
+    classes = {
+        frozenset(encode_matrix(alpha @ a + beta) for alpha, beta in affine)
+        for a in (decode_matrix(spec, n, c) for c in range(q ** (n * n)))
+    }
+    hits = [len(cls & reps) for cls in classes]
+    # the q scalars form one class, which no code represents
+    assert sorted(hits) == [0] + [1] * len(reps)
+
+
+def test_no_twin_classes_at_n_1():
+    for spec in (GF2, GF5):
+        assert _twin_reps(spec, 1).tolist() == []
+        assert components(spec, 1).to_json() == {"vertex_count": 0, "count": 0, "sizes": []}
