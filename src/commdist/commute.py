@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,27 +26,28 @@ from .errors import (
 )
 from .field import FieldElem, FieldSpec
 from .matrix import (
-    PAIR_CAP,
     SPACE_CAP,
     _BATCH_CELLS,
+    _PC_CLASS_CAP,
     ExactMatrix,
     _check_square,
     _code_digits,
+    _combine,
     _crt,
     _ff_matmul,
-    _projective_reps,
+    _projective_coeffs,
     _rational_reconstruct,
     decode_matrix,
     is_scalar,
     lift_rows_raw,
     mat_pow,
-    mat_vec,
     min_poly,
     nullspace_raw,
     rank,
     rank_raw,
     space_size,
     unvec,
+    vec,
 )
 
 PC_PRIMES = (3, 5, 7, 11)  # moduli used by the heuristic search over Q
@@ -292,24 +292,15 @@ def _normalize_vector(spec: FieldSpec, raws: list) -> list | None:
     return None
 
 
-def _is_normalized(spec: FieldSpec, raws) -> bool:
-    ops = spec.ops()
-    for x in raws:
-        if x != ops.zero:
-            return x == ops.one
-    return False
-
-
 def pc_verify(a: ExactMatrix, b: ExactMatrix, cert: PcCertificate) -> bool:
     """Recheck a certificate: shape, normalization, and [p(A), q(B)] = 0."""
     _check_pair(a, b)
     n = a.nrows
     if len(cert.cs) != n - 1 or len(cert.ds) != n - 1:
         raise DimMismatch(f"certificate length must be {n - 1}")
-    cs_raw = [c.raw for c in cert.cs]
-    ds_raw = [d.raw for d in cert.ds]
-    if not _is_normalized(a.spec, cs_raw) or not _is_normalized(a.spec, ds_raw):
-        return False
+    for raws in ([c.raw for c in cert.cs], [d.raw for d in cert.ds]):
+        if _normalize_vector(a.spec, raws) != raws:
+            return False
     pa = poly_eval_no_const(a, cert.cs)
     qb = poly_eval_no_const(b, cert.ds)
     if pa @ qb != qb @ pa:
@@ -318,53 +309,32 @@ def pc_verify(a: ExactMatrix, b: ExactMatrix, cert: PcCertificate) -> bool:
 
 
 def _exhaustive_pc(a: ExactMatrix, b: ExactMatrix) -> PcCertificate | None:
-    """Complete projective scan over a finite field; first hit in (c, d) order."""
-    spec = a.spec
-    ops = spec.ops()
-    n = a.nrows
-    q = spec.order
-    classes = (q ** (n - 1) - 1) // (q - 1)
-    if classes * classes > PAIR_CAP:
-        raise CapExceeded(f"{classes}^2 projective pairs exceed 2^26")
-    a_pows = [mat_pow(a, i) for i in range(n)]
-    b_pows = [mat_pow(b, j) for j in range(n)]
-    # K[i][j] = vec(A^i B^j - B^j A^i) for i, j in 1..n-1
-    kflat = {}
-    for i in range(1, n):
-        for j in range(1, n):
-            diff = a_pows[i] @ b_pows[j] - b_pows[j] @ a_pows[i]
-            kflat[i, j] = [x for row in diff.rows for x in row]
-    reps = _code_digits(q, _projective_reps(spec, n - 1), n - 1).tolist()
-    nsq = n * n
-    zero = ops.zero
+    """Complete projective scan over a finite field; first hit in (c, d) order.
+
+    For each projective c in code order, the d with [p(A), q(B)] = 0 are the
+    nullspace of L(c), whose column j is sum_i c_i vec(A^i B^j - B^j A^i).
+    The basis vector of its first free column f is the only solution, up to
+    scaling, whose last nonzero coordinate is at f; every other has a later
+    one, and codes compare the last coordinate first, so normalized it is the
+    least-code d.  One elimination per c, at most _PC_CLASS_CAP of them.
+    """
+    spec, n = a.spec, a.nrows
+    reps = _projective_coeffs(spec, n - 1, _PC_CLASS_CAP).tolist()
+    a_pows = [mat_pow(a, i) for i in range(1, n)]
+    b_pows = [mat_pow(b, j) for j in range(1, n)]
+    # kcols[j - 1][i - 1] = vec(A^i B^j - B^j A^i) for i, j in 1..n-1
+    kcols = [[vec(ai @ bj - bj @ ai) for ai in a_pows] for bj in b_pows]
     for cs in reps:
-        # columns of the linear system the d-vector must solve
-        cols = []
-        for j in range(1, n):
-            col = [zero] * nsq
-            for i in range(1, n):
-                ci = cs[i - 1]
-                if ci == zero:
-                    continue
-                kij = kflat[i, j]
-                col = [ops.add(x, ops.mul(ci, y)) for x, y in zip(col, kij)]
-            cols.append(col)
-        rows = [list(r) for r in zip(*cols)]
-        if rank_raw(spec, rows) == n - 1:
-            continue  # only d = 0 solves; no certificate with this c
-        lmat = ExactMatrix._from_raw(spec, rows)
-        for ds in reps:
-            out = mat_vec(lmat, ds)
-            if all(x == zero for x in out):
-                pa = poly_eval_no_const(a, _elems(spec, cs))
-                qb = poly_eval_no_const(b, _elems(spec, ds))
-                return PcCertificate(
-                    _elems(spec, cs),
-                    _elems(spec, ds),
-                    is_scalar(pa),
-                    is_scalar(qb),
-                )
+        null = nullspace_raw(spec, list(zip(*(_combine(spec, cs, kj) for kj in kcols))))
+        if null:
+            return _certificate(a, b, cs, _normalize_vector(spec, null[0]))
     return None
+
+
+def _certificate(a: ExactMatrix, b: ExactMatrix, cs, ds) -> PcCertificate:
+    """The certificate with raw coefficient vectors cs and ds, flags computed."""
+    cs, ds = _elems(a.spec, cs), _elems(a.spec, ds)
+    return PcCertificate(cs, ds, is_scalar(poly_eval_no_const(a, cs)), is_scalar(poly_eval_no_const(b, ds)))
 
 
 def _elems(spec: FieldSpec, raws) -> tuple[FieldElem, ...]:
@@ -385,16 +355,8 @@ def _minpoly_certificate(a: ExactMatrix, b: ExactMatrix, side: str) -> PcCertifi
     vec_ = coeffs[1:] + [ops.zero] * (n - 1 - deg)
     vec_ = _normalize_vector(spec, vec_)
     x_vec = [ops.one] + [ops.zero] * (n - 2)
-    if side == "a":
-        cs, ds = vec_, x_vec
-    else:
-        cs, ds = x_vec, vec_
-    cert = PcCertificate(
-        _elems(spec, cs),
-        _elems(spec, ds),
-        is_scalar(poly_eval_no_const(a, _elems(spec, cs))),
-        is_scalar(poly_eval_no_const(b, _elems(spec, ds))),
-    )
+    cs, ds = (vec_, x_vec) if side == "a" else (x_vec, vec_)
+    cert = _certificate(a, b, cs, ds)
     return cert if pc_verify(a, b, cert) else None
 
 
@@ -407,7 +369,7 @@ def _rational_pc(a: ExactMatrix, b: ExactMatrix) -> PcSearchResult:
                 return PcSearchResult("certificate", cert, "annihilating-polynomial")
     n = a.nrows
     per_prime: list[tuple[int, PcCertificate]] = []
-    skipped = ""  # primes whose projective scan exceeds the pair cap
+    skipped = ""  # primes whose projective scan exceeds the class cap
 
     def unknown(note: str) -> PcSearchResult:
         return PcSearchResult("unknown", None, note + skipped)
@@ -431,26 +393,16 @@ def _rational_pc(a: ExactMatrix, b: ExactMatrix) -> PcSearchResult:
         return unknown("no usable primes")
     moduli = [p for p, _ in per_prime]
     modulus = math.prod(moduli)
-    cs_f: list[Fraction] = []
-    ds_f: list[Fraction] = []
-    for which, out in (("cs", cs_f), ("ds", ds_f)):
-        for idx in range(n - 1):
-            residues = [getattr(cert, which)[idx].raw for _, cert in per_prime]
-            frac = _rational_reconstruct(_crt(residues, moduli), modulus)
-            if frac is None:
-                return unknown("rational reconstruction failed")
-            out.append(frac)
-    spec = a.spec
-    cs_raw = _normalize_vector(spec, [Fraction(f) for f in cs_f])
-    ds_raw = _normalize_vector(spec, [Fraction(f) for f in ds_f])
-    if cs_raw is None or ds_raw is None:
-        return unknown("reconstructed a zero vector")
-    cert = PcCertificate(
-        _elems(spec, cs_raw),
-        _elems(spec, ds_raw),
-        is_scalar(poly_eval_no_const(a, _elems(spec, cs_raw))),
-        is_scalar(poly_eval_no_const(b, _elems(spec, ds_raw))),
+    cs, ds = (
+        [_rational_reconstruct(_crt([v[i].raw for v in vecs], moduli), modulus) for i in range(n - 1)]
+        for vecs in ([c.cs for _, c in per_prime], [c.ds for _, c in per_prime])
     )
+    if None in cs + ds:
+        return unknown("rational reconstruction failed")
+    cs, ds = _normalize_vector(a.spec, cs), _normalize_vector(a.spec, ds)
+    if cs is None or ds is None:
+        return unknown("reconstructed a zero vector")
+    cert = _certificate(a, b, cs, ds)
     if pc_verify(a, b, cert):
         return PcSearchResult("certificate", cert, "reconstructed from residues")
     return unknown("reconstructed certificate failed verification")
@@ -583,10 +535,6 @@ def distance(a: ExactMatrix, b: ExactMatrix) -> DistanceResult:
             certificate=pc.certificate,
             note="certificate bounds the distance only over an algebraic closure",
         )
-    if pc.status == "none":
-        return DistanceResult(
-            "bounded", lower=3, upper=math.inf, decided_by="pc-none", note=pc.note
-        )
     return DistanceResult(
-        "bounded", lower=3, upper=math.inf, decided_by="pc-unknown", note=pc.note
+        "bounded", lower=3, upper=math.inf, decided_by=f"pc-{pc.status}", note=pc.note
     )

@@ -19,18 +19,19 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, DimMismatch, FieldMismatch, ScalarVertex
+from .errors import DimMismatch, FieldMismatch, ScalarVertex
 from .field import FieldSpec
 from .matrix import (
     _BATCH_CELLS,
+    _CLASS_CAP,
     DIAMETER_CAP,
     PREBUILD_CAP,
     ExactMatrix,
-    _code_digits,
+    _combine,
     _commuting_pairs,
     _hook,
     _orbits,
-    _projective_reps,
+    _projective_coeffs,
     _roots,
     _scalar_codes,
     _twin_reps,
@@ -46,7 +47,6 @@ from .matrix import (
 )
 
 INFINITE = math.inf
-_CLASS_CAP = 1 << 20  # projective classes one restricted distance-3 search enumerates
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,8 @@ def _neighbor_lists(spec: FieldSpec, n: int, codes: list[int]):
     `_adjacency` and the codes it lacks are expanded in one `_commuting_pairs`
     batch; above it, blocks whose spans hold at most _BATCH_CELLS codes are
     expanded in turn and dropped once yielded."""
-    memo = _adjacency(spec, n) if space_size(spec, n, None) <= PREBUILD_CAP else None
+    # codes above 2^63 would leave int64
+    memo = _adjacency(spec, n) if space_size(spec, n, 1 << 63) <= PREBUILD_CAP else None
     # a non-scalar centralizer has dimension at most n^2 - 2n + 2
     step = len(codes) if memo else max(1, _BATCH_CELLS // spec.order ** (n * n - 2 * n + 2))
     for start in range(0, len(codes), step):
@@ -285,30 +286,22 @@ def restricted_distance_le_3(a: ExactMatrix, b: ExactMatrix):
     Enumerates the centralizer of `a` up to scaling and shifts by the
     identity, which suffices: commuting with D is unchanged under
     C -> u*C + v*I, so one representative per projective class of the quotient
-    centralizer(a)/<I> covers every candidate.  Complete for the <=3 question;
-    returns the chain (C, D) or None.
+    centralizer(a)/<I> covers every candidate, in the code order of
+    `_projective_coeffs` and at most _CLASS_CAP of them, each tested by one
+    nullspace of [M_C; M_B].  Complete for the <=3 question; returns the
+    chain (C, D) or None.
     """
     _check_vertex_pair(a, b)
     spec, n = a.spec, a.nrows
-    ops = spec.ops()
     basis = nullspace_raw(spec, lift_rows_raw(a))
     ident = vec(ExactMatrix.identity(spec, n))
     # extend {vec(I)} to a basis of the centralizer: the pivot columns of
     # [vec(I) | basis] after column 0 pick the vectors that span the quotient
     _, pivots = rref_raw(spec, [list(r) for r in zip(ident, *basis)])
     quotient = [basis[c - 1] for c in pivots[1:]]
-    d = len(quotient)
-    q = spec.order
-    classes = (q**d - 1) // (q - 1)
-    if classes > _CLASS_CAP:
-        raise CapExceeded(f"{classes} centralizer classes exceed the cap {_CLASS_CAP}")
     b_rows = lift_rows_raw(b)
-    for coeffs in _code_digits(q, _projective_reps(spec, d), d).tolist():
-        acc = [ops.zero] * (n * n)
-        for coef, vec_ in zip(coeffs, quotient):
-            if coef != ops.zero:
-                acc = [ops.add(x, ops.mul(coef, y)) for x, y in zip(acc, vec_)]
-        c_mat = unvec(spec, n, acc)
+    for coeffs in _projective_coeffs(spec, len(quotient), _CLASS_CAP).tolist():
+        c_mat = unvec(spec, n, _combine(spec, coeffs, quotient))
         c_rows = lift_rows_raw(c_mat)
         for null_vec in nullspace_raw(spec, c_rows + b_rows):
             cand = unvec(spec, n, null_vec)

@@ -27,12 +27,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceeded, DimMismatch, FieldMismatch, ParseError
-from .field import FieldElem, FieldSpec
+from .field import FieldElem, FieldSpec, _is_prime
 
 _MAX_DIM = 128  # lift stacks for n = 8 are 128 x 64; anything larger is a mistake
 SIZE_CAP = 8  # all interesting content lives at n <= 4; larger inputs are mistakes
 SPACE_CAP = 1 << 24  # codes in one enumeration of Mat_n over a finite field
-PAIR_CAP = 1 << 26  # projective pairs (c, d) one certificate scan may visit
+_PC_CLASS_CAP = 1 << 13  # projective classes c one certificate scan visits
+_CLASS_CAP = 1 << 20  # projective classes one restricted distance-3 search visits
 SAMPLE_CAP = 1 << 96  # sampled pairs: 128-bit draws modulo the universe stay 2^-32 from uniform
 DIAMETER_CAP = 1 << 20  # codes for an all-pairs BFS
 PREBUILD_CAP = 1 << 17  # searches keep the neighbor lists they fill below this many codes
@@ -382,6 +383,26 @@ def _projective_reps(spec: FieldSpec, length: int) -> np.ndarray:
     return np.sort(np.concatenate([np.zeros(0, np.int64), *leads]))
 
 
+def _projective_coeffs(spec: FieldSpec, length: int, cap: int) -> np.ndarray:
+    """The coefficient vectors of `_projective_reps`, in the same order, as a
+    (classes, length) array; CapExceeded above `cap` classes."""
+    q = spec.order
+    classes = (q**length - 1) // (q - 1)
+    if classes > cap:
+        raise CapExceeded(f"{classes} projective classes exceed 2^{cap.bit_length() - 1}")
+    return _code_digits(q, _projective_reps(spec, length), length)
+
+
+def _combine(spec: FieldSpec, coeffs, vectors) -> list:
+    """sum coeffs[i] * vectors[i] of raw vectors, skipping zero coefficients."""
+    ops = spec.ops()
+    acc = [ops.zero] * len(vectors[0])
+    for coef, v in zip(coeffs, vectors):
+        if coef != ops.zero:
+            acc = [ops.add(x, ops.mul(coef, y)) for x, y in zip(acc, v)]
+    return acc
+
+
 def _twin_reps(spec: FieldSpec, n: int) -> np.ndarray:
     """One code per twin class {aA + bI : a != 0} of non-scalar matrices,
     ascending: entry (0, 0) is 0 and the first nonzero entry row by row is 1.
@@ -552,18 +573,11 @@ def _rref_generic(spec: FieldSpec, rows):
     return work[:r], pivots
 
 
-def _is_prime32(n: int) -> bool:
-    """Miller-Rabin with bases 2, 7 and 61, exact for odd n with 61 < n < 2^32."""
-    s = ((n - 1) & (1 - n)).bit_length() - 1
-    d = (n - 1) >> s
-    return all(pow(a, d, n) == 1 or n - 1 in {pow(a, d << k, n) for k in range(s)} for a in (2, 7, 61))
-
-
 @functools.cache
 def _lift_prime(i: int) -> int:
     """The i-th prime below 2^31, counting down from 2^31 - 1."""
     p = _lift_prime(i - 1) - 2 if i else 2**31 - 1
-    while not _is_prime32(p):
+    while not _is_prime(p):
         p -= 2
     return p
 
@@ -829,10 +843,13 @@ def _commuting_pairs(spec: FieldSpec, n: int, codes):
     Yields (ends, spans): spans[j] holds the codes of the whole centralizer of
     ends[j], scalars and ends[j] itself included, and one chunk of spans has at
     most _BATCH_CELLS matrix entries.  `codes` is an array or a range.
+    CapExceeded when one centralizer holds more than SPACE_CAP codes.
     """
     for chunk, free, vecs in _centralizer_chunks(spec, n, codes):
         dims = free.sum(1)
         for d in np.unique(dims).tolist():
+            if spec.order**d > SPACE_CAP:
+                raise CapExceeded(f"centralizer span {spec.order**d} exceeds 2^{SPACE_CAP.bit_length() - 1}")
             sel = dims == d
             ends, bases = chunk[sel], vecs[sel][free[sel]].reshape(-1, d, n * n)
             step = max(1, _BATCH_CELLS // (spec.order**d * n * n))

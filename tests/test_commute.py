@@ -10,8 +10,11 @@ from commdist.errors import BadWitness, CapExceeded, DimMismatch
 from commdist.field import FieldSpec
 from commdist import commute as cm
 from commdist.graph import bfs_distance, decode_matrix
+from commdist.verify import random_derogatory
 from commdist.matrix import (
     ExactMatrix,
+    _code_digits,
+    _projective_reps,
     mat_vec,
     min_poly,
     nullspace_basis,
@@ -262,6 +265,36 @@ def test_pc_derogatory_certificate_over_gf3():
     assert cm.pc_verify(a3, b3, cert)
 
 
+def _first_hit_by_double_loop(a, b):
+    """The certificate scan as a plain double loop: the first projective pair
+    (c, d) in code order with [p(A), q(B)] = 0, or None."""
+    spec, n = a.spec, a.nrows
+    reps = _code_digits(spec.order, _projective_reps(spec, n - 1), n - 1).tolist()
+    for cs in reps:
+        pa = cm.poly_eval_no_const(a, cs)
+        for ds in reps:
+            qb = cm.poly_eval_no_const(b, ds)
+            if pa @ qb == qb @ pa:
+                elems = [tuple(spec.elem_from_code(x) for x in v) for v in (cs, ds)]
+                return cm.PcCertificate(*elems, cm.is_scalar(pa), cm.is_scalar(qb))
+    return None
+
+
+@pytest.mark.parametrize(
+    "spec, n", [(GF2, 3), (GF3, 3), (GF4, 3), (FieldSpec.prime(5), 3), (GF2, 4), (GF3, 4)]
+)
+def test_pc_search_returns_the_first_hit_of_the_double_loop(spec, n):
+    rng = random.Random(17 * n + spec.order)
+    statuses = set()
+    for t in range(9):
+        a = random_derogatory(spec, n, rng) if t % 3 == 1 else random_matrix(spec, n, n, rng)
+        b = a @ a + a if t % 3 == 2 else random_matrix(spec, n, n, rng)
+        res = cm.pc_search(a, b)
+        assert res.certificate == _first_hit_by_double_loop(a, b)
+        statuses.add(res.status)
+    assert statuses == {"certificate", "none"}
+
+
 def test_pc_search_none_is_a_proof_over_finite_fields():
     a3, b3 = A410.to_field(GF3), B410.to_field(GF3)
     res = cm.pc_search(a3, b3)
@@ -420,15 +453,15 @@ def test_distance_bounded_over_rationals():
     assert r46.certificate is not None and r46.certificate.pa_scalar
 
 
-def test_rational_search_skips_primes_beyond_the_pair_cap():
-    # at n = 6 the scan modulo 11 has 16105^2 projective pairs, above 2^26
+def test_rational_search_skips_primes_beyond_the_class_cap():
+    # at n = 6 the scan modulo 11 has 16105 projective classes, above 2^13
     rng = random.Random(5)
     a = random_matrix(QQ, 6, 6, rng)
     b = random_matrix(QQ, 6, 6, rng)
     r = cm.distance(a, b)
     assert r.kind == "bounded" and (r.lower, r.upper) == (3, math.inf)
     assert r.decided_by == "pc-unknown"
-    assert "11" in r.note and "2^26" in r.note
+    assert "11" in r.note and "2^13" in r.note
     # over a finite field the cap still bounds the answer
     gf11 = FieldSpec.prime(11)
     r11 = cm.distance(random_matrix(gf11, 6, 6, rng), random_matrix(gf11, 6, 6, rng))

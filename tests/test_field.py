@@ -1,5 +1,6 @@
 """Field-spec parsing, exact arithmetic, and the field axioms."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from commdist.errors import (
     ReducibleModulus,
     UnsupportedDegree,
 )
-from commdist.field import FieldSpec, arith, field_from_spec
+from commdist.field import FieldSpec, _is_prime, arith, field_from_spec
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
@@ -71,6 +72,17 @@ def test_prime_cap():
         FieldSpec.prime(2**31 + 11)
     big = FieldSpec.prime(2147483647)  # largest prime below 2^31
     assert big.order == 2147483647
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert all(_is_prime(n) == by_trial_division(n) for n in range(-3, 100_000))
+    rng = random.Random(31)
+    large = [rng.randrange(2**30, 2**31) for _ in range(300)] + [2**31 - 1, 2**31 - 19, 2**31 - 21]
+    assert [_is_prime(n) for n in large] == [by_trial_division(n) for n in large]
+    assert _is_prime(2**31 - 1) and not _is_prime(46337 * 46349)
 
 
 def test_arith_examples():

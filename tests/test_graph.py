@@ -123,6 +123,21 @@ def test_neighbors_over_large_extension_fields_exceed_the_table_cap():
             list(gr.neighbors(a))
 
 
+@pytest.mark.parametrize(
+    "p, n, match",
+    [
+        (65537, 2, "2\\^63"),  # a 2-dimensional centralizer alone spans 2^32 codes
+        (131, 3, "2\\^63"),  # 131^9 codes wrap int64
+        (2**31 - 1, 2, "2\\^63"),  # no code fits int64
+        (4099, 2, "span 16801801 exceeds 2\\^24"),  # codes fit, the span does not
+    ],
+)
+def test_neighbors_raise_cap_exceeded_outside_int64_and_the_span_cap(p, n, match):
+    a = ExactMatrix(FieldSpec.prime(p), [[1, 2, 0][:n], [3, 4, 0][:n], [0, 0, 1][:n]][:n])
+    with pytest.raises(CapExceeded, match=match):
+        next(gr.neighbors(a))
+
+
 def test_sweep_above_the_prebuild_cap():
     # GF(4) 3x3 has 262,144 codes, so no neighbor list is kept; diag(1, 0, 0)
     # has a 5-dimensional centralizer: 4^5 codes minus four scalars and itself

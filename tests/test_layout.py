@@ -1,9 +1,9 @@
 """Module layout: imports sit at the top of each module, the graph layer
 reaches the matrix codec without going through commute, the CRT, rational
 reconstruction, orbit and twin-class helpers live in matrix alone, the
-sampled censuses rank in batches, only the certificate scan reads the pair
-cap, graph has one neighbor kernel, and every attribute the benchmark's
-tracer patches exists."""
+sampled censuses rank in batches, every cap is defined in matrix, graph has
+one neighbor kernel, and every attribute the benchmark's tracer patches
+exists."""
 
 import ast
 import importlib
@@ -98,16 +98,21 @@ def test_census_ranks_no_pair_alone():
     assert called & {"dist_le_2", "decode_matrix", "rank_raw"} == set()
 
 
-def test_only_commute_imports_the_pair_cap():
-    # the exhaustive dist-le-2 count marks one space-sized array per orbit
-    # representative, so no census is bounded by the ordered-pair cap
-    importers = {
-        path.name
+def test_every_cap_lives_in_matrix():
+    # the certificate scan is capped on projective classes, not pairs, and the
+    # exhaustive dist-le-2 count marks one space-sized array per orbit
+    # representative, so no census is bounded by an ordered-pair cap
+    assert all("PAIR_CAP" not in path.read_text() for path in MODULES)
+    definers = {
+        (path.name, target.id)
         for path in MODULES
         for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.ImportFrom) and "PAIR_CAP" in {alias.name for alias in node.names}
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.endswith("_CAP")
     }
-    assert importers == {"commute.py"}
+    assert {module for module, _ in definers} == {"matrix.py"}
+    assert {"_PC_CLASS_CAP", "_CLASS_CAP"} <= {name for _, name in definers}
     assert "packbits" not in (SRC / "census.py").read_text()
 
 
