@@ -19,7 +19,7 @@ from . import commute as cm
 from . import graph as gr
 from .errors import BadWitness, CapExceeded, CommdistError, DimMismatch
 from .field import FieldSpec
-from .matrix import ExactMatrix, det, min_poly, rank, rref_raw
+from .matrix import ExactMatrix, min_poly, rank, rank_raw, rref_raw
 from .verify import load_fixture, verify_paper
 
 
@@ -153,28 +153,22 @@ def _minors_report(stack: ExactMatrix, r: int, n: int, args) -> dict:
     size = n * n - 1
     rng = random.Random(args.seed or 0)
     samples = 200 if args.samples is None else args.samples
+
+    def minor_nonzero(rows, cols) -> bool:
+        return rank_raw(stack.spec, [[stack.rows[i][j] for j in cols] for i in rows]) == size
+
     nonzero = 0
-    zero_raw = stack.spec.ops().zero
     for _ in range(samples):
         rows = sorted(rng.sample(range(stack.nrows), size))
         cols = sorted(rng.sample(range(stack.ncols), size))
-        sub = ExactMatrix._from_raw(
-            stack.spec, [[stack.rows[i][j] for j in cols] for i in rows]
-        )
-        if det(sub).raw != zero_raw:
-            nonzero += 1
+        nonzero += minor_nonzero(rows, cols)
     witness_nonzero = None
     if r >= size:
         _, col_pivots = rref_raw(stack.spec, stack.raw_rows())
         _, row_pivots = rref_raw(
             stack.spec, [list(t) for t in zip(*stack.rows)]
         )
-        rows = row_pivots[:size]
-        cols = col_pivots[:size]
-        sub = ExactMatrix._from_raw(
-            stack.spec, [[stack.rows[i][j] for j in cols] for i in rows]
-        )
-        witness_nonzero = det(sub).raw != zero_raw
+        witness_nonzero = minor_nonzero(row_pivots[:size], col_pivots[:size])
     le2 = r <= n * n - 2
     consistent = (le2 and nonzero == 0) or (not le2 and bool(witness_nonzero))
     return {
@@ -298,7 +292,7 @@ def _cmd_census(args) -> dict:
 
 
 def _cmd_verify_paper(args) -> dict:
-    names = args.only.split(",") if args.only else None
+    names = args.only.split(",") if args.only is not None else None
     results = verify_paper(names)
     ok = all(r.passed and r.in_budget for r in results)
     for r in results:
@@ -435,6 +429,9 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         report = args.handler(args)
+        exit_code = report.pop("_exit", 0)
+        if not report.pop("_quiet", False):
+            _emit(report, args)
     except CapExceeded as exc:
         print(json.dumps({"error": "cap-exceeded", "detail": str(exc)}), file=sys.stderr)
         return 2
@@ -444,10 +441,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    exit_code = report.pop("_exit", 0)
-    quiet = report.pop("_quiet", False)
-    if not quiet:
-        _emit(report, args)
     return exit_code
 
 

@@ -35,12 +35,12 @@ from .matrix import (
     _combine,
     _crt,
     _ff_matmul,
+    _powers,
     _projective_coeffs,
     _rational_reconstruct,
     decode_matrix,
     is_scalar,
     lift_rows_raw,
-    mat_pow,
     min_poly,
     nullspace_raw,
     rank,
@@ -130,12 +130,7 @@ def derogatory(a: ExactMatrix) -> bool:
     n = a.nrows
     if n < 2:
         raise DimMismatch("derogatory needs n >= 2")
-    power = ExactMatrix.identity(a.spec, n)
-    rows = [[x for r in power.rows for x in r]]
-    for _ in range(n - 1):
-        power = power @ a
-        rows.append([x for r in power.rows for x in r])
-    return rank_raw(a.spec, rows) <= n - 1
+    return rank_raw(a.spec, [list(vec(power)) for power in _powers(a, n - 1)]) <= n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +237,10 @@ class PcCertificate:
     def from_json(cls, spec: FieldSpec, obj) -> "PcCertificate":
         if not isinstance(obj, dict) or not all(isinstance(obj.get(k), list) for k in ("cs", "ds")):
             raise ParseError("certificate JSON needs 'cs' and 'ds' lists")
-        return cls(
-            tuple(spec.elem(x) for x in obj["cs"]),
-            tuple(spec.elem(x) for x in obj["ds"]),
-            bool(obj.get("pa_scalar", False)),
-            bool(obj.get("qb_scalar", False)),
-        )
+        flags = [obj.get(k, False) for k in ("pa_scalar", "qb_scalar")]
+        if not all(isinstance(f, bool) for f in flags):
+            raise ParseError("certificate flags 'pa_scalar' and 'qb_scalar' must be JSON booleans")
+        return cls(tuple(spec.elem(x) for x in obj["cs"]), tuple(spec.elem(x) for x in obj["ds"]), *flags)
 
 
 @dataclass(frozen=True)
@@ -267,19 +260,9 @@ class PcSearchResult:
 def poly_eval_no_const(a: ExactMatrix, coeffs) -> ExactMatrix:
     """sum coeffs[i] * a^(i+1); coefficients are FieldElems or raw values."""
     spec = a.spec
-    ops = spec.ops()
-    acc = ExactMatrix.zeros(spec, a.nrows, a.ncols)
-    power = a
-    for idx, c in enumerate(coeffs):
-        raw = c.raw if isinstance(c, FieldElem) else c
-        if raw != ops.zero:
-            scaled = ExactMatrix._from_raw(
-                spec, [[ops.mul(raw, x) for x in row] for row in power.rows]
-            )
-            acc = acc + scaled
-        if idx + 1 < len(coeffs):
-            power = power @ a
-    return acc
+    raws = [spec.ops().zero] + [c.raw if isinstance(c, FieldElem) else c for c in coeffs]
+    # the identity takes coefficient zero, so no coefficients give the zero matrix
+    return unvec(spec, a.nrows, _combine(spec, raws, [vec(m) for m in _powers(a, len(coeffs))]))
 
 
 def _normalize_vector(spec: FieldSpec, raws: list) -> list | None:
@@ -320,8 +303,7 @@ def _exhaustive_pc(a: ExactMatrix, b: ExactMatrix) -> PcCertificate | None:
     """
     spec, n = a.spec, a.nrows
     reps = _projective_coeffs(spec, n - 1, _PC_CLASS_CAP).tolist()
-    a_pows = [mat_pow(a, i) for i in range(1, n)]
-    b_pows = [mat_pow(b, j) for j in range(1, n)]
+    a_pows, b_pows = _powers(a, n - 1)[1:], _powers(b, n - 1)[1:]
     # kcols[j - 1][i - 1] = vec(A^i B^j - B^j A^i) for i, j in 1..n-1
     kcols = [[vec(ai @ bj - bj @ ai) for ai in a_pows] for bj in b_pows]
     for cs in reps:

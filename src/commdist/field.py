@@ -11,6 +11,7 @@ else in the library.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,13 +86,8 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     for d in range(1, k // 2 + 1):
         # all monic polynomials of degree d: p**d candidates
         for code in range(p**d):
-            cand = []
-            c = code
-            for _ in range(d):
-                cand.append(c % p)
-                c //= p
-            cand.append(1)
-            if not _poly_mod(modulus, tuple(cand), p):
+            cand = tuple(code // p**i % p for i in range(d)) + (1,)
+            if not _poly_mod(modulus, cand, p):
                 return False
     return True
 
@@ -262,10 +258,7 @@ class FieldSpec:
                 raise ParseError("coefficient vectors only make sense for extension fields")
             if len(value) > self.k:
                 raise ParseError(f"coefficient vector longer than degree {self.k}")
-            code = 0
-            for c in reversed(value):
-                code = code * self.p + int(c) % self.p
-            return code
+            return sum(int(c) % self.p * self.p**i for i, c in enumerate(value))
         raise ParseError(f"cannot interpret {value!r} as an element of {self}")
 
     def elem_from_code(self, code: int) -> "FieldElem":
@@ -282,12 +275,7 @@ class FieldSpec:
             return int(raw) if raw.denominator == 1 else f"{raw.numerator}/{raw.denominator}"
         if self.kind == "prime":
             return int(raw)
-        digits = []
-        c = raw
-        for _ in range(self.k):
-            digits.append(c % self.p)
-            c //= self.p
-        return digits
+        return [raw // self.p**i % self.p for i in range(self.k)]
 
 
 def field_from_spec(text: str) -> FieldSpec:
@@ -357,164 +345,114 @@ def _prime_ops(spec: FieldSpec) -> _Ops:
 
 
 class _ExtTables:
-    """Lookup tables for one extension field GF(p^k)."""
+    """Arithmetic of one extension field GF(p^k) on codes.
+
+    One digit codec serves addition, subtraction and negation; exp/log tables
+    of the least primitive element serve multiplication and inversion; below
+    _TABLE_MAX every operation is also tabulated.
+    """
 
     def __init__(self, spec: FieldSpec):
-        p, k, modulus = spec.p, spec.k, spec.modulus
+        p, k = spec.p, spec.k
         q = p**k
-        self.p, self.k, self.q = p, k, q
-
-        # reduction of x^k .. x^(2k-2) modulo the defining polynomial
-        reductions = []
-        cur = tuple((-c) % p for c in modulus[:k])  # x^k as a degree<k vector
-        reductions.append(cur)
-        for _ in range(k - 2):
-            shifted = (0,) + cur
-            if len(shifted) > k:
-                overflow = shifted[k]
-                shifted = tuple(
-                    (shifted[i] + overflow * reductions[0][i]) % p for i in range(k)
-                )
-            cur = shifted
-            reductions.append(cur)
-        self._reductions = reductions
-
-        self.exp, self.log = self._build_log_tables()
+        self.p, self.k, self.q, self.modulus = p, k, q, spec.modulus
+        self.weights = [p**i for i in range(k)]
+        # exp runs through the powers of the least primitive element
+        exp = next(w for w in map(self._powers, range(2, q)) if len(w) == q - 1)
+        log = np.zeros(q, dtype=np.int64)
+        log[exp] = np.arange(q - 1)
+        self.exp = exp.tolist()
+        self.log = log.tolist()
 
         self.add_table = self.mul_table = self.inv_table = None
         if q <= _TABLE_MAX:
-            self.add_table = [
-                [self._add_slow(a, b) for b in range(q)] for a in range(q)
-            ]
-            self.mul_table = [
-                [self.mul_via_log(a, b) for b in range(q)] for a in range(q)
-            ]
-            self.inv_table = [0] * q
-            for a in range(1, q):
-                self.inv_table[a] = self.exp[(q - 1 - self.log[a]) % (q - 1)]
+            d = np.arange(q)[:, None] // self.weights % p
+            self.add_table = ((d[:, None] + d) % p @ self.weights).tolist()
+            prod = exp[(log[:, None] + log) % (q - 1)]
+            prod[0] = prod[:, 0] = 0
+            self.mul_table = prod.tolist()
+            self.inv_table = [0] + [self.inv(a) for a in range(1, q)]
 
     def digits(self, code: int) -> list[int]:
-        out = []
-        for _ in range(self.k):
-            out.append(code % self.p)
-            code //= self.p
-        return out
+        return [code // w % self.p for w in self.weights]
 
-    def _add_slow(self, a: int, b: int) -> int:
-        p = self.p
-        da, db = self.digits(a), self.digits(b)
-        code = 0
-        for i in range(self.k - 1, -1, -1):
-            code = code * p + (da[i] + db[i]) % p
-        return code
+    def code(self, digits) -> int:
+        """Code of a coefficient list (low to high, at most k long), reduced mod p."""
+        return sum(c % self.p * w for c, w in zip(digits, self.weights))
 
-    def mul_poly(self, a: int, b: int) -> int:
-        """School multiplication of codes followed by reduction."""
-        p, k = self.p, self.k
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * k - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        acc = prod[:k]
-        for d in range(k, 2 * k - 1):
-            c = prod[d]
-            if c:
-                red = self._reductions[d - k]
-                for i in range(k):
-                    acc[i] = (acc[i] + c * red[i]) % p
-        code = 0
-        for i in range(k - 1, -1, -1):
-            code = code * p + acc[i]
-        return code
+    def add(self, a: int, b: int) -> int:
+        return self.code(map(operator.add, self.digits(a), self.digits(b)))
 
-    def _build_log_tables(self):
-        q = self.q
-        factors = list(_factor(q - 1))
-        gen = None
-        for cand in range(2, q):
-            if all(self._pow_poly(cand, (q - 1) // f) != 1 for f in factors):
-                gen = cand
-                break
-        assert gen is not None, "multiplicative group of a finite field is cyclic"
-        exp = [1] * (q - 1)
-        log = [0] * q
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self.mul_poly(cur, gen)
-        return exp, log
+    def sub(self, a: int, b: int) -> int:
+        return self.code(map(operator.sub, self.digits(a), self.digits(b)))
 
-    def _pow_poly(self, a: int, e: int) -> int:
-        acc, base = 1, a
-        while e:
-            if e & 1:
-                acc = self.mul_poly(acc, base)
-            base = self.mul_poly(base, base)
-            e >>= 1
-        return acc
+    def neg(self, a: int) -> int:
+        return self.code(map(operator.neg, self.digits(a)))
 
-    def mul_via_log(self, a: int, b: int) -> int:
+    def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
 
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise DivisionByZero("inverse of zero")
+        return self.exp[-self.log[a] % (self.q - 1)]
+
+    def _times(self, digits) -> np.ndarray:
+        """Matrix of multiplication by one element: row i is x^i times it."""
+        rows = (_poly_mod((0,) * i + tuple(digits), self.modulus, self.p) for i in range(self.k))
+        return np.array([list(r) + [0] * (self.k - len(r)) for r in rows], dtype=np.int32)
+
+    def _powers(self, g: int) -> np.ndarray:
+        """Codes of g^0, g^1, ... up to the order of g (at most q - 1).
+
+        Each round multiplies the digits of every power found so far by the
+        next power of g, doubling the walk, until it returns to 1.
+        """
+        p, q, step = self.p, self.q, self._times(self.digits(g))
+        weights = np.array(self.weights, dtype=np.int32)
+        # one dtype throughout, so no product casts a whole slice: p <= 31 and
+        # k <= 4 keep digits, their products and codes below 2^31
+        walk, codes = np.empty((q, self.k), dtype=np.int32), np.empty(q, dtype=np.int32)
+        walk[0], codes[0], n = self.digits(1), 1, 1
+        while True:
+            end = min(2 * n, q)
+            # in place: the rows written never overlap the rows read
+            np.matmul(walk[: end - n], self._times(walk[n - 1] @ step % p), out=walk[n:end])
+            np.remainder(walk[n:end], p, out=walk[n:end])
+            np.matmul(walk[n:end], weights, out=codes[n:end])
+            ones = np.flatnonzero(codes[n:end] == 1)
+            if len(ones):
+                return codes[: n + ones[0]]
+            n = end
+
 
 def _extension_ops(spec: FieldSpec) -> _Ops:
     t = _ext_tables(spec)
-    q = t.q
-    if t.add_table is not None:
-        add_t, mul_t, inv_t = t.add_table, t.mul_table, t.inv_table
-        neg_t = [_neg_code(t, a) for a in range(q)]
+    if t.add_table is None:
+        return _Ops(spec, 0, 1, t.add, t.sub, t.mul, t.neg, t.inv)
+    add_t, mul_t, inv_t = t.add_table, t.mul_table, t.inv_table
+    neg_t = [t.neg(a) for a in range(t.q)]
 
-        def add(a, b):
-            return add_t[a][b]
+    def add(a, b):
+        return add_t[a][b]
 
-        def sub(a, b):
-            return add_t[a][neg_t[b]]
+    def sub(a, b):
+        return add_t[a][neg_t[b]]
 
-        def mul(a, b):
-            return mul_t[a][b]
+    def mul(a, b):
+        return mul_t[a][b]
 
-        def neg(a):
-            return neg_t[a]
+    def neg(a):
+        return neg_t[a]
 
-        def inv(a):
-            if a == 0:
-                raise DivisionByZero("inverse of zero")
-            return inv_t[a]
-
-    else:
-
-        def add(a, b):
-            return t._add_slow(a, b)
-
-        def sub(a, b):
-            return t._add_slow(a, _neg_code(t, b))
-
-        def mul(a, b):
-            return t.mul_via_log(a, b)
-
-        def neg(a):
-            return _neg_code(t, a)
-
-        def inv(a):
-            if a == 0:
-                raise DivisionByZero("inverse of zero")
-            return t.exp[(q - 1 - t.log[a]) % (q - 1)]
+    def inv(a):
+        if a == 0:
+            raise DivisionByZero("inverse of zero")
+        return inv_t[a]
 
     return _Ops(spec, 0, 1, add, sub, mul, neg, inv)
-
-
-def _neg_code(t: _ExtTables, a: int) -> int:
-    p = t.p
-    code = 0
-    da = t.digits(a)
-    for i in range(t.k - 1, -1, -1):
-        code = code * p + (-da[i]) % p
-    return code
 
 
 @functools.lru_cache(maxsize=None)

@@ -971,6 +971,14 @@ def mat_pow(m: ExactMatrix, e: int) -> ExactMatrix:
     return result
 
 
+def _powers(m: ExactMatrix, k: int) -> list[ExactMatrix]:
+    """[I, m, m^2, ..., m^k] for a square m: k - 1 products."""
+    out = [ExactMatrix.identity(m.spec, m.nrows), m][: k + 1]
+    while len(out) <= k:
+        out.append(out[-1] @ m)
+    return out
+
+
 def min_poly(m: ExactMatrix) -> list[FieldElem]:
     """Monic minimal polynomial, coefficients low-to-high.
 
@@ -981,12 +989,7 @@ def min_poly(m: ExactMatrix) -> list[FieldElem]:
         raise DimMismatch("minimal polynomial needs a square matrix")
     spec = m.spec
     ops = spec.ops()
-    n = m.nrows
-    power = ExactMatrix.identity(spec, n)
-    flats = [vec(power)]
-    for _ in range(n):
-        power = power @ m
-        flats.append(vec(power))
+    flats = [vec(power) for power in _powers(m, m.nrows)]
     # columns vec(I), ..., vec(A^n): the first nullspace vector belongs to the
     # first free column, the degree; it is one there and zero beyond it
     first = nullspace_raw(spec, [list(c) for c in zip(*flats)])[0]

@@ -18,6 +18,7 @@ from importlib import resources
 from . import census as cs
 from . import commute as cm
 from . import graph as gr
+from .errors import ParseError
 from .field import FieldSpec
 from .matrix import (
     ExactMatrix,
@@ -451,7 +452,14 @@ CHECKS: list[tuple[str, float, object]] = [
 
 
 def verify_paper(names: list[str] | None = None) -> list[CheckResult]:
-    """Run the bundled reference checks (all of them by default)."""
+    """Run the bundled reference checks (all of them by default).
+
+    ParseError, before any check runs, if a name matches no check.
+    """
+    known = [name for name, _, _ in CHECKS]
+    unknown = sorted(set(names or ()) - set(known))
+    if unknown:
+        raise ParseError(f"unknown checks {unknown}; the checks are {', '.join(known)}")
     wanted = set(names) if names else None
     results = []
     for name, budget, fn in CHECKS:

@@ -286,6 +286,35 @@ def test_verify_paper_single_check(capsys):
     assert "ALL CHECKS PASS" in out
 
 
+def test_verify_paper_rejects_unknown_checks_before_running_any(capsys):
+    for only, unknown in (("no-such-check", "'no-such-check'"), ("", "''"), ("ex25-distance,nope", "'nope'")):
+        assert main(["verify-paper", "--only", only]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""  # no check ran, so no row and no verdict
+        err = json.loads(out.err)
+        assert err["error"] == "ParseError" and unknown in err["detail"]
+
+
+def test_unwritable_out_path_is_a_one_line_error(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "report.json"
+    assert main(["derogatory", "--a", "fixture:ex46_A", "--out", str(target)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and json.loads(out.err)["error"] == "FileNotFoundError"
+
+
+def test_certificate_flags_must_be_json_booleans(capsys):
+    pair = ["--field", "gf(9)", "--a", "fixture:ex410_A", "--b", "fixture:ex410_B"]
+    cert = run_json(capsys, "pc-search", *pair)[1]["certificate"]
+    assert cert["pa_scalar"] is False and cert["qb_scalar"] is False
+    for flag, value in (("pa_scalar", "false"), ("qb_scalar", 0), ("pa_scalar", None)):
+        assert main(["pc-verify", *pair, "--cert", json.dumps({**cert, flag: value})]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err)["error"] == "ParseError"
+    bare = {"cs": cert["cs"], "ds": cert["ds"]}  # absent flags mean false
+    code, verdict = run_json(capsys, "pc-verify", *pair, "--cert", json.dumps(bare))
+    assert code == 0 and verdict["valid"] is True
+
+
 def test_empty_matrix_size_is_an_input_error(capsys):
     for argv in (
         ["census", "--n", "0", "--quantity", "commuting-pairs"],

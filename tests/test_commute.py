@@ -381,6 +381,7 @@ def test_poly_eval_uses_field_coefficients():
     p = cm.poly_eval_no_const(a, [GF9.zero(), i_elem])  # i * A^2
     expected = (a @ a).scale(i_elem)
     assert p == expected
+    assert cm.poly_eval_no_const(a, []) == ExactMatrix.zeros(GF9, 3, 3)
 
 
 def test_certificate_json_round_trip():

@@ -5,6 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import factorint
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_gcdex, gf_mul, gf_neg, gf_pow_mod, gf_rem, gf_strip, gf_sub
 
 from commdist.errors import (
     DivisionByZero,
@@ -14,7 +17,7 @@ from commdist.errors import (
     ReducibleModulus,
     UnsupportedDegree,
 )
-from commdist.field import FieldSpec, _is_prime, arith, field_from_spec
+from commdist.field import FieldSpec, _ext_tables, _is_prime, arith, field_from_spec
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
@@ -155,6 +158,41 @@ def test_multiplicative_group_order(spec):
         for _ in range(q - 1):
             acc = acc * e
         assert acc == one
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["gf(2^2):1,1,1", "gf(2^3):1,1,0,1", "gf(9)", "gf(49)", "gf(3^4):2,1,0,0,1", "gf(5^4):1,0,1,1,1"],
+)
+def test_extension_arithmetic_matches_sympy_polynomials(text):
+    # gf(5^4) has q = 625 > 512, so its ops are the untabulated methods
+    spec = FieldSpec.parse(text)
+    p, k, q, ops = spec.p, spec.k, spec.order, spec.ops()
+    mod = list(reversed(spec.modulus))  # sympy lists coefficients high to low
+
+    def poly(code):
+        return gf_strip([code // p**i % p for i in reversed(range(k))])
+
+    def code(f):
+        return sum(int(c) * p**i for i, c in enumerate(reversed(f)))
+
+    rng = random.Random(q)
+    for _ in range(300):
+        a, b = rng.randrange(q), rng.randrange(q)
+        f, g = poly(a), poly(b)
+        assert ops.add(a, b) == code(gf_add(f, g, p, ZZ))
+        assert ops.sub(a, b) == code(gf_sub(f, g, p, ZZ))
+        assert ops.mul(a, b) == code(gf_rem(gf_mul(f, g, p, ZZ), mod, p, ZZ))
+        assert ops.neg(a) == code(gf_neg(f, p, ZZ))
+        if a:
+            inverse, _, gcd = gf_gcdex(f, mod, p, ZZ)
+            assert gcd == [1] and ops.inv(a) == code(inverse)
+
+    def primitive(c):
+        return all(gf_pow_mod(poly(c), (q - 1) // r, mod, p, ZZ) != [1] for r in factorint(q - 1))
+
+    gen = _ext_tables(spec).exp[1]  # the generator behind the exp/log tables
+    assert primitive(gen) and not any(primitive(c) for c in range(2, gen))
 
 
 def test_rational_round_trip():

@@ -2,8 +2,8 @@
 reaches the matrix codec without going through commute, the CRT, rational
 reconstruction, orbit and twin-class helpers live in matrix alone, the
 sampled censuses rank in batches, every cap is defined in matrix, graph has
-one neighbor kernel, and every attribute the benchmark's tracer patches
-exists."""
+one neighbor kernel, extension fields have one digit codec and one generator
+walk, and every attribute the benchmark's tracer patches exists."""
 
 import ast
 import importlib
@@ -81,6 +81,13 @@ def _called(path) -> set[str]:
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Call)
     }
+
+
+def test_extension_arithmetic_has_one_codec_and_one_generator_walk():
+    # digits/code serve add, sub and neg; exp/log come from walking powers
+    retired = ("_pow_poly", "_build_log_tables", "_neg_code", "_add_slow")
+    assert _definers(*retired) == set()
+    assert all(name not in path.read_text() for path in MODULES for name in retired)
 
 
 def test_one_twin_normalization():

@@ -19,6 +19,7 @@ from commdist.errors import DimMismatch, DivisionByZero, FieldMismatch, ParseErr
 from commdist.field import FieldSpec
 from commdist.matrix import (
     ExactMatrix,
+    _powers,
     commutator,
     decode_matrix,
     det,
@@ -165,6 +166,9 @@ def test_mat_pow():
         assert mat_pow(m, i + j) == mat_pow(m, i) @ mat_pow(m, j)
     with pytest.raises(DimMismatch):
         mat_pow(m, 65)
+    # the one list of powers behind min_poly, derogatory and the pc scan
+    for k in range(5):
+        assert _powers(m, k) == [mat_pow(m, e) for e in range(k + 1)]
 
 
 def test_min_poly_examples():
