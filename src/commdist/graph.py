@@ -6,9 +6,8 @@ read row-major, each entry contributing one base-q digit, least significant
 first.  Neighbor expansion enumerates the centralizer of a vertex instead of
 scanning the whole space, which is what makes exhaustive BFS workable at desk
 scale.  Searches expand one whole frontier level at a time through
-`_commuting_pairs`, the batched centralizer kernel that `components` and the
-censuses use too.  `components` expands one matrix per twin class
-{aA + bI : a != 0}, whose members share one centralizer.
+`_commuting_pairs`, the batched centralizer kernel that the censuses use
+too.  `components` expands nothing: the components are known in closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DimMismatch, FieldMismatch, ScalarVertex
-from .field import FieldSpec
+from .field import FieldSpec, _is_prime
 from .matrix import (
     _BATCH_CELLS,
     _CLASS_CAP,
@@ -29,12 +28,9 @@ from .matrix import (
     ExactMatrix,
     _combine,
     _commuting_pairs,
-    _hook,
     _orbits,
     _projective_coeffs,
-    _roots,
     _scalar_codes,
-    _twin_reps,
     decode_matrix,
     encode_matrix,
     is_scalar,
@@ -239,32 +235,33 @@ def bfs_report(a: ExactMatrix, cap: int | None = None) -> BfsReport:
 class ComponentsReport:
     vertex_count: int
     count: int
-    sizes: list[int]  # in discovery order (ascending smallest code)
+    sizes: list[int]  # by least code, so a giant component comes first
 
     def to_json(self) -> dict:
         return asdict(self)
 
 
 def components(spec: FieldSpec, n: int) -> ComponentsReport:
-    """Connected components of the commuting graph.
+    """Connected components of the commuting graph, in closed form.
 
-    A vertex and its neighbors lie in the centralizer of the `_twin_reps`
-    code of its twin class, so hooking those codes to the non-scalar codes of
-    their centralizers joins trees of least labels into the components.  Each
-    is labelled by its least code, and sizes are listed in the order that a
-    sweep from each least unseen code would find them.
+    At n = 2 they are the q^2 + q + 1 planes F[A] minus the scalars, as every
+    non-scalar 2x2 centralizer is F[A].  For n >= 3 the graph is connected at
+    composite n; at prime n the N = |GL_n(q)| / (n(q^n - 1)) copies of F_{q^n}
+    minus the scalars are components of their own and the rest is one giant
+    (Akbari, Bidkhori and Mohammadian, Comm. Algebra 36, 2008).  The giant
+    comes first: it holds the least non-scalar code, the derogatory E_11.
     """
-    total = space_size(spec, n)
-    scalar = np.zeros(total, dtype=bool)
-    scalar[list(_scalar_codes(spec, n))] = True
-    vertices = np.flatnonzero(~scalar)
-    label = np.arange(total, dtype=np.int32)
-    for ends, spans in _commuting_pairs(spec, n, _twin_reps(spec, n)):
-        keep = ~scalar[spans]
-        _hook(label, np.broadcast_to(ends[:, None], spans.shape)[keep], spans[keep])
-    sizes = np.bincount(_roots(label, vertices))
-    sizes = sizes[sizes > 0].tolist()
-    return ComponentsReport(len(vertices), len(sizes), sizes)
+    q, total = spec.order, space_size(spec, n)
+    if n == 1:
+        sizes = []
+    elif n == 2:
+        sizes = [q * q - q] * (q * q + q + 1)
+    elif _is_prime(n):
+        fields = math.prod(q**n - q**i for i in range(n)) // (n * (q**n - 1))
+        sizes = [total - q - fields * (q**n - q)] + [q**n - q] * fields
+    else:
+        sizes = [total - q]
+    return ComponentsReport(total - q, len(sizes), sizes)
 
 
 def diameter(spec: FieldSpec, n: int) -> int:

@@ -35,7 +35,7 @@ SPACE_CAP = 1 << 24  # codes in one enumeration of Mat_n over a finite field
 _PC_CLASS_CAP = 1 << 13  # projective classes c one certificate scan visits
 _CLASS_CAP = 1 << 20  # projective classes one restricted distance-3 search visits
 SAMPLE_CAP = 1 << 96  # sampled pairs: 128-bit draws modulo the universe stay 2^-32 from uniform
-DIAMETER_CAP = 1 << 20  # codes for an all-pairs BFS
+DIAMETER_CAP = 1 << 20  # codes for a diameter: one BFS sweep per orbit representative
 PREBUILD_CAP = 1 << 17  # searches keep the neighbor lists they fill below this many codes
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -326,13 +326,15 @@ def space_size(spec: FieldSpec, n: int, cap: int | None = SPACE_CAP) -> int:
     """Number q^(n^2) of codes for Mat_n over a finite field.
 
     Raises FieldMismatch over the rationals, DimMismatch for n < 1 and
-    CapExceeded above `cap` (None checks the field and size only).
+    CapExceeded for n > SIZE_CAP or q^(n^2) > `cap` (None skips the latter).
     """
     q = spec.order
     if q is None:
         raise FieldMismatch("enumerating matrices needs a finite field")
     if n < 1:
         raise DimMismatch(f"matrix size must be at least 1, got {n}")
+    if n > SIZE_CAP:  # before the power, which grows as q^(n^2)
+        raise CapExceeded(f"matrix size {n} exceeds the n<={SIZE_CAP} cap")
     total = q ** (n * n)
     if cap is not None and total > cap:
         raise CapExceeded(f"state space {total} exceeds 2^{cap.bit_length() - 1}")

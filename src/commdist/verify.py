@@ -167,11 +167,12 @@ def check_two_by_two_dichotomy():
         total = spec.order**4
         verts = [c for c in range(total) if c not in scalars]
         dist2 = 0
+        reached = set()  # one reached set per component, counted by the sweeps themselves
         for code in verts:
             report = gr.bfs_report(gr.decode_matrix(spec, 2, code))
             dist2 += sum(1 for d in report.distances.values() if d == 2)
-        comp = gr.components(spec, 2)
-        outcomes.append((dist2, comp.count))
+            reached.add(frozenset(report.distances))
+        outcomes.append((dist2, len(reached)))
     ok = all(d == 0 and c > 1 for d, c in outcomes)
     return ok, "no distance-2 pairs, >1 component (both fields)", f"{outcomes}"
 

@@ -83,6 +83,20 @@ def test_sampling_universe_above_2_to_the_96_exits_2(capsys):
     assert err["error"] == "cap-exceeded" and "sampling universe" in err["detail"]
 
 
+def test_huge_matrix_size_exits_2_before_the_power(capsys):
+    # q^(n^2) at n = 200 has too many digits to print in the cap message
+    for argv in (
+        ["components"],
+        ["diameter"],
+        ["census", "--quantity", "dist-le-2"],
+        ["census", "--quantity", "dist-le-2", "--samples", "5"],
+    ):
+        assert main([*argv, "--field", "gf(2)", "--n", "200"]) == 2
+        out = capsys.readouterr()
+        err = json.loads(out.err)
+        assert out.out == "" and err["error"] == "cap-exceeded" and "n<=8" in err["detail"]
+
+
 def test_derogatory(capsys):
     code, report = run_json(capsys, "derogatory", "--a", "fixture:ex46_A")
     assert code == 0 and report["derogatory"] is True

@@ -259,7 +259,6 @@ def test_components_and_diameter_snapshots():
     assert gr.components(GF2, 2).count > 1
 
 
-@pytest.mark.slow
 def test_components_mat3_gf3_snapshot():
     snap = load_snapshot("graph")["components"]["3|gf(3)"]
     comp = gr.components(GF3, 3)
@@ -282,16 +281,39 @@ def _components_by_sweeps(spec, n):
     return spec.order ** (n * n) - len(scalars), sizes
 
 
-# GF(3) 3x3 pins the discovery order of its 145 components, and GF(7) 2x2
-# has the most twins per class, q(q - 1) = 42
+# GF(3) 3x3 pins the discovery order of its 145 components, and GF(8) and
+# GF(9) 2x2 check the closed form over extension fields past GF(4)
 @pytest.mark.parametrize(
     "spec,n",
-    [(GF2, 2), (GF3, 2), (GF4, 2), (FieldSpec.prime(5), 2), (GF2, 3), (GF3, 3), (FieldSpec.prime(7), 2)],
+    [
+        (GF2, 2), (GF3, 2), (GF4, 2), (FieldSpec.prime(5), 2), (GF2, 3), (GF3, 3), (FieldSpec.prime(7), 2),
+        (FieldSpec.parse("gf(2^3):1,1,0,1"), 2), (FieldSpec.parse("gf(9)"), 2),
+    ],
 )
 def test_components_match_per_start_sweeps(spec, n):
     comp = gr.components(spec, n)
     vertex_count, sizes = _components_by_sweeps(spec, n)
     assert (comp.vertex_count, comp.count, comp.sizes) == (vertex_count, len(sizes), sizes)
+
+
+# the outputs of the union-find over the whole space that the closed form
+# replaced, on the spaces too large for the sweep oracle
+@pytest.mark.parametrize(
+    "spec,n,sizes",
+    [
+        (GF4, 3, [204540] + [60] * 960),
+        (FieldSpec.prime(5), 3, [1473120] + [120] * 4000),
+        (GF2, 4, [65534]),
+    ],
+)
+def test_components_closed_form_snapshots(spec, n, sizes):
+    vertex_count = spec.order ** (n * n) - spec.order
+    assert gr.components(spec, n).to_json() == {"vertex_count": vertex_count, "count": len(sizes), "sizes": sizes}
+
+
+def test_components_keep_the_space_cap():
+    with pytest.raises(CapExceeded):
+        gr.components(FieldSpec.prime(7), 3)  # 7^9 > 2^24
 
 
 @pytest.mark.parametrize(

@@ -92,11 +92,13 @@ def test_extension_arithmetic_has_one_codec_and_one_generator_walk():
 
 def test_one_twin_normalization():
     # one code per twin class {aA + bI}, from the projective normal form, for
-    # both `components` and the exhaustive dist-le-2 count
+    # the exhaustive dist-le-2 count
     assert _definers("_twin_reps", "_projective_reps") == {
         ("matrix.py", "_twin_reps"), ("matrix.py", "_projective_reps")
     }
-    assert "_twin_reps" in _called(SRC / "graph.py") & _called(SRC / "census.py")
+    assert "_twin_reps" in _called(SRC / "census.py")
+    # `components` is in closed form: graph builds no forest over the space
+    assert all(name not in (SRC / "graph.py").read_text() for name in ("_hook", "_roots", "_twin_reps"))
 
 
 def test_census_ranks_no_pair_alone():

@@ -1,7 +1,7 @@
 """Orbits of Mat_n under automorphisms of the commuting graph: an orbit
 enumeration built from scratch with ExactMatrix arithmetic, invariance of the
 orbit-reduced quantities under random words in the generators, and the twin
-classes {aA + bI : a != 0} that `components` and `dist-le-2` expand once."""
+classes {aA + bI : a != 0} that `dist-le-2` expands once."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
