@@ -35,6 +35,7 @@ from .matrix import (
     _combine,
     _crt,
     _ff_matmul,
+    _gauss_jordan,
     _powers,
     _projective_coeffs,
     _rational_reconstruct,
@@ -137,24 +138,21 @@ def derogatory(a: ExactMatrix) -> bool:
 # rank-i idempotent membership
 
 
-def idempotent_pool(spec: FieldSpec, n: int) -> list[tuple[int, int]]:
-    """All idempotents of Mat_n over a finite field as (code, rank), code order."""
-    space_size(spec, n)
-    return _idempotent_pool_cached(spec, n)
-
-
 @functools.lru_cache(maxsize=8)
-def _idempotent_pool_cached(spec: FieldSpec, n: int) -> list[tuple[int, int]]:
+def idempotent_pool(spec: FieldSpec, n: int) -> list[tuple[int, int]]:
+    """All idempotents of Mat_n over a finite field as (code, rank), code
+    order; the list is memoized and shared, so callers must not change it."""
+    total = space_size(spec, n)
     if n == 1:  # the idempotents of a field are 0 and 1
         return [(0, 0), (1, 1)]
-    total = spec.order ** (n * n)
     out: list[tuple[int, int]] = []
     step = _BATCH_CELLS // (n * n)
     for start in range(0, total, step):
         codes = np.arange(start, min(start + step, total), dtype=np.int64)
         mats = _code_stack(spec, n, codes)
         hit = np.all(_ff_matmul(spec, mats, mats) == mats, axis=(1, 2))
-        out += [(code, rank(decode_matrix(spec, n, code))) for code in codes[hit].tolist()]
+        ranks = (_gauss_jordan(spec, mats[hit].astype(np.uint8)) >= 0).sum(1)  # rank = pivot count
+        out += zip(codes[hit].tolist(), ranks.tolist())
     return out
 
 
@@ -165,9 +163,10 @@ def _code_stack(spec: FieldSpec, n: int, codes) -> np.ndarray:
 
 def _pool_commutes(spec: FieldSpec, pool: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """mask[s, j]: whether pool[j] commutes with mats[s], for (k, n, n) and
-    (S, n, n) raw arrays; the products run in chunks of _BATCH_CELLS entries."""
+    (S, n, n) raw arrays; the products run in chunks of _BATCH_CELLS entries,
+    and S = 0 runs one empty chunk, which gives a (0, k) mask."""
     step = max(1, _BATCH_CELLS // pool.size)
-    chunks = (mats[start : start + step, None] for start in range(0, len(mats), step))
+    chunks = (mats[start : start + step, None] for start in range(0, len(mats) or 1, step))
     return np.concatenate(
         [np.all(_ff_matmul(spec, x, pool) == _ff_matmul(spec, pool, x), axis=(2, 3)) for x in chunks]
     )

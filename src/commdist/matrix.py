@@ -725,13 +725,18 @@ def _np_tables(spec: FieldSpec):
     return add, table([ops.neg(a) for a in r]), mul, table([0] + [ops.inv(a) for a in r[1:]])
 
 
+def _lookup(table: np.ndarray, x, y) -> np.ndarray:
+    """table[x, y] for a q x q table: one take from the flat table at x * q + y (q <= 256)."""
+    return table.take(x * np.uint16(len(table)) + y)
+
+
 def _lifts(spec: FieldSpec, mats: np.ndarray) -> np.ndarray:
     """The lifts M_A of an (S, n, n) uint8 raw array, as an (S, n^2, n^2) array."""
     add, neg, _, _ = _np_tables(spec)
     size, n = mats.shape[:2]
     eye = np.eye(n, dtype=np.uint8)
     # M_A = A (x) I - I (x) A^T, row (i, j) and column (k, l)
-    lift = add[np.einsum("bik,jl->bijkl", mats, eye), neg[np.einsum("ik,blj->bijkl", eye, mats)]]
+    lift = _lookup(add, np.einsum("bik,jl->bijkl", mats, eye), neg[np.einsum("ik,blj->bijkl", eye, mats)])
     return lift.reshape(size, n * n, n * n)
 
 
@@ -740,6 +745,7 @@ def _gauss_jordan(spec: FieldSpec, mat: np.ndarray) -> np.ndarray:
     pivot_row (S, cols), -1 for a free column.  A column's pivot is the first
     unused row with a nonzero entry, and rows are never swapped."""
     add, neg, mul, inv = _np_tables(spec)
+    neg_mul = neg[mul]  # -(x * y) in one lookup
     size, rows, cols = mat.shape
     batch = np.arange(size)
     used, pivot_row = np.zeros((size, rows), bool), np.full((size, cols), -1)
@@ -749,11 +755,11 @@ def _gauss_jordan(spec: FieldSpec, mat: np.ndarray) -> np.ndarray:
         b, r = batch[has], open_[has].argmax(1)  # the members with a pivot here
         if not len(b):
             continue
-        prow = mul[mat[b, r], inv[mat[b, r, c]][:, None]]
+        prow = _lookup(mul, mat[b, r], inv[mat[b, r, c]][:, None])
         factor = mat[b, :, c]
         factor[np.arange(len(b)), r] = 0
         fb, fr = np.nonzero(factor)  # only the rows with something to clear
-        mat[b[fb], fr] = add[mat[b[fb], fr], neg[mul[factor[fb, fr][:, None], prow[fb]]]]
+        mat[b[fb], fr] = _lookup(add, mat[b[fb], fr], _lookup(neg_mul, factor[fb, fr][:, None], prow[fb]))
         mat[b, r] = prow
         used[b, r] = True
         pivot_row[b, c] = r
@@ -826,7 +832,7 @@ def _ff_matmul(spec: FieldSpec, x, y) -> np.ndarray:
     lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
     out = np.zeros(lead + (x.shape[-2], y.shape[-1]), np.uint8)
     for j in range(x.shape[-1]):
-        out = add[out, mul[x[..., :, j, None], y[..., None, j, :]]]
+        out = _lookup(add, out, _lookup(mul, x[..., :, j, None], y[..., None, j, :]))
     return out
 
 

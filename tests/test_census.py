@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from commdist.errors import CapExceeded, DimMismatch, FieldMismatch
+from commdist.errors import BadWitness, CapExceeded, DimMismatch, FieldMismatch
 from commdist.field import FieldSpec
 from commdist import census as cs
 from commdist import commute as cm
@@ -282,10 +282,28 @@ def test_zi_pair_census_matches_a_per_pair_recount(spec, n, i, seed):
     assert rep.value["hits"] == _recount(spec, n, 100, seed, hit)
 
 
-def test_zi_pair_census_raises_on_a_hit_outside_the_rank_criterion(monkeypatch):
-    monkeypatch.setattr(cs, "_stack_ranks", lambda spec, n, a, b: np.full(len(a), n * n))
-    with pytest.raises(AssertionError, match="idempotent witness"):
+def test_zi_pair_census_raises_on_a_false_pool_hit(monkeypatch):
+    # a pool mask that claims every idempotent commutes with every matrix
+    # hands the witness validation an idempotent that does not
+    monkeypatch.setattr(cs, "_pool_commutes", lambda spec, pool, mats: np.ones((len(mats), len(pool)), bool))
+    with pytest.raises(BadWitness) as err:
         cs.zi_pair_census(GF2, 3, 1, samples=60, seed=7)
+    assert err.value.condition in ("commutes-with-first", "commutes-with-second")
+
+
+@pytest.mark.parametrize("spec,n,i", [(GF2, 4, 1), (GF2, 4, 2), (GF3, 3, 1), (GF4, 2, 1), (GF8, 2, 1)], ids=str)
+@pytest.mark.parametrize("seed", [2, 3])
+def test_zi_pair_census_rank_filter_drops_no_pool_hit(monkeypatch, spec, n, i, seed):
+    # unfiltered: every sampled pair against the whole rank-i pool
+    pool = cm._code_stack(spec, n, [code for code, r in cm.idempotent_pool(spec, n) if r == i])
+    want = sum(
+        int((cm._pool_commutes(spec, pool, a) & cm._pool_commutes(spec, pool, b)).any(1).sum())
+        for a, b in cs._sampled_pairs(spec, n, 1000, seed)
+    )
+    assert cs.zi_pair_census(spec, n, i, samples=1000, seed=seed).value["hits"] == want > 0
+    # blocks of three pairs, many with no pair inside the rank criterion
+    monkeypatch.setattr(cs, "_BATCH_CELLS", 3 * n * n)
+    assert cs.zi_pair_census(spec, n, i, samples=1000, seed=seed).value["hits"] == want
 
 
 @pytest.mark.slow

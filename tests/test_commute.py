@@ -4,6 +4,7 @@ idempotent witnesses, certificates, and the distance decision ladder."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from commdist.errors import BadWitness, CapExceeded, DimMismatch
@@ -202,6 +203,23 @@ def test_idempotent_pool_over_extension_fields(spec):
         if m @ m == m:
             want.append((code, rank(m)))
     assert cm.idempotent_pool(spec, 2) == want
+
+
+@pytest.mark.parametrize(
+    "spec,n", [(GF2, 2), (GF2, 3), (GF2, 4), (GF3, 3), (GF4, 2), (GF9, 2)], ids=str
+)
+def test_idempotent_pool_ranks_match_the_per_matrix_rank(spec, n):
+    # the pool ranks each chunk's idempotents by one batched elimination
+    pool = cm.idempotent_pool(spec, n)
+    assert [(code, rank(decode_matrix(spec, n, code))) for code, _ in pool] == pool
+    assert {r for _, r in pool} == set(range(n + 1))
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4], ids=str)
+def test_pool_commutes_takes_an_empty_batch(spec):
+    pool = cm._code_stack(spec, 2, [code for code, r in cm.idempotent_pool(spec, 2) if r == 1])
+    mask = cm._pool_commutes(spec, pool, np.zeros((0, 2, 2), np.int64))
+    assert mask.shape == (0, len(pool)) and mask.dtype == bool
 
 
 def test_idempotent_pool_of_one_by_one_matrices():

@@ -3,7 +3,8 @@ reaches the matrix codec without going through commute, the CRT, rational
 reconstruction, orbit and twin-class helpers live in matrix alone, the
 sampled censuses rank in batches, every cap is defined in matrix, graph has
 one neighbor kernel, extension fields have one digit codec and one generator
-walk, and every attribute the benchmark's tracer patches exists."""
+walk, the batched kernels look up q x q tables through one flat take, and
+every attribute the benchmark's tracer patches exists."""
 
 import ast
 import importlib
@@ -105,6 +106,35 @@ def test_census_ranks_no_pair_alone():
     called = _called(SRC / "census.py")
     assert "_stack_ranks" in called
     assert called & {"dist_le_2", "decode_matrix", "rank_raw"} == set()
+
+
+def test_batched_kernels_look_up_pairs_through_one_flat_take():
+    # table[x, y] on a q x q table is a 2-D fancy index; the kernels take
+    # from the flat table through `_lookup` instead
+    assert _definers("_lookup") == {("matrix.py", "_lookup")}
+    kernels = [
+        fn
+        for fn in ast.parse((SRC / "matrix.py").read_text()).body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("_lifts", "_gauss_jordan", "_ff_matmul")
+    ]
+    assert len(kernels) == 3
+    for fn in kernels:
+        tables = set()  # names bound to _np_tables(...) or to a lookup into one of them
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and (
+                "_np_tables" in ast.unparse(node.value)
+                or isinstance(node.value, ast.Subscript) and getattr(node.value.value, "id", None) in tables
+            ):
+                tables |= {name.id for name in ast.walk(node.targets[0]) if isinstance(name, ast.Name)}
+        pair_lookups = [
+            ast.unparse(node)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Subscript)
+            and getattr(node.value, "id", None) in tables
+            and isinstance(node.slice, ast.Tuple)
+        ]
+        assert tables and pair_lookups == [], fn.name
+        assert "_lookup" in {getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)}
 
 
 def test_every_cap_lives_in_matrix():

@@ -394,7 +394,7 @@ def test_rref_over_q_raises_instead_of_looping_past_the_hadamard_bound():
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_batched_centralizers_match_the_per_matrix_route(data):
-    spec = data.draw(st.sampled_from([GF2, GF3, GF5, FieldSpec.parse("gf(2^2):1,1,1")]))
+    spec = data.draw(st.sampled_from([GF2, GF3, GF5, GF4, GF9, GF8]))
     n = data.draw(st.integers(1, 3))
     total = spec.order ** (n * n)
     start = data.draw(st.integers(0, total - 1))
@@ -411,6 +411,31 @@ def test_batched_centralizers_match_the_per_matrix_route(data):
             if n >= 2:
                 # A is nonderogatory iff its centralizer has dimension n
                 assert (f.sum() > n) == derogatory(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_batched_product_matches_the_exact_product(data):
+    spec = data.draw(st.sampled_from([GF5, GF4, GF9, GF8]))
+    rows, inner, cols = (data.draw(st.integers(1, 4)) for _ in range(3))
+    # each operand has length 1 on some leading axes, or y has none of them
+    lead = data.draw(st.lists(st.integers(1, 3), max_size=2))
+    lead_x, lead_y = ([k if data.draw(st.booleans()) else 1 for k in lead] for _ in range(2))
+    lead_y = [] if data.draw(st.booleans()) else lead_y
+    digits, dtype = st.integers(0, spec.order - 1), data.draw(st.sampled_from([np.uint8, np.int64]))
+
+    def draw_array(shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(digits, min_size=size, max_size=size)), dtype).reshape(shape)
+
+    x, y = draw_array(lead_x + [rows, inner]), draw_array(lead_y + [inner, cols])
+    got = matrix._ff_matmul(spec, x, y)
+    lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    assert got.shape == lead + (rows, cols)
+    xs, ys = np.broadcast_to(x, lead + x.shape[-2:]), np.broadcast_to(y, lead + y.shape[-2:])
+    for index in np.ndindex(*lead):
+        want = ExactMatrix._from_raw(spec, xs[index].tolist()) @ ExactMatrix._from_raw(spec, ys[index].tolist())
+        assert got[index].tolist() == [list(row) for row in want.rows]
 
 
 def test_det_singular():
