@@ -715,24 +715,25 @@ def _code_digits(q: int, codes: np.ndarray, length: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _np_tables(spec: FieldSpec):
-    """(add, neg, mul, inv) lookup tables of a finite field as uint8 arrays;
+    """(add, neg, mul, inv, -mul) uint8 lookup tables of a finite field;
     CapExceeded above q = 256, which sampled spaces and `neighbors` allow."""
     if spec.order > 256:
         raise CapExceeded(f"table arithmetic needs q <= 256, got {spec.order}")
     ops, r = spec.ops(), range(spec.order)
     table = functools.partial(np.array, dtype=np.uint8)
     add, mul = (table([[f(a, b) for b in r] for a in r]) for f in (ops.add, ops.mul))
-    return add, table([ops.neg(a) for a in r]), mul, table([0] + [ops.inv(a) for a in r[1:]])
+    neg = table([ops.neg(a) for a in r])
+    return add, neg, mul, table([0] + [ops.inv(a) for a in r[1:]]), neg[mul]
 
 
 def _lookup(table: np.ndarray, x, y) -> np.ndarray:
-    """table[x, y] for a q x q table: one take from the flat table at x * q + y (q <= 256)."""
-    return table.take(x * np.uint16(len(table)) + y)
+    """table[x, y] for a q x q table: one take at x * q + y, widened to uint16 (q <= 256)."""
+    return table.take(x.astype(np.uint16) * len(table) + y)
 
 
 def _lifts(spec: FieldSpec, mats: np.ndarray) -> np.ndarray:
     """The lifts M_A of an (S, n, n) uint8 raw array, as an (S, n^2, n^2) array."""
-    add, neg, _, _ = _np_tables(spec)
+    add, neg, *_ = _np_tables(spec)
     size, n = mats.shape[:2]
     eye = np.eye(n, dtype=np.uint8)
     # M_A = A (x) I - I (x) A^T, row (i, j) and column (k, l)
@@ -744,8 +745,7 @@ def _gauss_jordan(spec: FieldSpec, mat: np.ndarray) -> np.ndarray:
     """Gauss-Jordan in place over an (S, rows, cols) uint8 batch; returns
     pivot_row (S, cols), -1 for a free column.  A column's pivot is the first
     unused row with a nonzero entry, and rows are never swapped."""
-    add, neg, mul, inv = _np_tables(spec)
-    neg_mul = neg[mul]  # -(x * y) in one lookup
+    add, _, mul, inv, neg_mul = _np_tables(spec)
     size, rows, cols = mat.shape
     batch = np.arange(size)
     used, pivot_row = np.zeros((size, rows), bool), np.full((size, cols), -1)
@@ -828,7 +828,7 @@ def _ff_matmul(spec: FieldSpec, x, y) -> np.ndarray:
     """
     if spec.kind == "prime":
         return np.asarray(x, np.int64) @ np.asarray(y, np.int64) % spec.p
-    add, _, mul, _ = _np_tables(spec)
+    add, _, mul, *_ = _np_tables(spec)
     lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
     out = np.zeros(lead + (x.shape[-2], y.shape[-1]), np.uint8)
     for j in range(x.shape[-1]):
@@ -902,7 +902,7 @@ def _orbits(spec: FieldSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     total, q, m = space_size(spec, n), spec.order, n * n
     if n == 1:  # A -> A + I alone is transitive on Mat_1
         return np.zeros(1, np.int64), np.full(1, q, np.int64)
-    add, neg, mul, inv = _np_tables(spec)
+    add, neg, mul, inv, _ = _np_tables(spec)
     eye, e12 = np.eye(n, dtype=np.uint8), np.zeros((n, n), np.uint8)
     e12[0, 1] = 1
     # g generates F_q^*: its powers g, g^2, ..., g^(q-1) are q - 1 distinct elements

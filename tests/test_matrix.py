@@ -520,3 +520,20 @@ def test_stack_ranks_match_rank_raw_of_the_stacked_lifts(case):
     assert matrix._stack_ranks(spec, n, a, b).tolist() == want
     with mock.patch.object(matrix, "_BATCH_CELLS", 1):  # one pair per chunk
         assert matrix._stack_ranks(spec, n, a, b).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FieldSpec.prime(17), FieldSpec.parse("gf(49)"), FieldSpec.parse("gf(3^4):2,1,0,0,1"), FieldSpec.prime(251)],
+    ids=str,
+)
+def test_flat_lookup_matches_the_two_dimensional_index_past_uint8(spec):
+    # x * q leaves uint8 for every q >= 17, so the flat index must be widened
+    # whatever type the promotion rule of the installed numpy gives a uint8 product
+    add, neg, mul, _, neg_mul = matrix._np_tables(spec)
+    x, y = (grid.ravel().astype(np.uint8) for grid in np.indices((spec.order, spec.order)))
+    for table in (add, mul, neg_mul):
+        assert np.array_equal(matrix._lookup(table, x, y), table[x, y])
+    assert np.array_equal(neg_mul, neg[mul])
+    ops = spec.ops()
+    assert all(neg_mul[a, b] == ops.neg(ops.mul(a, b)) for a, b in [(1, 1), (2, 3), (spec.order - 1, spec.order - 2)])
