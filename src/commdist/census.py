@@ -16,15 +16,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .commute import _code_stack, _pool_commutes, dist_le_2, idempotent_pool, zi_membership
+from .commute import _pool_commutes, dist_le_2, idempotent_pool, zi_membership
 from .errors import CapExceeded, DimMismatch
 from .field import FieldSpec
 from .matrix import (
-    _BATCH_CELLS,
     SAMPLE_CAP,
     SPACE_CAP,
     ExactMatrix,
-    _centralizer_chunks,
+    _blocks,
+    _code_stack,
     _commuting_pairs,
     _orbits,
     _stack_ranks,
@@ -69,27 +69,28 @@ def sample_codes(seed: int, start: int, count: int, modulus: int) -> list[int]:
     """
     if modulus > SAMPLE_CAP:
         raise CapExceeded(f"sampling universe {modulus} exceeds 2^{SAMPLE_CAP.bit_length() - 1}")
+    if not 0 <= seed < 1 << 128:  # a Philox key is 128 bits
+        raise ValueError(f"the seed must satisfy 0 <= seed < 2^128, got {seed}")
     # np.random is imported on first use, so commands that never sample skip it
     raw = np.random.Philox(key=seed).advance(start).random_raw((count, 4)).tolist()
     return [(hi << 64 | lo) % modulus for hi, lo, _, _ in raw]
 
 
 def _sampled_pairs(spec: FieldSpec, n: int, samples: int, seed: int):
-    """Blocks of sampled pairs as two (k, n, n) raw arrays of at most
-    _BATCH_CELLS entries; SAMPLE_CAP keeps codes below 2^48, in int64 range."""
+    """`_blocks` of sampled pairs as two (k, n, n) raw arrays; SAMPLE_CAP
+    keeps codes below 2^48, in int64 range."""
     total = space_size(spec, n, None)
-    step = max(1, _BATCH_CELLS // (n * n))
-    for start in range(0, samples, step):
-        codes = sample_codes(seed, start, min(step, samples - start), total * total)
+    for part in _blocks(samples, n * n):
+        codes = sample_codes(seed, part.start, part.stop - part.start, total * total)
         a_codes, b_codes = zip(*(divmod(code, total) for code in codes))
         yield _code_stack(spec, n, a_codes), _code_stack(spec, n, b_codes)
 
 
 def _nullity_counts(spec: FieldSpec, n: int) -> list[int]:
     """Number of codes of Mat_n whose centralizer has each dimension 0..n^2,
-    from one centralizer per orbit weighted by the orbit's size."""
+    from the rank of one lift per orbit weighted by the orbit's size."""
     reps, sizes = _orbits(spec, n)
-    dims = np.concatenate([free.sum(1) for _, free, _ in _centralizer_chunks(spec, n, reps)])
+    dims = n * n - _stack_ranks(spec, n, _code_stack(spec, n, reps))
     counts = np.zeros(n * n + 1, dtype=np.int64)
     np.add.at(counts, dims, sizes)
     return counts.tolist()

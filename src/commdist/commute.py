@@ -27,11 +27,11 @@ from .errors import (
 from .field import FieldElem, FieldSpec
 from .matrix import (
     SPACE_CAP,
-    _BATCH_CELLS,
     _PC_CLASS_CAP,
     ExactMatrix,
+    _blocks,
     _check_square,
-    _code_digits,
+    _code_stack,
     _combine,
     _crt,
     _ff_matmul,
@@ -146,9 +146,8 @@ def idempotent_pool(spec: FieldSpec, n: int) -> list[tuple[int, int]]:
     if n == 1:  # the idempotents of a field are 0 and 1
         return [(0, 0), (1, 1)]
     out: list[tuple[int, int]] = []
-    step = _BATCH_CELLS // (n * n)
-    for start in range(0, total, step):
-        codes = np.arange(start, min(start + step, total), dtype=np.int64)
+    for part in _blocks(total, n * n):
+        codes = np.arange(part.start, part.stop, dtype=np.int64)
         mats = _code_stack(spec, n, codes)
         hit = np.all(_ff_matmul(spec, mats, mats) == mats, axis=(1, 2))
         ranks = (_gauss_jordan(spec, mats[hit].astype(np.uint8)) >= 0).sum(1)  # rank = pivot count
@@ -156,17 +155,11 @@ def idempotent_pool(spec: FieldSpec, n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _code_stack(spec: FieldSpec, n: int, codes) -> np.ndarray:
-    """The matrices with the given codes as an (len(codes), n, n) raw array."""
-    return _code_digits(spec.order, np.asarray(codes, np.int64), n * n).reshape(-1, n, n)
-
-
 def _pool_commutes(spec: FieldSpec, pool: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """mask[s, j]: whether pool[j] commutes with mats[s], for (k, n, n) and
-    (S, n, n) raw arrays; the products run in chunks of _BATCH_CELLS entries,
-    and S = 0 runs one empty chunk, which gives a (0, k) mask."""
-    step = max(1, _BATCH_CELLS // pool.size)
-    chunks = (mats[start : start + step, None] for start in range(0, len(mats) or 1, step))
+    (S, n, n) raw arrays; the products run in `_blocks`, and S = 0 runs one
+    empty block, which gives a (0, k) mask."""
+    chunks = (mats[part, None] for part in _blocks(len(mats) or 1, pool.size))
     return np.concatenate(
         [np.all(_ff_matmul(spec, x, pool) == _ff_matmul(spec, pool, x), axis=(2, 3)) for x in chunks]
     )

@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
+    CapExceeded,
     DivisionByZero,
     FieldMismatch,
     NotPrime,
@@ -30,7 +31,6 @@ from .errors import (
 _MAX_PRIME = 2**31
 _MAX_EXT_CHAR = 31  # exhaustive irreducibility checks stay feasible
 _MAX_EXT_DEGREE = 4
-_TABLE_MAX = 512  # build full q x q lookup tables below this order
 
 _SPEC_RE = re.compile(r"^gf\((\d+)(?:\^(\d+))?\)(?::(-?\d+(?:\s*,\s*-?\d+)*))?$")
 
@@ -348,8 +348,7 @@ class _ExtTables:
     """Arithmetic of one extension field GF(p^k) on codes.
 
     One digit codec serves addition, subtraction and negation; exp/log tables
-    of the least primitive element serve multiplication and inversion; below
-    _TABLE_MAX every operation is also tabulated.
+    of the least primitive element serve multiplication and inversion.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -363,15 +362,6 @@ class _ExtTables:
         log[exp] = np.arange(q - 1)
         self.exp = exp.tolist()
         self.log = log.tolist()
-
-        self.add_table = self.mul_table = self.inv_table = None
-        if q <= _TABLE_MAX:
-            d = np.arange(q)[:, None] // self.weights % p
-            self.add_table = ((d[:, None] + d) % p @ self.weights).tolist()
-            prod = exp[(log[:, None] + log) % (q - 1)]
-            prod[0] = prod[:, 0] = 0
-            self.mul_table = prod.tolist()
-            self.inv_table = [0] + [self.inv(a) for a in range(1, q)]
 
     def digits(self, code: int) -> list[int]:
         return [code // w % self.p for w in self.weights]
@@ -430,10 +420,9 @@ class _ExtTables:
 
 def _extension_ops(spec: FieldSpec) -> _Ops:
     t = _ext_tables(spec)
-    if t.add_table is None:
+    if t.q > 256:
         return _Ops(spec, 0, 1, t.add, t.sub, t.mul, t.neg, t.inv)
-    add_t, mul_t, inv_t = t.add_table, t.mul_table, t.inv_table
-    neg_t = [t.neg(a) for a in range(t.q)]
+    add_t, neg_t, mul_t, inv_t = (table.tolist() for table in _np_tables(spec)[:4])
 
     def add(a, b):
         return add_t[a][b]
@@ -453,6 +442,30 @@ def _extension_ops(spec: FieldSpec) -> _Ops:
         return inv_t[a]
 
     return _Ops(spec, 0, 1, add, sub, mul, neg, inv)
+
+
+@functools.lru_cache(maxsize=None)
+def _np_tables(spec: FieldSpec):
+    """(add, neg, mul, inv, -mul) uint8 lookup tables of a finite field, with
+    inv[0] = 0; CapExceeded above q = 256, which sampled spaces and
+    `neighbors` allow.  Sums add digits mod p, products add exp/log indices."""
+    q = spec.order
+    if q > 256:
+        raise CapExceeded(f"table arithmetic needs q <= 256, got {q}")
+    r = np.arange(q)
+    if spec.kind == "prime":
+        add, mul = np.add.outer(r, r) % q, np.multiply.outer(r, r) % q
+    else:
+        t = _ext_tables(spec)
+        d = r[:, None] // t.weights % t.p
+        add = (d[:, None] + d) % t.p @ t.weights
+        log = np.array(t.log)
+        mul = np.array(t.exp)[np.add.outer(log, log) % (q - 1)]
+        mul[0] = mul[:, 0] = 0
+    add, mul = add.astype(np.uint8), mul.astype(np.uint8)
+    # row a of add holds one 0, at -a; row a > 0 of mul holds one 1, at 1/a
+    neg, inv = (add == 0).argmax(1).astype(np.uint8), (mul == 1).argmax(1).astype(np.uint8)
+    return add, neg, mul, inv, neg[mul]
 
 
 @functools.lru_cache(maxsize=None)
@@ -524,10 +537,6 @@ class FieldElem:
     @property
     def is_zero(self) -> bool:
         return self.raw == self.spec.ops().zero
-
-    @property
-    def is_one(self) -> bool:
-        return self.raw == self.spec.ops().one
 
     def to_json(self):
         return self.spec.entry_to_json(self.raw)

@@ -21,11 +21,11 @@ import numpy as np
 from .errors import DimMismatch, FieldMismatch, ScalarVertex
 from .field import FieldSpec, _is_prime
 from .matrix import (
-    _BATCH_CELLS,
     _CLASS_CAP,
     DIAMETER_CAP,
     PREBUILD_CAP,
     ExactMatrix,
+    _blocks,
     _combine,
     _commuting_pairs,
     _orbits,
@@ -67,14 +67,15 @@ def _neighbor_lists(spec: FieldSpec, n: int, codes: list[int]):
     """Yield each code's sorted centralizer span minus the scalars and itself,
     in frontier order.  Below PREBUILD_CAP codes the lists are kept in
     `_adjacency` and the codes it lacks are expanded in one `_commuting_pairs`
-    batch; above it, blocks whose spans hold at most _BATCH_CELLS codes are
-    expanded in turn and dropped once yielded."""
+    batch; above it, `_blocks` of spans are expanded in turn and dropped once
+    yielded."""
     # codes above 2^63 would leave int64
     memo = _adjacency(spec, n) if space_size(spec, n, 1 << 63) <= PREBUILD_CAP else None
-    # a non-scalar centralizer has dimension at most n^2 - 2n + 2
-    step = len(codes) if memo else max(1, _BATCH_CELLS // spec.order ** (n * n - 2 * n + 2))
-    for start in range(0, len(codes), step):
-        block = codes[start : start + step]
+    # with the memo a level holds at most PREBUILD_CAP distinct codes, one
+    # block at one cell each; a non-scalar centralizer has dimension at most
+    # n^2 - 2n + 2
+    for part in _blocks(len(codes), 1 if memo else spec.order ** (n * n - 2 * n + 2)):
+        block = codes[part]
         lists = memo or dict.fromkeys(block)
         missing = np.array([c for c in block if lists[c] is None], np.int64)
         for ends, spans in _commuting_pairs(spec, n, missing):

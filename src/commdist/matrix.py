@@ -27,10 +27,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceeded, DimMismatch, FieldMismatch, ParseError
-from .field import FieldElem, FieldSpec, _is_prime
+from .field import FieldElem, FieldSpec, _is_prime, _np_tables
 
-_MAX_DIM = 128  # lift stacks for n = 8 are 128 x 64; anything larger is a mistake
 SIZE_CAP = 8  # all interesting content lives at n <= 4; larger inputs are mistakes
+_MAX_DIM = 2 * SIZE_CAP**2  # the stacked lift [M_A; M_B] at n = SIZE_CAP; anything larger is a mistake
 SPACE_CAP = 1 << 24  # codes in one enumeration of Mat_n over a finite field
 _PC_CLASS_CAP = 1 << 13  # projective classes c one certificate scan visits
 _CLASS_CAP = 1 << 20  # projective classes one restricted distance-3 search visits
@@ -155,11 +155,6 @@ class ExactMatrix:
 
     def __repr__(self):
         return f"ExactMatrix({self.spec}, {self.nrows}x{self.ncols})"
-
-    def pretty(self) -> str:
-        cells = [[str(self.spec.entry_to_json(x)) for x in row] for row in self.rows]
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -708,22 +703,21 @@ def nullspace_raw(spec: FieldSpec, rows: list[list]) -> list[list]:
 _BATCH_CELLS = 1 << 18  # entries of one batched array: bounds the memory of a chunk
 
 
+def _blocks(count: int, cells_per_item: int):
+    """Consecutive slices covering range(count), each of at least one item and
+    otherwise of at most _BATCH_CELLS cells at `cells_per_item` cells an item."""
+    step = max(1, _BATCH_CELLS // cells_per_item)
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
+
+
 def _code_digits(q: int, codes: np.ndarray, length: int) -> np.ndarray:
     """Base-q digits of each code, least significant first: (len(codes), length)."""
     return codes[:, None] // q ** np.arange(length, dtype=np.int64) % q
 
 
-@functools.lru_cache(maxsize=None)
-def _np_tables(spec: FieldSpec):
-    """(add, neg, mul, inv, -mul) uint8 lookup tables of a finite field;
-    CapExceeded above q = 256, which sampled spaces and `neighbors` allow."""
-    if spec.order > 256:
-        raise CapExceeded(f"table arithmetic needs q <= 256, got {spec.order}")
-    ops, r = spec.ops(), range(spec.order)
-    table = functools.partial(np.array, dtype=np.uint8)
-    add, mul = (table([[f(a, b) for b in r] for a in r]) for f in (ops.add, ops.mul))
-    neg = table([ops.neg(a) for a in r])
-    return add, neg, mul, table([0] + [ops.inv(a) for a in r[1:]]), neg[mul]
+def _code_stack(spec: FieldSpec, n: int, codes) -> np.ndarray:
+    """The matrices with the given codes as an (len(codes), n, n) raw array."""
+    return _code_digits(spec.order, np.asarray(codes, np.int64), n * n).reshape(-1, n, n)
 
 
 def _lookup(table: np.ndarray, x, y) -> np.ndarray:
@@ -776,11 +770,10 @@ def _centralizer_chunks(spec: FieldSpec, n: int, codes):
     keeps a whole space from being materialized.
     """
     m = n * n
-    step = max(1, _BATCH_CELLS // (m * m))
-    for start in range(0, len(codes), step):
-        chunk = np.asarray(codes[start : start + step])
+    for part in _blocks(len(codes), m * m):
+        chunk = np.asarray(codes[part])
         size, batch = len(chunk), np.arange(len(chunk))
-        if n == 1 or spec.order > 256:  # M_A is zero at n = 1; the tables need q <= 256
+        if spec.order > 256:  # the tables need q <= 256
             free, vecs = np.zeros((size, m), bool), np.zeros((size, m, m), np.int64)
             for b, code in enumerate(chunk.tolist()):
                 for v in nullspace_raw(spec, lift_rows_raw(decode_matrix(spec, n, code))):
@@ -788,7 +781,7 @@ def _centralizer_chunks(spec: FieldSpec, n: int, codes):
                     free[b, f], vecs[b, f] = True, v
             yield chunk, free, vecs
             continue
-        lift = _lifts(spec, _code_digits(spec.order, chunk, m).astype(np.uint8).reshape(size, n, n))
+        lift = _lifts(spec, _code_stack(spec, n, chunk).astype(np.uint8))
         pivot_row = _gauss_jordan(spec, lift)
         pivot = pivot_row >= 0
         # vecs[b, f, e] is minus entry f of column e's pivot row, or the identity
@@ -797,24 +790,21 @@ def _centralizer_chunks(spec: FieldSpec, n: int, codes):
         yield chunk, ~pivot, np.where(pivot[:, None, :], neg[rref], np.eye(m, dtype=np.uint8))
 
 
-def _stack_ranks(spec: FieldSpec, n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rank of each stacked lift [M_A; M_B] for (S, n, n) raw arrays a and b.
+def _stack_ranks(spec: FieldSpec, n: int, *mats: np.ndarray) -> np.ndarray:
+    """Rank of each stacked lift [M_A; M_B; ...] for (S, n, n) raw arrays A, B, ...
 
     Fields with q <= 256 eliminate chunks of at most _BATCH_CELLS entries at
-    once; larger fields rank one pair at a time with rank_raw.
+    once; larger fields rank one stack at a time with rank_raw.
     """
     if spec.order > 256:
-        lifts = [lift_rows_raw(ExactMatrix._from_raw(spec, x)) for x in np.concatenate([a, b]).tolist()]
-        pairs = zip(lifts[: len(a)], lifts[len(a) :])
-        return np.array([rank_raw(spec, x + y) for x, y in pairs], np.int64)
-    m = n * n
-    step = max(1, _BATCH_CELLS // (2 * m * m))
-    ranks = np.zeros(len(a), np.int64)
-    for start in range(0, len(a), step):
-        part = slice(start, start + step)
-        # lifts of A_s and B_s sit next to each other, so a reshape stacks them
-        pairs = np.stack([a[part], b[part]], 1).astype(np.uint8).reshape(-1, n, n)
-        ranks[part] = (_gauss_jordan(spec, _lifts(spec, pairs).reshape(-1, 2 * m, m)) >= 0).sum(1)
+        stacks = zip(*([lift_rows_raw(ExactMatrix._from_raw(spec, x)) for x in a.tolist()] for a in mats))
+        return np.array([rank_raw(spec, sum(stack, [])) for stack in stacks], np.int64)
+    m, k = n * n, len(mats)
+    ranks = np.zeros(len(mats[0]), np.int64)
+    for part in _blocks(len(ranks), k * m * m):
+        # the lifts of one stack sit next to each other, so a reshape stacks them
+        stacks = np.stack([a[part] for a in mats], 1).astype(np.uint8).reshape(-1, n, n)
+        ranks[part] = (_gauss_jordan(spec, _lifts(spec, stacks).reshape(-1, k * m, m)) >= 0).sum(1)
     return ranks
 
 
@@ -860,9 +850,8 @@ def _commuting_pairs(spec: FieldSpec, n: int, codes):
                 raise CapExceeded(f"centralizer span {spec.order**d} exceeds 2^{SPACE_CAP.bit_length() - 1}")
             sel = dims == d
             ends, bases = chunk[sel], vecs[sel][free[sel]].reshape(-1, d, n * n)
-            step = max(1, _BATCH_CELLS // (spec.order**d * n * n))
-            for start in range(0, len(ends), step):
-                yield ends[start : start + step], _span_codes(spec, bases[start : start + step])
+            for part in _blocks(len(ends), spec.order**d * n * n):
+                yield ends[part], _span_codes(spec, bases[part])
 
 
 def _roots(label: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -919,11 +908,11 @@ def _orbits(spec: FieldSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     if spec.kind == "extension":  # x -> x^p
         maps.append(lambda a: functools.reduce(lambda y, _: mul[y, a], range(spec.p - 1), a))
     # codes stay below SPACE_CAP = 2^24, so int32 holds them
-    step, codes = max(1, _BATCH_CELLS // m), np.arange(total, dtype=np.int32)
-    chunks = [_code_digits(q, c, m).astype(np.uint8) for c in np.split(codes, range(step, total, step))]
+    codes = np.arange(total, dtype=np.int32)
+    chunks = [_code_stack(spec, n, codes[part]).astype(np.uint8) for part in _blocks(total, m)]
     label, weights = codes.copy(), q ** np.arange(m, dtype=np.int32)
     for f in maps:
-        images = [f(c.reshape(-1, n, n)).reshape(-1, m) @ weights for c in chunks]
+        images = [f(c).reshape(-1, m) @ weights for c in chunks]
         _hook(label, codes, np.concatenate(images))
     reps = np.flatnonzero(_roots(label, codes) == codes)
     return reps, np.bincount(label)[reps]

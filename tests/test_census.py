@@ -12,6 +12,7 @@ from commdist.errors import BadWitness, CapExceeded, DimMismatch, FieldMismatch
 from commdist.field import FieldSpec
 from commdist import census as cs
 from commdist import commute as cm
+from commdist import matrix
 from commdist.graph import decode_matrix
 from commdist.verify import load_snapshot
 
@@ -56,7 +57,8 @@ def test_commuting_pairs_match_the_feit_fine_series(spec, n, pairs):
 
 
 def test_commuting_pairs_n1_is_q_squared():
-    for spec in (GF2, GF3):
+    # GF(257) ranks the 1 x 1 lift alone, GF(2^2) in a batch
+    for spec in (GF2, GF3, GF4, FieldSpec.prime(257)):
         assert cs.count_commuting_pairs(spec, 1).value == spec.order**2
     assert cs.count_commuting_pairs(FieldSpec.prime(16777213), 1).value == 16777213**2
 
@@ -126,7 +128,7 @@ def test_exhaustive_dist_le_2_matches_the_rank_criterion_per_orbit(monkeypatch):
     # each GF(3) 3x3 representative, ranked against all of Mat_3 by the
     # pairwise rank criterion, reaches exactly the B its centralizer union marks
     total = 3**9
-    everything = cm._code_stack(GF3, 3, range(total))
+    everything = matrix._code_stack(GF3, 3, range(total))
     reps, sizes = cs._orbits(GF3, 3)
     weighted = 0
     for rep, size in zip(reps.tolist(), sizes.tolist()):
@@ -295,14 +297,14 @@ def test_zi_pair_census_raises_on_a_false_pool_hit(monkeypatch):
 @pytest.mark.parametrize("seed", [2, 3])
 def test_zi_pair_census_rank_filter_drops_no_pool_hit(monkeypatch, spec, n, i, seed):
     # unfiltered: every sampled pair against the whole rank-i pool
-    pool = cm._code_stack(spec, n, [code for code, r in cm.idempotent_pool(spec, n) if r == i])
+    pool = matrix._code_stack(spec, n, [code for code, r in cm.idempotent_pool(spec, n) if r == i])
     want = sum(
         int((cm._pool_commutes(spec, pool, a) & cm._pool_commutes(spec, pool, b)).any(1).sum())
         for a, b in cs._sampled_pairs(spec, n, 1000, seed)
     )
     assert cs.zi_pair_census(spec, n, i, samples=1000, seed=seed).value["hits"] == want > 0
     # blocks of three pairs, many with no pair inside the rank criterion
-    monkeypatch.setattr(cs, "_BATCH_CELLS", 3 * n * n)
+    monkeypatch.setattr(matrix, "_BATCH_CELLS", 3 * n * n)
     assert cs.zi_pair_census(spec, n, i, samples=1000, seed=seed).value["hits"] == want
 
 

@@ -351,6 +351,17 @@ def test_sample_counts_below_one_are_input_errors(capsys):
             assert "sample count must be at least 1" in err["detail"]
 
 
+def test_seeds_outside_the_philox_key_range_are_input_errors(capsys):
+    for seed in ("-1", str(2**128)):
+        for quantity in (["dist-le-2"], ["zi-pairs", "--i", "1"]):
+            argv = ["census", "--field", "gf(2)", "--n", "2", "--quantity", *quantity, "--samples", "3"]
+            assert main([*argv, "--seed", seed]) == 1
+            out = capsys.readouterr()
+            err = json.loads(out.err)
+            assert out.out == "" and err["error"] == "ValueError"
+            assert err["detail"] == f"the seed must satisfy 0 <= seed < 2^128, got {seed}"
+
+
 def test_sample_flags_on_exhaustive_quantities_are_input_errors(capsys):
     for quantity in ("commuting-pairs", "derogatory"):
         for flags in (["--samples", "5"], ["--seed", "3"], ["--samples", "5", "--seed", "3"]):

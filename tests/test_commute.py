@@ -15,6 +15,7 @@ from commdist.verify import random_derogatory
 from commdist.matrix import (
     ExactMatrix,
     _code_digits,
+    _code_stack,
     _projective_reps,
     mat_vec,
     min_poly,
@@ -217,7 +218,7 @@ def test_idempotent_pool_ranks_match_the_per_matrix_rank(spec, n):
 
 @pytest.mark.parametrize("spec", [GF2, GF4], ids=str)
 def test_pool_commutes_takes_an_empty_batch(spec):
-    pool = cm._code_stack(spec, 2, [code for code, r in cm.idempotent_pool(spec, 2) if r == 1])
+    pool = _code_stack(spec, 2, [code for code, r in cm.idempotent_pool(spec, 2) if r == 1])
     mask = cm._pool_commutes(spec, pool, np.zeros((0, 2, 2), np.int64))
     assert mask.shape == (0, len(pool)) and mask.dtype == bool
 

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from sympy import factorint
 from sympy.polys.domains import ZZ
@@ -17,7 +18,7 @@ from commdist.errors import (
     ReducibleModulus,
     UnsupportedDegree,
 )
-from commdist.field import FieldSpec, _ext_tables, _is_prime, arith, field_from_spec
+from commdist.field import FieldSpec, _ext_tables, _is_prime, _np_tables, arith, field_from_spec
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
@@ -165,7 +166,7 @@ def test_multiplicative_group_order(spec):
     ["gf(2^2):1,1,1", "gf(2^3):1,1,0,1", "gf(9)", "gf(49)", "gf(3^4):2,1,0,0,1", "gf(5^4):1,0,1,1,1"],
 )
 def test_extension_arithmetic_matches_sympy_polynomials(text):
-    # gf(5^4) has q = 625 > 512, so its ops are the untabulated methods
+    # gf(5^4) has q = 625 > 256, so its ops are the untabulated methods
     spec = FieldSpec.parse(text)
     p, k, q, ops = spec.p, spec.k, spec.order, spec.ops()
     mod = list(reversed(spec.modulus))  # sympy lists coefficients high to low
@@ -193,6 +194,51 @@ def test_extension_arithmetic_matches_sympy_polynomials(text):
 
     gen = _ext_tables(spec).exp[1]  # the generator behind the exp/log tables
     assert primitive(gen) and not any(primitive(c) for c in range(2, gen))
+
+
+def _sympy_tables(spec):
+    """add, neg, mul and inv (0 at 0) of GF(p^k) on every code, from sympy
+    polynomial arithmetic over GF(p) reduced by the modulus (x for GF(p))."""
+    p, k, q = spec.p, spec.k, spec.order
+    mod = list(reversed(spec.modulus)) or [1, 0]
+    polys = [gf_strip([code // p**i % p for i in reversed(range(k))]) for code in range(q)]
+
+    def code(f):
+        return sum(int(c) * p**i for i, c in enumerate(reversed(f)))
+
+    add = np.array([[code(gf_add(f, g, p, ZZ)) for g in polys] for f in polys])
+    mul = np.zeros((q, q), np.int64)
+    for a in range(q):
+        for b in range(a, q):  # products commute in sympy too: half the table
+            mul[a, b] = mul[b, a] = code(gf_rem(gf_mul(polys[a], polys[b], p, ZZ), mod, p, ZZ))
+    neg = [code(gf_neg(f, p, ZZ)) for f in polys]
+    inv = [0] + [code(gf_gcdex(f, mod, p, ZZ)[0]) for f in polys[1:]]
+    return add, np.array(neg), mul, np.array(inv)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["gf(2^2):1,1,1", "gf(2^3):1,1,0,1", "gf(9)", "gf(3^4):2,1,0,0,1", "gf(13^2):11,0,1", "gf(251)",
+     "gf(17^2):14,0,1", "gf(7^3):1,1,0,1"],
+)
+def test_field_tables_match_sympy_on_every_pair(text):
+    # q <= 256 tabulates once in _np_tables, which the scalar extension ops
+    # read; above 256, gf(17^2) and gf(7^3) compute with the codec and exp/log
+    spec = FieldSpec.parse(text)
+    q, ops = spec.order, spec.ops()
+    want = _sympy_tables(spec)
+    r = range(q)
+    got = (
+        np.array([[ops.add(a, b) for b in r] for a in r]),
+        np.array([ops.neg(a) for a in r]),
+        np.array([[ops.mul(a, b) for b in r] for a in r]),
+        np.array([0] + [ops.inv(a) for a in r[1:]]),
+    )
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    if q <= 256:
+        add, neg, mul, inv, neg_mul = _np_tables(spec)
+        assert all(np.array_equal(g, w) for g, w in zip((add, neg, mul, inv), want))
+        assert np.array_equal(neg_mul, want[1][want[2]])
 
 
 def test_rational_round_trip():

@@ -3,8 +3,9 @@ reaches the matrix codec without going through commute, the CRT, rational
 reconstruction, orbit and twin-class helpers live in matrix alone, the
 sampled censuses rank in batches, every cap is defined in matrix, graph has
 one neighbor kernel, extension fields have one digit codec and one generator
-walk, the batched kernels look up q x q tables through one flat take, and
-every attribute the benchmark's tracer patches exists."""
+walk, the batched kernels look up q x q tables through one flat take and
+share one chunk rule, one raw decoder and one table per field, and every
+attribute the benchmark's tracer patches exists."""
 
 import ast
 import importlib
@@ -135,6 +136,24 @@ def test_batched_kernels_look_up_pairs_through_one_flat_take():
         ]
         assert tables and pair_lookups == [], fn.name
         assert "_lookup" in {getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+
+
+def test_each_batched_kernel_decision_has_one_home():
+    # one chunk rule, one raw decoder and one uint8 tabulation per field
+    assert _definers("_blocks", "_code_stack", "_np_tables") == {
+        ("matrix.py", "_blocks"), ("matrix.py", "_code_stack"), ("field.py", "_np_tables")
+    }
+    assert {path.name for path in MODULES if "_BATCH_CELLS" in path.read_text()} == {"matrix.py"}
+    retired = ("_TABLE_MAX", "add_table", "mul_table", "inv_table")
+    assert [name for path in MODULES for name in retired if name in path.read_text()] == []
+    # the exhaustive counts read ranks, not centralizer bases, and no caller
+    # asks the centralizer kernel for n = 1
+    assert "_centralizer_chunks" not in _called(SRC / "census.py")
+    chunks = next(
+        fn for fn in ast.parse((SRC / "matrix.py").read_text()).body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_centralizer_chunks"
+    )
+    assert "n == 1" not in ast.unparse(chunks)
 
 
 def test_every_cap_lives_in_matrix():

@@ -522,6 +522,20 @@ def test_stack_ranks_match_rank_raw_of_the_stacked_lifts(case):
         assert matrix._stack_ranks(spec, n, a, b).tolist() == want
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("spec", STACK_FIELDS, ids=str)
+def test_one_operand_stack_ranks_are_lift_ranks(spec, n):
+    # the exhaustive counts read centralizer dimensions as n^2 minus these ranks;
+    # GF(257) and GF(2^31 - 1) rank one lift at a time, the rest in batches
+    rng = np.random.default_rng(spec.order * 10 + n)
+    mats = rng.integers(0, spec.order, (12, n, n)) * (rng.random((12, n, n)) < 0.4)
+    mats[1] = np.eye(n, dtype=np.int64)
+    want = [n * n - len(nullspace_raw(spec, lift_rows_raw(ExactMatrix._from_raw(spec, x)))) for x in mats.tolist()]
+    assert matrix._stack_ranks(spec, n, mats).tolist() == want
+    with mock.patch.object(matrix, "_BATCH_CELLS", 1):  # one matrix per chunk
+        assert matrix._stack_ranks(spec, n, mats).tolist() == want
+
+
 @pytest.mark.parametrize(
     "spec",
     [FieldSpec.prime(17), FieldSpec.parse("gf(49)"), FieldSpec.parse("gf(3^4):2,1,0,0,1"), FieldSpec.prime(251)],
