@@ -36,6 +36,8 @@ from .matrix import (
     _crt,
     _ff_matmul,
     _gauss_jordan,
+    _hits,
+    _lifts,
     _powers,
     _projective_coeffs,
     _rational_reconstruct,
@@ -291,15 +293,31 @@ def _exhaustive_pc(a: ExactMatrix, b: ExactMatrix) -> PcCertificate | None:
     The basis vector of its first free column f is the only solution, up to
     scaling, whose last nonzero coordinate is at f; every other has a later
     one, and codes compare the last coordinate first, so normalized it is the
-    least-code d.  One elimination per c, at most _PC_CLASS_CAP of them.
+    least-code d.  One product forms L(c) for a `_blocks` block of classes and
+    one `_gauss_jordan` finds those with a free column; only the first of them
+    gets a nullspace.  At most _PC_CLASS_CAP classes.
     """
     spec, n = a.spec, a.nrows
-    reps = _projective_coeffs(spec, n - 1, _PC_CLASS_CAP).tolist()
-    a_pows, b_pows = _powers(a, n - 1)[1:], _powers(b, n - 1)[1:]
-    # kcols[j - 1][i - 1] = vec(A^i B^j - B^j A^i) for i, j in 1..n-1
-    kcols = [[vec(ai @ bj - bj @ ai) for ai in a_pows] for bj in b_pows]
-    for cs in reps:
-        null = nullspace_raw(spec, list(zip(*(_combine(spec, cs, kj) for kj in kcols))))
+    m, coeffs = n * n, _projective_coeffs(spec, n - 1, _PC_CLASS_CAP)
+    if spec.order > 256:
+        a_pows, b_pows = _powers(a, n - 1)[1:], _powers(b, n - 1)[1:]
+        lmat = np.array([[vec(ai @ bj - bj @ ai) for bj in b_pows] for ai in a_pows], np.int64).transpose(0, 2, 1)
+    else:
+        pows = [np.array([a.rows, b.rows], np.int64)]  # A^k and B^k for k in 1..n-1
+        while len(pows) < n - 1:
+            pows.append(_ff_matmul(spec, pows[-1], pows[0]))
+        a_pows, b_pows = np.stack(pows, 1)
+        # M_X vec(Y) = vec(XY - YX), so L(e_i) = M_(A^i) [vec(B) ... vec(B^(n-1))]
+        lmat = _ff_matmul(spec, _lifts(spec, a_pows.astype(np.uint8)), b_pows.reshape(n - 1, m).T)
+    lmat = lmat.reshape(n - 1, m * (n - 1))  # row i - 1 is L(e_i), row-major
+
+    def singular(part):  # the classes whose L(c) has a column without a pivot
+        block = _ff_matmul(spec, coeffs[part], lmat).astype(np.uint8).reshape(-1, m, n - 1)
+        return (_gauss_jordan(spec, block) < 0).any(1)
+
+    for idx in _hits(spec, len(coeffs), 8 * m * (n - 1), singular):  # cells of the int64 product
+        cs = coeffs[idx].tolist()
+        null = nullspace_raw(spec, np.reshape(_combine(spec, cs, lmat.tolist()), (m, n - 1)).tolist())
         if null:
             return _certificate(a, b, cs, _normalize_vector(spec, null[0]))
     return None

@@ -28,18 +28,19 @@ from .matrix import (
     _blocks,
     _combine,
     _commuting_pairs,
+    _ff_matmul,
+    _hits,
     _orbits,
     _projective_coeffs,
     _scalar_codes,
+    _stack_ranks,
     decode_matrix,
     encode_matrix,
     is_scalar,
     lift_rows_raw,
     nullspace_raw,
-    rref_raw,
     space_size,
     unvec,
-    vec,
 )
 
 INFINITE = math.inf
@@ -285,23 +286,28 @@ def restricted_distance_le_3(a: ExactMatrix, b: ExactMatrix):
     identity, which suffices: commuting with D is unchanged under
     C -> u*C + v*I, so one representative per projective class of the quotient
     centralizer(a)/<I> covers every candidate, in the code order of
-    `_projective_coeffs` and at most _CLASS_CAP of them, each tested by one
-    nullspace of [M_C; M_B].  Complete for the <=3 question; returns the
-    chain (C, D) or None.
+    `_projective_coeffs` and at most _CLASS_CAP of them.  vec(I) is a joint
+    null vector, so C has a non-scalar common commuter with B iff rank
+    [M_C; M_B] <= n^2 - 2: one product forms the C of a `_blocks` block, one
+    `_stack_ranks` ranks them, and only the first class within the bound gets
+    a nullspace.  Complete for the <=3 question; returns the chain (C, D) or None.
     """
     _check_vertex_pair(a, b)
     spec, n = a.spec, a.nrows
     basis = nullspace_raw(spec, lift_rows_raw(a))
-    ident = vec(ExactMatrix.identity(spec, n))
-    # extend {vec(I)} to a basis of the centralizer: the pivot columns of
-    # [vec(I) | basis] after column 0 pick the vectors that span the quotient
-    _, pivots = rref_raw(spec, [list(r) for r in zip(ident, *basis)])
-    quotient = [basis[c - 1] for c in pivots[1:]]
-    b_rows = lift_rows_raw(b)
-    for coeffs in _projective_coeffs(spec, len(quotient), _CLASS_CAP).tolist():
-        c_mat = unvec(spec, n, _combine(spec, coeffs, quotient))
-        c_rows = lift_rows_raw(c_mat)
-        for null_vec in nullspace_raw(spec, c_rows + b_rows):
+    # vec(I) sums the basis vectors whose free column, their last nonzero
+    # entry, is diagonal, so the others and all but the last of those span the quotient
+    last = max(k for k, v in enumerate(basis) if max(i for i, x in enumerate(v) if x) % (n + 1) == 0)
+    quotient = basis[:last] + basis[last + 1 :]
+    coeffs, b_rows = _projective_coeffs(spec, len(quotient), _CLASS_CAP), lift_rows_raw(b)
+
+    def joint(part):  # the classes whose C shares a non-scalar commuter with b
+        cs = _ff_matmul(spec, coeffs[part], np.array(quotient)).reshape(-1, n, n)
+        return _stack_ranks(spec, n, cs, np.broadcast_to(np.array(b.rows), cs.shape)) <= n * n - 2
+
+    for idx in _hits(spec, len(coeffs), 2 * n**4, joint):
+        c_mat = unvec(spec, n, _combine(spec, coeffs[idx].tolist(), quotient))
+        for null_vec in nullspace_raw(spec, lift_rows_raw(c_mat) + b_rows):
             cand = unvec(spec, n, null_vec)
             if not is_scalar(cand):
                 return c_mat, cand

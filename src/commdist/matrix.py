@@ -164,31 +164,17 @@ class ExactMatrix:
         if other.spec != self.spec:
             raise FieldMismatch(f"{self.spec} vs {other.spec}")
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+    def _entrywise(self, other: "ExactMatrix", fn, what: str) -> "ExactMatrix":
         self._check_peer(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimMismatch("shape mismatch in add")
-        add = self.spec.ops().add
-        return ExactMatrix._from_raw(
-            self.spec,
-            [
-                [add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+            raise DimMismatch(f"shape mismatch in {what}")
+        return ExactMatrix._from_raw(self.spec, [list(map(fn, ra, rb)) for ra, rb in zip(self.rows, other.rows)])
+
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._entrywise(other, self.spec.ops().add, "add")
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_peer(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimMismatch("shape mismatch in sub")
-        sub = self.spec.ops().sub
-        return ExactMatrix._from_raw(
-            self.spec,
-            [
-                [sub(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ],
-        )
+        return self._entrywise(other, self.spec.ops().sub, "sub")
 
     def __neg__(self) -> "ExactMatrix":
         neg = self.spec.ops().neg
@@ -242,12 +228,8 @@ def _is_raw(spec: FieldSpec, x) -> bool:
 
 def _as_portable(spec: FieldSpec, raw):
     """Raw value in a form `raw_from` of another field accepts."""
-    if spec.kind == "rationals":
-        return raw
-    if spec.kind == "prime":
-        return raw
-    # extension code -> coefficient list
-    return spec.entry_to_json(raw)
+    # an extension code becomes its coefficient list
+    return spec.entry_to_json(raw) if spec.kind == "extension" else raw
 
 
 def mat_op(a: ExactMatrix, b: ExactMatrix, op: str) -> ExactMatrix:
@@ -380,14 +362,17 @@ def _projective_reps(spec: FieldSpec, length: int) -> np.ndarray:
     return np.sort(np.concatenate([np.zeros(0, np.int64), *leads]))
 
 
+@functools.lru_cache(maxsize=16)
 def _projective_coeffs(spec: FieldSpec, length: int, cap: int) -> np.ndarray:
-    """The coefficient vectors of `_projective_reps`, in the same order, as a
-    (classes, length) array; CapExceeded above `cap` classes."""
+    """The coefficient vectors of `_projective_reps`, in the same order, as a read-only
+    (classes, length) array; CapExceeded above `cap` classes, which lru_cache never keeps."""
     q = spec.order
     classes = (q**length - 1) // (q - 1)
     if classes > cap:
         raise CapExceeded(f"{classes} projective classes exceed 2^{cap.bit_length() - 1}")
-    return _code_digits(q, _projective_reps(spec, length), length)
+    out = _code_digits(q, _projective_reps(spec, length), length)
+    out.flags.writeable = False
+    return out
 
 
 def _combine(spec: FieldSpec, coeffs, vectors) -> list:
@@ -708,6 +693,15 @@ def _blocks(count: int, cells_per_item: int):
     otherwise of at most _BATCH_CELLS cells at `cells_per_item` cells an item."""
     step = max(1, _BATCH_CELLS // cells_per_item)
     return (slice(start, min(start + step, count)) for start in range(0, count, step))
+
+
+def _hits(spec: FieldSpec, count: int, cells_per_item: int, test):
+    """The items i < count that pass `test`, a mask over one `_blocks` slice,
+    ascending and lazily, so a caller that stops early skips later blocks.
+    Fields with q > 256 have no tables, so there every item passes."""
+    for part in _blocks(count, cells_per_item):
+        mask = np.ones(part.stop - part.start, bool) if spec.order > 256 else test(part)
+        yield from (part.start + np.flatnonzero(mask)).tolist()
 
 
 def _code_digits(q: int, codes: np.ndarray, length: int) -> np.ndarray:

@@ -3,6 +3,8 @@ idempotent witnesses, certificates, and the distance decision ladder."""
 
 import math
 import random
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from commdist.errors import BadWitness, CapExceeded, DimMismatch
 from commdist.field import FieldSpec
 from commdist import commute as cm
+from commdist import matrix
 from commdist.graph import bfs_distance, decode_matrix
 from commdist.verify import random_derogatory
 from commdist.matrix import (
@@ -20,6 +23,7 @@ from commdist.matrix import (
     mat_vec,
     min_poly,
     nullspace_basis,
+    nullspace_raw,
     random_matrix,
     rank,
 )
@@ -299,10 +303,12 @@ def _first_hit_by_double_loop(a, b):
     return None
 
 
-@pytest.mark.parametrize(
-    "spec, n", [(GF2, 3), (GF3, 3), (GF4, 3), (FieldSpec.prime(5), 3), (GF2, 4), (GF3, 4)]
-)
-def test_pc_search_returns_the_first_hit_of_the_double_loop(spec, n):
+# GF(11) is the last modulus of the search over the rationals
+PC_GRID = [(GF2, 3), (GF3, 3), (GF4, 3), (FieldSpec.prime(5), 3), (GF2, 4), (GF3, 4), (GF9, 3), (GF8, 3),
+           (FieldSpec.prime(11), 3)]
+
+
+def _check_first_hits(spec, n):
     rng = random.Random(17 * n + spec.order)
     statuses = set()
     for t in range(9):
@@ -312,6 +318,74 @@ def test_pc_search_returns_the_first_hit_of_the_double_loop(spec, n):
         assert res.certificate == _first_hit_by_double_loop(a, b)
         statuses.add(res.status)
     assert statuses == {"certificate", "none"}
+
+
+@pytest.mark.parametrize("spec, n", PC_GRID)
+def test_pc_search_returns_the_first_hit_of_the_double_loop(spec, n):
+    _check_first_hits(spec, n)
+
+
+@pytest.mark.parametrize("spec, n", PC_GRID)
+def test_pc_search_first_hit_survives_one_class_blocks(spec, n, monkeypatch):
+    # one class per block: the first singular class lies in a later block
+    monkeypatch.setattr(matrix, "_BATCH_CELLS", 1)
+    _check_first_hits(spec, n)
+
+
+def test_pc_search_past_the_table_fields():
+    # q > 256 has no tables, so every class is a candidate; A^2 = 0 gives an
+    # early hit at c = (0, 1), whose p(A) is scalar
+    gf257 = FieldSpec.prime(257)
+    a = ExactMatrix(gf257, [[0, 5, 1], [0, 0, 0], [0, 0, 0]])
+    b = random_matrix(gf257, 3, 3, random.Random(257))
+    res = cm.pc_search(a, b)
+    assert res.status == "certificate" and res.certificate == _first_hit_by_double_loop(a, b)
+    assert [c.raw for c in res.certificate.cs] == [0, 1] and res.certificate.pa_scalar
+
+
+def test_pc_search_takes_one_nullspace_only_for_a_certificate(monkeypatch):
+    # the scan ranks every class of a block at once; only the first class
+    # with a free column gets a nullspace
+    calls = []
+
+    def counted(spec, rows):
+        calls.append(len(rows))
+        return nullspace_raw(spec, rows)
+
+    monkeypatch.setattr(cm, "nullspace_raw", counted)
+    a = ExactMatrix(GF9, [[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+    b = ExactMatrix(GF9, [[1, 0, 0], [1, 1, 0], [0, 1, 1]])
+    assert cm.pc_search(a, b).status == "none" and calls == []
+    rng = random.Random(9)
+    a2 = random_derogatory(GF9, 3, rng)
+    res = cm.pc_search(a2, random_matrix(GF9, 3, 3, rng))
+    assert res.status == "certificate" and [c.raw for c in res.certificate.cs] != [1, 0]
+    assert calls == [9]
+
+
+def test_pc_search_memory_stays_bounded_over_the_rationals():
+    # denominators 3, 5 and 7 leave only the scan modulo 11: 1,464 classes at n = 5
+    rng = random.Random(7)
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(5)] for _ in range(5)]
+    rows[0][0], rows[0][1], rows[1][0] = Fraction(1, 3), Fraction(2, 5), Fraction(-3, 7)
+    a, b = ExactMatrix(QQ, rows), random_matrix(QQ, 5, 5, rng)
+    tracemalloc.start()
+    try:
+        res = cm.pc_search(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.note.startswith("no certificate modulo 11")
+    assert peak <= 1.5e6
+
+
+def test_projective_coeffs_are_memoized_read_only_and_capped_on_every_call():
+    gf11 = FieldSpec.prime(11)
+    first = matrix._projective_coeffs(gf11, 3, 1 << 13)
+    assert matrix._projective_coeffs(gf11, 3, 1 << 13) is first and not first.flags.writeable
+    for _ in range(2):  # 16,105 classes; lru_cache keeps no exception
+        with pytest.raises(CapExceeded):
+            matrix._projective_coeffs(gf11, 5, 1 << 13)
 
 
 def test_pc_search_none_is_a_proof_over_finite_fields():

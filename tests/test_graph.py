@@ -12,7 +12,17 @@ from commdist.errors import CapExceeded, FieldMismatch, ScalarVertex
 from commdist.field import FieldSpec
 from commdist import commute as cm
 from commdist import graph as gr
-from commdist.matrix import ExactMatrix, _span_codes, lift_rows_raw, nullspace_raw, random_matrix
+from commdist import matrix
+from commdist.matrix import (
+    ExactMatrix,
+    _code_digits,
+    _projective_reps,
+    _span_codes,
+    lift_rows_raw,
+    nullspace_raw,
+    random_matrix,
+    rref_raw,
+)
 from commdist.verify import load_fixture, load_snapshot
 
 GF2 = FieldSpec.prime(2)
@@ -377,6 +387,42 @@ def test_restricted_mode_matches_bfs():
             c, d = res
             assert cm.verify_chain(a, b, [c, d])
         checked += 1
+
+
+def _restricted_by_class_loop(a, b):
+    """The restricted search as a plain loop: one nullspace of [M_C; M_B] per
+    projective class C of centralizer(a)/<I>, in code order; prime fields."""
+    spec, n, p = a.spec, a.nrows, a.spec.order
+    basis = nullspace_raw(spec, lift_rows_raw(a))
+    ident = [int(i == j) for i in range(n) for j in range(n)]
+    _, pivots = rref_raw(spec, [list(r) for r in zip(ident, *basis)])
+    quotient = [basis[c - 1] for c in pivots[1:]]
+    d = len(quotient)
+    for cs in _code_digits(p, _projective_reps(spec, d), d).tolist():
+        entries = [sum(c * v[k] for c, v in zip(cs, quotient)) % p for k in range(n * n)]
+        c_mat = ExactMatrix(spec, [entries[i * n : (i + 1) * n] for i in range(n)])
+        for v in nullspace_raw(spec, lift_rows_raw(c_mat) + lift_rows_raw(b)):
+            cand = ExactMatrix(spec, [v[i * n : (i + 1) * n] for i in range(n)])
+            if not cm.is_scalar(cand):
+                return c_mat, cand
+    return None
+
+
+@pytest.mark.parametrize("spec, n, seed", [(GF2, 3, 1), (GF3, 3, 2), (GF2, 4, 3)])
+def test_restricted_mode_matches_the_class_loop(spec, n, seed, monkeypatch):
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < 24:
+        a, b = random_matrix(spec, n, n, rng), random_matrix(spec, n, n, rng)
+        if rng.random() < 0.3:  # squares include matrices with larger centralizers
+            a = a @ a
+        if not (cm.is_scalar(a) or cm.is_scalar(b)):
+            pairs.append((a, b))
+    want = [_restricted_by_class_loop(a, b) for a, b in pairs]
+    assert {w is None for w in want} == {True, False}
+    assert [gr.restricted_distance_le_3(a, b) for a, b in pairs] == want
+    monkeypatch.setattr(matrix, "_BATCH_CELLS", 1)  # one class per block
+    assert [gr.restricted_distance_le_3(a, b) for a, b in pairs] == want
 
 
 def test_restricted_mode_blocks_bundled_pair_mod_three():
