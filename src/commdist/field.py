@@ -330,7 +330,7 @@ def _prime_ops(spec: FieldSpec) -> _Ops:
     def inv(a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        return pow(a, p - 2, p)
+        return pow(a, -1, p)
 
     return _Ops(
         spec,

@@ -2,12 +2,13 @@
 
 Entries are stored in raw form (integer codes for finite fields, Fraction for
 the rationals).  Rank and nullspace go through reduced row echelon form, which
-is unique, so nullspace bases are reproducible across runs and backends.  Four
+is unique, so nullspace bases are reproducible across runs and backends.  Three
 elimination backends share that contract: XOR elimination on bit-packed rows
-for GF(2), numpy modular elimination for odd prime fields, table-driven
-elimination for extension fields, and over the rationals the prime-field kernel
-run modulo primes below 2^31, lifted by CRT and rational reconstruction and
-certified by an exact nullspace check over the integers.
+for GF(2); one numpy loop for every other finite field, whose row arithmetic
+`_row_ops` picks per field (int64 modulo p, uint8 tables for q <= 256, the
+scalar ops on object arrays above); and over the rationals that loop run modulo
+primes below 2^31, lifted by CRT and rational reconstruction and certified by
+an exact nullspace check over the integers.
 
 This module also holds what the higher layers share: the integer codec that
 enumerates Mat_n over a finite field, the lift M_A, the size caps, a batched
@@ -207,15 +208,6 @@ class ExactMatrix:
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._from_raw(self.spec, list(zip(*self.rows)))
-
-    def trace(self) -> FieldElem:
-        if not self.is_square:
-            raise DimMismatch("trace needs a square matrix")
-        ops = self.spec.ops()
-        acc = ops.zero
-        for i in range(self.nrows):
-            acc = ops.add(acc, self.rows[i][i])
-        return FieldElem(self.spec, acc)
 
 
 def _is_raw(spec: FieldSpec, x) -> bool:
@@ -444,11 +436,9 @@ def rref_raw(spec: FieldSpec, rows: list[list], rank_only=False) -> tuple[list |
     """
     if spec.kind == "prime" and spec.p == 2:
         return _rref_gf2(rows, rank_only)
-    if spec.kind == "prime":
-        return _rref_prime(spec.p, rows)
     if spec.kind == "rationals":
         return _rref_rationals(rows, rank_only)
-    return _rref_generic(spec, rows)
+    return _rref_np(spec, rows)
 
 
 def pack_gf2(row) -> int:
@@ -499,8 +489,31 @@ def _rref_gf2(rows, rank_only=False):
     return out, [low.bit_length() - 1 for low in order]
 
 
-def _rref_prime(p, rows):
-    mat = np.array(rows, dtype=np.int64) % p
+@functools.lru_cache(maxsize=None)
+def _row_ops(spec: FieldSpec):
+    """(dtype, inv, scale, clear) for `_rref_np` over a finite field: the array
+    dtype, the scalar inverse, row * s, and rows - f[:, None] * row.  Prime
+    fields reduce int64 products mod p (exact below the 2^31 prime cap), fields
+    with q <= 256 look up the `_np_tables`, and larger extension fields apply
+    the scalar ops entrywise to object arrays."""
+    ops = spec.ops()
+    if spec.kind == "prime":
+        p = spec.p
+        return np.int64, ops.inv, lambda row, s: row * s % p, lambda rows, f, row: (rows - f[:, None] * row) % p
+    if spec.order <= 256:
+        add, _, mul, _, neg_mul = _np_tables(spec)
+        # neg_mul.take(f, 0) holds the rows -f_i * x of the minus-product table
+        return np.uint8, ops.inv, lambda row, s: mul[s].take(row), lambda rows, f, row: _lookup(
+            add, rows, neg_mul.take(f, 0).take(row, 1)
+        )
+    mul, sub = np.frompyfunc(ops.mul, 2, 1), np.frompyfunc(ops.sub, 2, 1)
+    return object, ops.inv, mul, lambda rows, f, row: sub(rows, mul(f[:, None], row))
+
+
+def _rref_np(spec: FieldSpec, rows):
+    """RREF of raw rows over a finite field, one pivot column at a time."""
+    dtype, inv, scale, clear = _row_ops(spec)
+    mat = np.array(rows, dtype=dtype)
     m, n = mat.shape
     pivots = []
     r = 0
@@ -511,48 +524,17 @@ def _rref_prime(p, rows):
         pr = r + int(nz[0])
         if pr != r:
             mat[[r, pr]] = mat[[pr, r]]
-        mat[r] = mat[r] * pow(int(mat[r, c]), -1, p) % p
+        mat[r] = scale(mat[r], inv(int(mat[r, c])))
         col = mat[:, c].copy()
         col[r] = 0
         hot = np.nonzero(col)[0]
         if hot.size:
-            mat[hot] = (mat[hot] - col[hot, None] * mat[r]) % p
+            mat[hot] = clear(mat[hot], col[hot], mat[r])
         pivots.append(c)
         r += 1
         if r == m:
             break
     return mat[:r].tolist(), pivots
-
-
-def _rref_generic(spec: FieldSpec, rows):
-    ops = spec.ops()
-    work = [list(r) for r in rows]
-    m = len(work)
-    n = len(work[0])
-    pivots = []
-    r = 0
-    zero = ops.zero
-    for c in range(n):
-        pr = -1
-        for i in range(r, m):
-            if work[i][c] != zero:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = ops.inv(work[r][c])
-        work[r] = [ops.mul(inv, x) for x in work[r]]
-        prow = work[r]
-        for i in range(m):
-            f = work[i][c]
-            if i != r and f != zero:
-                work[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(work[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return work[:r], pivots
 
 
 @functools.cache
@@ -604,7 +586,7 @@ def _rref_rationals(rows, rank_only=False):
     height = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in work)
     best, kept = None, []
     for p in map(_lift_prime, itertools.count()):
-        red, pivots = _rref_prime(p, [[x % p for x in row] for row in work])
+        red, pivots = _rref_np(FieldSpec("prime", p=p), [[x % p for x in row] for row in work])
         if rank_only and len(pivots) == min(len(work), ncols):
             return None, pivots  # the rank modulo p never exceeds the rank over Q
         key = (-len(pivots), pivots)

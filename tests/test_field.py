@@ -119,6 +119,19 @@ def test_division_by_zero():
         GF9.elem_from_code(0).inv()
 
 
+def test_inverses_at_the_prime_cap():
+    # oracle: a * a^-1 reduces to 1 in plain integers, and zero has no inverse
+    p = 2**31 - 1
+    spec = FieldSpec.prime(p)
+    rng = random.Random(0)
+    for a in [1, 2, p - 1] + [rng.randrange(1, p) for _ in range(200)]:
+        inv = spec.elem(a).inv()
+        assert inv * spec.elem(a) == spec.one()
+        assert a * inv.to_json() % p == 1
+    with pytest.raises(DivisionByZero):
+        spec.zero().inv()
+
+
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
         GF3.elem(1) + GF2.elem(1)

@@ -4,8 +4,9 @@ reconstruction, orbit and twin-class helpers live in matrix alone, the
 sampled censuses rank in batches, every cap is defined in matrix, graph has
 one neighbor kernel, extension fields have one digit codec and one generator
 walk, the batched kernels look up q x q tables through one flat take and
-share one chunk rule, one raw decoder and one table per field, and every
-attribute the benchmark's tracer patches exists."""
+share one chunk rule, one raw decoder and one table per field, single
+matrices over every finite field but GF(2) eliminate in one numpy loop, and
+every attribute the benchmark's tracer patches exists."""
 
 import ast
 import importlib
@@ -64,6 +65,12 @@ def _definers(*names) -> set[tuple[str, str]]:
     }
 
 
+def _function(path, name):
+    return next(
+        fn for fn in ast.parse(path.read_text()).body if isinstance(fn, ast.FunctionDef) and fn.name == name
+    )
+
+
 def test_one_copy_of_the_lifting_helpers_and_no_bareiss_loop():
     assert _definers("_crt", "_rational_reconstruct") == {
         ("matrix.py", "_crt"), ("matrix.py", "_rational_reconstruct")
@@ -77,12 +84,16 @@ def test_one_copy_of_the_orbit_helpers():
     }
 
 
-def _called(path) -> set[str]:
+def _called_in(tree) -> set[str]:
     return {
         getattr(node.func, "id", getattr(node.func, "attr", None))
-        for node in ast.walk(ast.parse(path.read_text()))
+        for node in ast.walk(tree)
         if isinstance(node, ast.Call)
     }
+
+
+def _called(path) -> set[str]:
+    return _called_in(ast.parse(path.read_text()))
 
 
 def test_extension_arithmetic_has_one_codec_and_one_generator_walk():
@@ -149,11 +160,28 @@ def test_each_batched_kernel_decision_has_one_home():
     # the exhaustive counts read ranks, not centralizer bases, and no caller
     # asks the centralizer kernel for n = 1
     assert "_centralizer_chunks" not in _called(SRC / "census.py")
-    chunks = next(
-        fn for fn in ast.parse((SRC / "matrix.py").read_text()).body
-        if isinstance(fn, ast.FunctionDef) and fn.name == "_centralizer_chunks"
-    )
-    assert "n == 1" not in ast.unparse(chunks)
+    assert "n == 1" not in ast.unparse(_function(SRC / "matrix.py", "_centralizer_chunks"))
+
+
+def test_one_numpy_elimination_loop_for_prime_and_extension_fields():
+    # GF(2) bit rows, the numpy loop, and the multimodular QQ lift on that loop
+    assert _definers("_rref_generic", "_rref_prime") == set()
+    assert all("_rref_generic" not in p.read_text() and "_rref_prime" not in p.read_text() for p in MODULES)
+    matrix_py = SRC / "matrix.py"
+    backends = {
+        node.func.id
+        for node in ast.walk(_function(matrix_py, "rref_raw"))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", "").startswith("_rref")
+    }
+    assert backends == {"_rref_gf2", "_rref_rationals", "_rref_np"}
+    assert "_rref_np" in _called_in(_function(matrix_py, "_rref_rationals"))
+    # the row arithmetic of each field kind is chosen in `_row_ops` alone
+    assert _definers("_row_ops") == {("matrix.py", "_row_ops")}
+    assert {
+        fn.name for fn in ast.parse(matrix_py.read_text()).body
+        if isinstance(fn, ast.FunctionDef) and "_row_ops" in _called_in(fn)
+    } == {"_rref_np"}
+    assert "kind" not in ast.unparse(_function(matrix_py, "_rref_np"))
 
 
 def test_every_cap_lives_in_matrix():

@@ -263,8 +263,9 @@ def test_det_against_permanent_expansion(spec):
 @st.composite
 def _low_rank_rows(draw):
     """(p, rows): an m x n product L @ R mod p with inner size k, so ranks vary;
-    p = 2^31 - 1 sits at the prime cap, where int64 has the least headroom."""
-    p = draw(st.sampled_from([2, 3, P0]))
+    257 is the least prime above the table fields, and p = 2^31 - 1 sits at the
+    prime cap, where int64 has the least headroom."""
+    p = draw(st.sampled_from([2, 3, 257, P0]))
     m, n, k = draw(st.integers(1, 32)), draw(st.integers(1, 16)), draw(st.integers(1, 16))
     digits = st.integers(0, p - 1)
     left = draw(st.lists(st.lists(digits, min_size=k, max_size=k), min_size=m, max_size=m))
@@ -293,6 +294,58 @@ def test_gf2_rank_only_pivots_match_the_full_rref_and_sympy(m, n, data):
     assert none is None and pivots == rref_raw(GF2, rows)[1]
     dm = DomainMatrix([[GF(2)(x) for x in row] for row in rows], (m, n), GF(2))
     assert rank_raw(GF2, rows) == len(pivots) == dm.rank()
+
+
+EXT_FIELDS = [
+    GF4, GF9, GF8, FieldSpec.parse("gf(3^4):2,0,0,1,1"), FieldSpec.parse("gf(17^2):14,0,1"),
+    FieldSpec.parse("gf(7^3):2,0,0,1"),
+]
+
+
+def _lincomb(ops, coeffs, vectors, length):
+    """sum coeffs[i] * vectors[i] with scalar field ops (zero when empty)."""
+    acc = [ops.zero] * length
+    for c, v in zip(coeffs, vectors):
+        acc = [ops.add(x, ops.mul(c, y)) for x, y in zip(acc, v)]
+    return acc
+
+
+def _mul_matrix(spec, a):
+    """The k x k matrix over GF(p) of multiplication by the code a, in the basis
+    1, x, ..., x^(k-1): column j holds the digits of a * x^j."""
+    mul = spec.ops().mul
+    return [list(col) for col in zip(*(spec.entry_to_json(mul(a, spec.p**j)) for j in range(spec.k)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(EXT_FIELDS), st.integers(1, 32), st.integers(1, 16), st.booleans(), st.data())
+def test_rref_over_extension_fields_is_the_unique_rref(spec, m, n, low_rank, data):
+    # checked with scalar arithmetic alone: R is in RREF, spans every input
+    # row, and has as many rows as the rank of the GF(p)-expansion over k
+    ops = spec.ops()
+    digits = st.integers(0, spec.order - 1)
+    if low_rank:
+        k = data.draw(st.integers(1, min(m, n)))
+        left = data.draw(st.lists(st.lists(digits, min_size=k, max_size=k), min_size=m, max_size=m))
+        right = data.draw(st.lists(st.lists(digits, min_size=n, max_size=n), min_size=k, max_size=k))
+        rows = [_lincomb(ops, row, right, n) for row in left]
+    else:
+        rows = data.draw(st.lists(st.lists(digits, min_size=n, max_size=n), min_size=m, max_size=m))
+    rref, pivots = rref_raw(spec, rows)
+    assert len(rref) == len(pivots) and pivots == sorted(set(pivots))
+    for i, (row, pc) in enumerate(zip(rref, pivots)):
+        assert all(x == 0 for x in row[:pc]) and row[pc] == 1
+        assert [r[pc] for r in rref] == [int(j == i) for j in range(len(rref))]
+    for row in rows:
+        assert _lincomb(ops, [row[pc] for pc in pivots], rref, n) == row
+    expanded = [
+        sum((_mul_matrix(spec, a)[i] for a in row), [])
+        for row in rows
+        for i in range(spec.k)
+    ]
+    dm = DomainMatrix([[GF(spec.p)(x) for x in r] for r in expanded], (m * spec.k, n * spec.k), GF(spec.p))
+    assert dm.rank() == spec.k * len(pivots)
+    assert rank_raw(spec, rows) == len(pivots)
 
 
 def _sympy_rref_qq(rows):
@@ -353,7 +406,7 @@ def test_rref_over_q_drops_bad_primes_and_lifts_tall_entries(rows):
 
 
 def test_tall_entries_take_several_primes():
-    with mock.patch.object(matrix, "_rref_prime", wraps=matrix._rref_prime) as spy:
+    with mock.patch.object(matrix, "_rref_np", wraps=matrix._rref_np) as spy:
         rref, _ = rref_raw(QQ, [[Fraction(x) for x in row] for row in TALL])
     assert max(abs(x.numerator) for row in rref for x in row) > 2**31
     assert spy.call_count > 1
@@ -371,7 +424,7 @@ def test_rank_over_q_with_bad_primes(rows, want):
 def test_full_rank_over_q_takes_one_prime():
     # a full rank modulo one prime is already the rank over Q, while the RREF
     # of TALL takes several primes to lift
-    with mock.patch.object(matrix, "_rref_prime", wraps=matrix._rref_prime) as spy:
+    with mock.patch.object(matrix, "_rref_np", wraps=matrix._rref_np) as spy:
         assert rank_raw(QQ, [[Fraction(x) for x in row] for row in TALL]) == 2
     assert spy.call_count == 1
 
