@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,6 +33,8 @@ _MAX_PRIME = 2**31
 _MAX_EXT_CHAR = 31  # exhaustive irreducibility checks stay feasible
 _MAX_EXT_DEGREE = 4
 
+_EXPONENT_RE = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)  # a decimal exponent, as Fraction(str) reads it
+_MAX_EXPONENT = sys.int_info.default_max_str_digits  # 4300, the interpreter's int-string digit limit
 _SPEC_RE = re.compile(r"^gf\((\d+)(?:\^(\d+))?\)(?::(-?\d+(?:\s*,\s*-?\d+)*))?$")
 
 
@@ -224,17 +227,20 @@ class FieldSpec:
             if value.spec != self:
                 raise FieldMismatch(f"element of {value.spec} used in {self}")
             return value.raw
+        if isinstance(value, bool):
+            raise ParseError("booleans are not field elements")
         if self.kind == "rationals":
             if isinstance(value, (int, Fraction)):
                 return Fraction(value)
             if isinstance(value, str):
+                exp = _EXPONENT_RE.search(value)  # "1e-99999999" would build a 10^99999999 denominator
                 try:
+                    if exp and abs(int(exp[1])) > _MAX_EXPONENT:
+                        raise ValueError
                     return Fraction(value)
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f"bad rational {value!r}") from exc
             raise ParseError(f"cannot interpret {value!r} as a rational")
-        if isinstance(value, bool):
-            raise ParseError("booleans are not field elements")
         if isinstance(value, (int, np.integer)):
             return int(value) % self.p  # embedded as a constant
         if isinstance(value, Fraction):

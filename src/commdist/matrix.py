@@ -8,12 +8,13 @@ for GF(2); one numpy loop for every other finite field, whose row arithmetic
 `_row_ops` picks per field (int64 modulo p, uint8 tables for q <= 256, the
 scalar ops on object arrays above); and over the rationals that loop run modulo
 primes below 2^31, lifted by CRT and rational reconstruction and certified by
-an exact nullspace check over the integers.
+an exact nullspace check over the integers.  Rational products clear each row's
+and column's denominators once and take integer dot products.
 
 This module also holds what the higher layers share: the integer codec that
-enumerates Mat_n over a finite field, the lift M_A, the size caps, a batched
-kernel that finds the centralizers of a whole chunk of codes at once, the one
-batched finite-field product, and the orbits of Mat_n under graph automorphisms.
+enumerates Mat_n over a finite field, the lift M_A built by row slices, the
+size caps, a batched kernel for the centralizers of a whole chunk of codes, the
+one batched finite-field product, and the orbits of Mat_n under graph automorphisms.
 """
 
 from __future__ import annotations
@@ -187,9 +188,13 @@ class ExactMatrix:
             raise DimMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
+        bt = list(zip(*other.rows))  # columns of other
+        if self.spec.kind == "rationals":  # integer dot products, each row of A and column of B over one denominator
+            left, right = [_cleared(r) for r in self.rows], [_cleared(c) for c in bt]
+            out = [[Fraction(sum(map(operator.mul, na, nb)), da * db) for nb, db in right] for na, da in left]
+            return ExactMatrix._from_raw(self.spec, out)
         ops = self.spec.ops()
         add, mul, zero = ops.add, ops.mul, ops.zero
-        bt = list(zip(*other.rows))  # columns of other
         out = []
         for ra in self.rows:
             out_row = []
@@ -216,6 +221,13 @@ def _is_raw(spec: FieldSpec, x) -> bool:
     if spec.kind == "extension":
         return False  # plain ints always embed as integer constants
     return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < spec.p
+
+
+def _cleared(row) -> tuple[list[int], int]:
+    """Integers N and the least d with row = N / d, for a row of Fractions."""
+    pairs = [x.as_integer_ratio() for x in row]
+    den = math.lcm(*(d for _, d in pairs))
+    return [num * (den // d) for num, d in pairs], den
 
 
 def _as_portable(spec: FieldSpec, raw):
@@ -405,18 +417,17 @@ def is_scalar(a: ExactMatrix) -> bool:
 
 def lift_rows_raw(a: ExactMatrix) -> list[list]:
     """Raw rows of M_A = A (x) I - I (x) A^T, so that M_A . vec(C) = vec(AC - CA);
-    row (i,j) encodes the (i,j) entry of AC - CA."""
+    row (i,j) encodes the (i,j) entry of AC - CA: A[i] at columns (k, j), minus
+    column j of A at columns (i, l), and both at their overlap (i, j)."""
     ops = a.spec.ops()
-    n = a.nrows
-    rows = []
-    for i in range(n):
+    n, rows = a.nrows, []
+    neg_cols = [list(map(ops.neg, col)) for col in zip(*a.rows)]
+    for i, row_i in enumerate(a.rows):
         for j in range(n):
             row = [ops.zero] * (n * n)
-            for k in range(n):
-                row[k * n + j] = ops.add(row[k * n + j], a.rows[i][k])
-            for l in range(n):
-                col = i * n + l
-                row[col] = ops.sub(row[col], a.rows[l][j])
+            row[j::n] = row_i
+            row[i * n : (i + 1) * n] = neg_cols[j]
+            row[i * n + j] = ops.sub(row_i[i], a.rows[j][j])
             rows.append(row)
     return rows
 
@@ -431,14 +442,14 @@ def rref_raw(spec: FieldSpec, rows: list[list], rank_only=False) -> tuple[list |
     Returns (pivot_rows, pivot_cols): only the nonzero rows of the RREF, with
     each pivot normalized to one.  Pivot columns are scanned left to right, so
     the output is the unique RREF and independent of the backend.  With
-    `rank_only`, GF(2) and full-rank rational inputs may return (None,
-    pivot_cols).
+    `rank_only`, every finite field returns (None, pivot_cols) from a forward
+    echelon without back-reduction, and so do full-rank rational inputs.
     """
     if spec.kind == "prime" and spec.p == 2:
         return _rref_gf2(rows, rank_only)
     if spec.kind == "rationals":
         return _rref_rationals(rows, rank_only)
-    return _rref_np(spec, rows)
+    return _rref_np(spec, rows, rank_only)
 
 
 def pack_gf2(row) -> int:
@@ -510,8 +521,9 @@ def _row_ops(spec: FieldSpec):
     return object, ops.inv, mul, lambda rows, f, row: sub(rows, mul(f[:, None], row))
 
 
-def _rref_np(spec: FieldSpec, rows):
-    """RREF of raw rows over a finite field, one pivot column at a time."""
+def _rref_np(spec: FieldSpec, rows, rank_only=False):
+    """RREF of raw rows over a finite field, one pivot column at a time; with
+    `rank_only`, (None, pivots) of a forward echelon that clears only below each pivot."""
     dtype, inv, scale, clear = _row_ops(spec)
     mat = np.array(rows, dtype=dtype)
     m, n = mat.shape
@@ -526,7 +538,7 @@ def _rref_np(spec: FieldSpec, rows):
             mat[[r, pr]] = mat[[pr, r]]
         mat[r] = scale(mat[r], inv(int(mat[r, c])))
         col = mat[:, c].copy()
-        col[r] = 0
+        col[0 if rank_only else r : r + 1] = 0  # a forward echelon leaves the rows above alone
         hot = np.nonzero(col)[0]
         if hot.size:
             mat[hot] = clear(mat[hot], col[hot], mat[r])
@@ -534,7 +546,7 @@ def _rref_np(spec: FieldSpec, rows):
         r += 1
         if r == m:
             break
-    return mat[:r].tolist(), pivots
+    return None if rank_only else mat[:r].tolist(), pivots
 
 
 @functools.cache
@@ -576,10 +588,7 @@ def _rref_rationals(rows, rank_only=False):
     # moves a pivot right, so only primes of the least key (-rank, pivots) are
     # kept.  A candidate R is accepted once M v = 0 over the integers for every
     # nullspace vector v R names: rank(M) <= rank(R) = rank(M mod p) <= rank(M).
-    work = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        work.append([x.numerator * (scale // x.denominator) for x in row])
+    work = [_cleared(row)[0] for row in rows]
     ncols = len(work[0])
     # each RREF entry is a quotient of minors of at most `height` (Hadamard),
     # so good primes whose product exceeds 2 height^2 always reconstruct it

@@ -74,6 +74,28 @@ def test_huge_field_base_exits_1_at_once():
         assert err["error"] == "ParseError" and "exceeds the 2^31 cap" in err["detail"]
 
 
+def test_rational_exponent_bombs_exit_1_at_once():
+    # Fraction("1e-99999999") builds a 10^99999999 denominator: minutes of CPU
+    src = str(Path(commdist.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for entry in ("1e-99999999", "1e99999999"):
+        a = json.dumps({"field": "qq", "rows": [[entry, 2], [3, 4]]})
+        proc = subprocess.run(
+            [sys.executable, "-m", "commdist.cli", "derogatory", "--a", a],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["error"] == "ParseError"
+
+
+def test_boolean_entries_exit_1(capsys):
+    for field in ("qq", "gf(5)"):
+        a = json.dumps({"field": field, "rows": [[True, 0], [0, 1]]})
+        assert main(["distance", "--field", field, "--a", a, "--b", a]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err)["error"] == "ParseError"
+
+
 def test_sampling_universe_above_2_to_the_96_exits_2(capsys):
     argv = ["census", "--field", "gf(65537)", "--n", "3", "--quantity", "dist-le-2", "--samples", "50"]
     assert main(argv) == 2

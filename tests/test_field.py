@@ -89,6 +89,24 @@ def test_miller_rabin_agrees_with_trial_division():
     assert _is_prime(2**31 - 1) and not _is_prime(46337 * 46349)
 
 
+def test_rational_strings_parse_as_fraction_does_below_the_exponent_limit():
+    for text in ("1e5", "2.5", "-7/3", "1_000", " 3E+2 ", "1.5e-3", "1e4300", "1e-4300"):
+        assert QQ.raw_from(text) == Fraction(text)
+    # Fraction(str) would build 10^|exponent|: past 4300, the interpreter's
+    # int-string digit limit, the exponent is an input error
+    for text in ("1e4301", "-2.5E-4301", "1e" + "9" * 5000, "1e-99999999", "1e99999999"):
+        with pytest.raises(ParseError):
+            QQ.raw_from(text)
+
+
+@pytest.mark.parametrize("spec", [QQ, GF2, GF3, GF9], ids=str)
+def test_booleans_are_not_field_elements(spec):
+    # bool is an int, so over QQ `true` used to read as 1
+    for value in (True, False):
+        with pytest.raises(ParseError, match="booleans"):
+            spec.raw_from(value)
+
+
 def test_arith_examples():
     assert (GF3.elem(2) * GF3.elem(2)).to_json() == 1
     assert (QQ.elem("1/3") + QQ.elem("1/6")).to_json() == "1/2"

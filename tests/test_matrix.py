@@ -46,6 +46,7 @@ GF5 = FieldSpec.prime(5)
 GF9 = FieldSpec.parse("gf(9)")
 GF4 = FieldSpec.parse("gf(2^2):1,1,1")
 GF8 = FieldSpec.parse("gf(2^3):1,1,0,1")
+GF17_2 = FieldSpec.parse("gf(17^2):14,0,1")
 
 ALL_FIELDS = [QQ, GF2, GF3, GF9]
 P0 = 2**31 - 1  # the first prime the rational kernel eliminates modulo
@@ -104,15 +105,61 @@ def test_diag_keeps_extension_field_entries(spec):
 
 
 def test_kron_builds_the_lift():
-    # the lift of a matrix equals kron(A, I) - kron(I, A^T) entrywise
-    from commdist.commute import lift_M
+    # the lift equals A (x) I - I (x) A^T, written out entrywise: row (i, j) and
+    # column (k, l) hold [l == j] a_ik - [k == i] a_lj
+    for spec in (QQ, GF2, GF5, GF9, GF8, GF17_2, FieldSpec.prime(P0)):
+        ops, rng = spec.ops(), random.Random(5)
+        for n in (1, 2, 3, 4):
+            a = random_matrix(spec, n, n, rng)
+            want = [
+                [
+                    ops.sub(a.rows[i][k] if l == j else ops.zero, a.rows[l][j] if k == i else ops.zero)
+                    for k in range(n)
+                    for l in range(n)
+                ]
+                for i in range(n)
+                for j in range(n)
+            ]
+            assert lift_rows_raw(a) == want
 
-    rng = random.Random(5)
-    for _ in range(10):
-        a = random_matrix(GF5, 3, 3, rng)
-        ident = ExactMatrix.identity(GF5, 3)
-        direct = kron(a, ident) - kron(ident, a.transpose())
-        assert direct == lift_M(a)
+
+@st.composite
+def _rational_operands(draw):
+    """An m x k and a k x n matrix of Fractions, sides 1..5: heights up to
+    10^12, integer, zero and negative entries."""
+    m, k, n = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    nums = st.integers(-(10**12), 10**12) | st.integers(-2, 2)
+    entry = st.builds(Fraction, nums, st.integers(1, 10**12) | st.just(1))
+    return (
+        draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=m, max_size=m)),
+        draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_operands())
+def test_rational_products_match_an_entrywise_fraction_oracle(operands):
+    a, b = operands
+    want = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+    got = ExactMatrix(QQ, a) @ ExactMatrix(QQ, b)
+    assert (got.nrows, got.ncols) == (len(a), len(b[0]))
+    # canonical Fractions: the same numerator and denominator, not only the same value
+    assert [[x.as_integer_ratio() for x in row] for row in got.rows] == [
+        [x.as_integer_ratio() for x in row] for row in want
+    ]
+
+
+def test_rational_products_and_lifts_do_no_fraction_arithmetic(monkeypatch):
+    # products clear denominators and take integer dot products; lifts only
+    # negate and subtract, so neither adds nor multiplies two Fractions
+    a, b = (random_matrix(QQ, 4, 4, random.Random(seed)) for seed in (1, 2))
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        method = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name, lambda x, y, _m=method, _n=name: calls.append(_n) or _m(x, y))
+    a @ b, lift_rows_raw(a)
+    assert calls == []
+    assert Fraction(1) + Fraction(1) == 2 and calls == ["__add__"]  # the counter counts
 
 
 def test_rank_examples():
@@ -338,14 +385,34 @@ def test_rref_over_extension_fields_is_the_unique_rref(spec, m, n, low_rank, dat
         assert [r[pc] for r in rref] == [int(j == i) for j in range(len(rref))]
     for row in rows:
         assert _lincomb(ops, [row[pc] for pc in pivots], rref, n) == row
-    expanded = [
-        sum((_mul_matrix(spec, a)[i] for a in row), [])
-        for row in rows
-        for i in range(spec.k)
-    ]
-    dm = DomainMatrix([[GF(spec.p)(x) for x in r] for r in expanded], (m * spec.k, n * spec.k), GF(spec.p))
-    assert dm.rank() == spec.k * len(pivots)
+    assert _expanded_rank(spec, rows) == spec.k * len(pivots)
     assert rank_raw(spec, rows) == len(pivots)
+
+
+def _expanded_rank(spec, rows):
+    """sympy's GF(p) rank of the rows, over GF(p^k) with each entry expanded to
+    its k x k multiplication matrix: k times the rank over GF(p^k)."""
+    if spec.kind == "extension":
+        rows = [sum((_mul_matrix(spec, a)[i] for a in row), []) for row in rows for i in range(spec.k)]
+    return DomainMatrix([[GF(spec.p)(x) for x in r] for r in rows], (len(rows), len(rows[0])), GF(spec.p)).rank()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([GF3, FieldSpec.prime(257), FieldSpec.prime(P0), GF9, GF17_2]),
+    st.integers(1, 32), st.integers(1, 16), st.integers(1, 16), st.data(),
+)
+def test_rank_only_pivots_match_the_full_rref_and_sympy(spec, m, n, k, data):
+    # a product of m x k and k x n factors, so ranks vary; the forward echelon
+    # skips back-reduction but must find the RREF's pivots
+    ops = spec.ops()
+    digits = st.integers(0, spec.order - 1)
+    left = data.draw(st.lists(st.lists(digits, min_size=k, max_size=k), min_size=m, max_size=m))
+    right = data.draw(st.lists(st.lists(digits, min_size=n, max_size=n), min_size=k, max_size=k))
+    rows = [_lincomb(ops, row, right, n) for row in left]
+    none, pivots = rref_raw(spec, rows, rank_only=True)
+    assert none is None and pivots == rref_raw(spec, rows)[1]
+    assert _expanded_rank(spec, rows) == spec.k * len(pivots)
 
 
 def _sympy_rref_qq(rows):
