@@ -38,20 +38,8 @@ from .errors import (
     ScalarVertex,
     UnsupportedDegree,
 )
-from .field import FieldElem, FieldSpec, arith, field_from_spec
-from .matrix import (
-    ExactMatrix,
-    commutator,
-    det,
-    kron,
-    mat_op,
-    mat_pow,
-    min_poly,
-    nullspace_basis,
-    rank,
-    vec,
-    unvec,
-)
+from .field import FieldElem, FieldSpec
+from .matrix import ExactMatrix, min_poly, rank, unvec, vec
 
 __version__ = "0.1.0"
 
@@ -73,28 +61,20 @@ __all__ = [
     "ReducibleModulus",
     "ScalarVertex",
     "UnsupportedDegree",
-    "arith",
     "census",
     "centralizer_basis",
-    "commutator",
     "commute",
     "commutes",
     "derogatory",
-    "det",
     "dist_le_2",
     "distance",
     "errors",
     "field",
-    "field_from_spec",
     "graph",
     "is_scalar",
-    "kron",
     "lift_M",
-    "mat_op",
-    "mat_pow",
     "matrix",
     "min_poly",
-    "nullspace_basis",
     "pc_search",
     "pc_verify",
     "rank",

@@ -35,6 +35,7 @@ _MAX_EXT_DEGREE = 4
 
 _EXPONENT_RE = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)  # a decimal exponent, as Fraction(str) reads it
 _MAX_EXPONENT = sys.int_info.default_max_str_digits  # 4300, the interpreter's int-string digit limit
+_MAX_RATIONAL_PART = 10**_MAX_EXPONENT  # the least integer that no longer prints
 _SPEC_RE = re.compile(r"^gf\((\d+)(?:\^(\d+))?\)(?::(-?\d+(?:\s*,\s*-?\d+)*))?$")
 
 
@@ -102,8 +103,8 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
 class FieldSpec:
     """An exact field: the rationals, GF(p), or GF(p^k) as a polynomial quotient.
 
-    Instances are immutable values; use the classmethod constructors or
-    :func:`field_from_spec`, which validate primality and irreducibility.
+    Instances are immutable values; use the classmethod constructors, such as
+    `FieldSpec.parse`, which validate primality and irreducibility.
     """
 
     kind: str  # "rationals" | "prime" | "extension"
@@ -237,7 +238,10 @@ class FieldSpec:
                 try:
                     if exp and abs(int(exp[1])) > _MAX_EXPONENT:
                         raise ValueError
-                    return Fraction(value)
+                    out = Fraction(value)
+                    if max(abs(out.numerator), out.denominator) >= _MAX_RATIONAL_PART:  # the echo would fail
+                        raise ValueError
+                    return out
                 except (ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f"bad rational {value!r}") from exc
             raise ParseError(f"cannot interpret {value!r} as a rational")
@@ -282,11 +286,6 @@ class FieldSpec:
         if self.kind == "prime":
             return int(raw)
         return [raw // self.p**i % self.p for i in range(self.k)]
-
-
-def field_from_spec(text: str) -> FieldSpec:
-    """Parse a field-spec string: "qq", "gf(p)", or "gf(p^k)[:c0,...,ck]"."""
-    return FieldSpec.parse(text)
 
 
 # ---------------------------------------------------------------------------
@@ -550,29 +549,3 @@ class FieldElem:
     def __repr__(self):
         return f"FieldElem({self.spec}, {self.to_json()!r})"
 
-
-def arith(a: FieldElem, b: FieldElem | None, op: str):
-    """Dispatch one arithmetic operation by name.
-
-    `op` is one of add, sub, mul, div, neg, inv, eq.  The unary ops ignore `b`;
-    eq returns a boolean, everything else a FieldElem.
-    """
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inv()
-    if b is None:
-        raise ParseError(f"operation {op!r} needs two operands")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "eq":
-        if isinstance(b, FieldElem) and b.spec != a.spec:
-            raise FieldMismatch(f"{a.spec} vs {b.spec}")
-        return a == b
-    raise ParseError(f"unknown operation {op!r}")

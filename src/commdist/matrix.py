@@ -236,39 +236,6 @@ def _as_portable(spec: FieldSpec, raw):
     return spec.entry_to_json(raw) if spec.kind == "extension" else raw
 
 
-def mat_op(a: ExactMatrix, b: ExactMatrix, op: str) -> ExactMatrix:
-    """Dispatch add/sub/mul by name (mul is the matrix product)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a @ b
-    raise ParseError(f"unknown matrix operation {op!r}")
-
-
-def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """AB - BA; both operands must be square of the same size and field."""
-    if not (a.is_square and b.is_square and a.nrows == b.nrows):
-        raise DimMismatch("commutator needs square matrices of equal size")
-    return a @ b - b @ a
-
-
-def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Kronecker product with block structure (a_ij * B)."""
-    a._check_peer(b)
-    mul = a.spec.ops().mul
-    out = []
-    for i in range(a.nrows):
-        for s in range(b.nrows):
-            row = []
-            for j in range(a.ncols):
-                aij = a.rows[i][j]
-                row.extend(mul(aij, x) for x in b.rows[s])
-            out.append(row)
-    return ExactMatrix._from_raw(a.spec, out)
-
-
 def mat_vec(m: ExactMatrix, v) -> list:
     """Apply m to a vector of raw values (FieldElems are unwrapped); returns raws."""
     spec = m.spec
@@ -634,7 +601,7 @@ def _rref_rationals(rows, rank_only=False):
 
 
 # ---------------------------------------------------------------------------
-# rank / nullspace / determinant / powers / minimal polynomial
+# rank / nullspace / powers / minimal polynomial
 
 
 def rank(m: ExactMatrix) -> int:
@@ -644,14 +611,6 @@ def rank(m: ExactMatrix) -> int:
 
 def rank_raw(spec: FieldSpec, rows: list[list]) -> int:
     return len(rref_raw(spec, rows, rank_only=True)[1])
-
-
-def nullspace_basis(m: ExactMatrix) -> list[tuple[FieldElem, ...]]:
-    """Canonical echelon nullspace basis, one vector per free column."""
-    return [
-        tuple(FieldElem(m.spec, x) for x in v)
-        for v in nullspace_raw(m.spec, m.raw_rows())
-    ]
 
 
 def nullspace_raw(spec: FieldSpec, rows: list[list]) -> list[list]:
@@ -901,56 +860,6 @@ def _orbits(spec: FieldSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
         _hook(label, codes, np.concatenate(images))
     reps = np.flatnonzero(_roots(label, codes) == codes)
     return reps, np.bincount(label)[reps]
-
-
-def det(m: ExactMatrix) -> FieldElem:
-    """Exact determinant via forward elimination."""
-    if not m.is_square:
-        raise DimMismatch("determinant needs a square matrix")
-    spec = m.spec
-    ops = spec.ops()
-    work = m.raw_rows()
-    n = m.nrows
-    sign_flip = False
-    acc = ops.one
-    for c in range(n):
-        pr = -1
-        for i in range(c, n):
-            if work[i][c] != ops.zero:
-                pr = i
-                break
-        if pr < 0:
-            return FieldElem(spec, ops.zero)
-        if pr != c:
-            work[c], work[pr] = work[pr], work[c]
-            sign_flip = not sign_flip
-        piv = work[c][c]
-        acc = ops.mul(acc, piv)
-        inv = ops.inv(piv)
-        for i in range(c + 1, n):
-            f = ops.mul(work[i][c], inv)
-            if f != ops.zero:
-                work[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(work[i], work[c])]
-    if sign_flip:
-        acc = ops.neg(acc)
-    return FieldElem(spec, acc)
-
-
-def mat_pow(m: ExactMatrix, e: int) -> ExactMatrix:
-    """m**e for 0 <= e <= 64 by repeated squaring."""
-    if not m.is_square:
-        raise DimMismatch("powers need a square matrix")
-    if not 0 <= e <= 64:
-        raise DimMismatch("exponent must be between 0 and 64")
-    result = ExactMatrix.identity(m.spec, m.nrows)
-    base = m
-    while e:
-        if e & 1:
-            result = result @ base
-        e >>= 1
-        if e:
-            base = base @ base
-    return result
 
 
 def _powers(m: ExactMatrix, k: int) -> list[ExactMatrix]:

@@ -78,7 +78,8 @@ def test_rational_exponent_bombs_exit_1_at_once():
     # Fraction("1e-99999999") builds a 10^99999999 denominator: minutes of CPU
     src = str(Path(commdist.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    for entry in ("1e-99999999", "1e99999999"):
+    # and a part of more than 4300 digits would compute, then fail to print
+    for entry in ("1e-99999999", "1e99999999", "1e4300", "1e-4300", "12.5e4299"):
         a = json.dumps({"field": "qq", "rows": [[entry, 2], [3, 4]]})
         proc = subprocess.run(
             [sys.executable, "-m", "commdist.cli", "derogatory", "--a", a],

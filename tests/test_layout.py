@@ -6,11 +6,13 @@ one neighbor kernel, extension fields have one digit codec and one generator
 walk, the batched kernels look up q x q tables through one flat take and
 share one chunk rule, one raw decoder and one table per field, single
 matrices over every finite field but GF(2) eliminate in one numpy loop, and
-every attribute the benchmark's tracer patches exists."""
+every attribute the benchmark's tracer patches exists, and every public
+name is used by the library or the benchmark."""
 
 import ast
 import importlib
 from pathlib import Path
+from types import ModuleType
 
 import commdist
 
@@ -216,6 +218,24 @@ def test_graph_has_one_neighbor_kernel():
     }
     assert callers == {"restricted_distance_le_3"}
     assert "partial" not in (SRC / "graph.py").read_text()
+
+
+def test_every_public_name_is_used_outside_the_package_index():
+    # a name only the tests call is dead API, and every elimination runs on
+    # the three `rref_raw` backends, so there is no determinant loop
+    perfbench = sorted((SRC.parent.parent / "perfbench").glob("*.py"))
+    used = set()
+    for path in [p for p in MODULES if p.name != "__init__.py"] + perfbench:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used |= {node.name, node.asname}
+    public = {name for name in commdist.__all__ if not isinstance(getattr(commdist, name), ModuleType)}
+    assert sorted(public - used) == []
+    assert _definers("det") == set()
 
 
 def _resolve(node):

@@ -15,8 +15,8 @@ from commdist.matrix import (
     _scalar_codes,
     _twin_reps,
     decode_matrix,
-    det,
     encode_matrix,
+    rank,
 )
 
 GF2 = FieldSpec.prime(2)
@@ -54,7 +54,7 @@ def _orbits_from_scratch(spec, n):
     A -> alpha A + beta I, transpose and Frobenius, least code first."""
     q = spec.order
     mats = [decode_matrix(spec, n, c) for c in range(q ** (n * n))]
-    gl = [(p, _inverse(p)) for p in mats if not det(p).is_zero]
+    gl = [(p, _inverse(p)) for p in mats if rank(p) == n]
     affine = [(_scalar(spec, n, a), _scalar(spec, n, b)) for a in range(1, q) for b in range(q)]
     seen, out = set(), []
     for code, a in enumerate(mats):
