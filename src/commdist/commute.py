@@ -31,12 +31,14 @@ from .matrix import (
     ExactMatrix,
     _blocks,
     _check_square,
+    _cleared,
     _code_stack,
     _combine,
     _crt,
     _ff_matmul,
     _gauss_jordan,
     _hits,
+    _int_products,
     _lifts,
     _powers,
     _projective_coeffs,
@@ -101,19 +103,50 @@ def dist_le_2(a: ExactMatrix, b: ExactMatrix) -> bool:
 
     Equivalently the pair commutes with a common non-scalar matrix (the joint
     nullspace then exceeds the scalar line), which covers the conventions for
-    scalar and equal inputs as well.  Valid over every supported field.
+    scalar and equal inputs as well.  Valid over every supported field; over the
+    rationals `_shares_polynomial_commuter` decides every pair but two derogatory sides.
     """
     _check_pair(a, b)
     n = a.nrows
     if n < 2:
         raise DimMismatch("the rank criterion needs n >= 2")
-    rows = lift_rows_raw(a) + lift_rows_raw(b)
-    return rank_raw(a.spec, rows) <= n * n - 2
+    shared = _shares_polynomial_commuter(a, b)
+    return shared if shared is not None else rank_raw(a.spec, lift_rows_raw(a) + lift_rows_raw(b)) <= n * n - 2
+
+
+def _int_powers(a: ExactMatrix, k: int) -> list[list[list[int]]]:
+    """[I, D, ..., D^k] on the integers for D = d a, d the least common denominator of the rational a."""
+    n = a.nrows
+    flat = _cleared([x for row in a.rows for x in row])[0]
+    out = [[[int(i == j) for j in range(n)] for i in range(n)], [flat[i * n : (i + 1) * n] for i in range(n)]]
+    while len(out) <= k:
+        out.append(_int_products(out[-1], list(zip(*out[1]))))
+    return out[: k + 1]
+
+
+def _shares_polynomial_commuter(a: ExactMatrix, b: ExactMatrix) -> bool | None:
+    """Over the rationals at n >= 2, whether a and b share a non-scalar commuter, decided from a
+    nonderogatory side X: C(X) = F[X] = span(I, ..., X^(n-1)), so they share one iff the commutators
+    [X^k, Y], 1 <= k < n, are dependent.  With D = dX and E = eY cleared, F[D] = F[X] and [D^k, E] =
+    d^k e [X^k, Y], so all of it runs on the integers.  None for two derogatory sides and over finite
+    fields, whose lifts rank faster."""
+    n = a.nrows
+    if a.spec.kind != "rationals" or n < 2:
+        return None
+    for x, y in ((a, b), (b, a)):
+        pows, e = _int_powers(x, n - 1), _int_powers(y, 1)[1]
+        if rank_raw(x.spec, [sum(p, []) for p in pows]) == n:  # x is nonderogatory
+            pe = [sum(_int_products(p, list(zip(*e))), []) for p in pows[1:]]
+            ep = [sum(_int_products(e, list(zip(*p))), []) for p in pows[1:]]
+            return rank_raw(x.spec, [[s - t for s, t in zip(u, v)] for u, v in zip(pe, ep)]) < n - 1
+    return None
 
 
 def common_nonscalar_commuter(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix | None:
     """A non-scalar matrix commuting with both, if one exists."""
     _check_pair(a, b)
+    if _shares_polynomial_commuter(a, b) is False:
+        return None
     rows = lift_rows_raw(a) + lift_rows_raw(b)
     for v in nullspace_raw(a.spec, rows):
         cand = unvec(a.spec, a.nrows, v)
@@ -127,13 +160,15 @@ def derogatory(a: ExactMatrix) -> bool:
 
     Tested as a rank bound on the n x n^2 stack of vec(I), vec(A), ...,
     vec(A^(n-1)): a dependence among those powers is exactly an annihilating
-    polynomial of degree at most n-1.
+    polynomial of degree at most n-1.  Over the rationals dA stands for A, d
+    clearing its denominators, and its powers are formed on the integers.
     """
     _check_square(a)
     n = a.nrows
     if n < 2:
         raise DimMismatch("derogatory needs n >= 2")
-    return rank_raw(a.spec, [list(vec(power)) for power in _powers(a, n - 1)]) <= n - 1
+    pows = _int_powers(a, n - 1) if a.spec.kind == "rationals" else [m.rows for m in _powers(a, n - 1)]
+    return rank_raw(a.spec, [[x for row in p for x in row] for p in pows]) <= n - 1
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +520,8 @@ def distance(a: ExactMatrix, b: ExactMatrix) -> DistanceResult:
         return DistanceResult("exact", value=1, decided_by="scalar-convention")
     if a @ b == b @ a:
         return DistanceResult("exact", value=1, decided_by="commuting")
-    # the rank criterion and its witness from one elimination: vec(I) is always
-    # a joint null vector, so a non-scalar one exists iff rank <= n^2 - 2
+    # the rank criterion and its witness: vec(I) is always a joint null vector,
+    # so a non-scalar one exists iff rank <= n^2 - 2 (QQ first tries F[X])
     wit = common_nonscalar_commuter(a, b)
     if wit is not None:
         return DistanceResult(

@@ -190,8 +190,8 @@ class ExactMatrix:
             )
         bt = list(zip(*other.rows))  # columns of other
         if self.spec.kind == "rationals":  # integer dot products, each row of A and column of B over one denominator
-            left, right = [_cleared(r) for r in self.rows], [_cleared(c) for c in bt]
-            out = [[Fraction(sum(map(operator.mul, na, nb)), da * db) for nb, db in right] for na, da in left]
+            (na, da), (nb, db) = (zip(*map(_cleared, m)) for m in (self.rows, bt))
+            out = [[Fraction(x, d * e) for x, e in zip(r, db)] for r, d in zip(_int_products(na, nb), da)]
             return ExactMatrix._from_raw(self.spec, out)
         ops = self.spec.ops()
         add, mul, zero = ops.add, ops.mul, ops.zero
@@ -228,6 +228,11 @@ def _cleared(row) -> tuple[list[int], int]:
     pairs = [x.as_integer_ratio() for x in row]
     den = math.lcm(*(d for _, d in pairs))
     return [num * (den // d) for num, d in pairs], den
+
+
+def _int_products(rows, cols) -> list[list[int]]:
+    """The integer matrix product with the given rows on the left and columns on the right."""
+    return [[sum(map(operator.mul, r, c)) for c in cols] for r in rows]
 
 
 def _as_portable(spec: FieldSpec, raw):
@@ -789,7 +794,7 @@ def _commuting_pairs(spec: FieldSpec, n: int, codes):
     """
     for chunk, free, vecs in _centralizer_chunks(spec, n, codes):
         dims = free.sum(1)
-        for d in np.unique(dims).tolist():
+        for d in np.flatnonzero(np.bincount(dims)).tolist():  # np.unique would import numpy.ma
             if spec.order**d > SPACE_CAP:
                 raise CapExceeded(f"centralizer span {spec.order**d} exceeds 2^{SPACE_CAP.bit_length() - 1}")
             sel = dims == d

@@ -3,11 +3,16 @@ snapshot regressions, and deterministic counter-based sampling."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import commdist
 from commdist.errors import BadWitness, CapExceeded, DimMismatch, FieldMismatch
 from commdist.field import FieldSpec
 from commdist import census as cs
@@ -335,3 +340,22 @@ def test_caps_and_field_requirements():
         cs.count_dist_le_2(GF3, 4)  # 3^16 codes exceed 2^24 exhaustively
     with pytest.raises(FieldMismatch):
         cs.count_commuting_pairs(QQ, 2)
+
+
+def test_bfs_and_exhaustive_counts_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use (numpy 2.4), 11-19 ms of every fresh process
+    src = str(Path(commdist.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "from commdist import census, commute\n"
+        "from commdist.field import FieldSpec\n"
+        "from commdist.matrix import decode_matrix\n"
+        "gf2 = FieldSpec.prime(2)\n"
+        "assert commute.distance(decode_matrix(gf2, 3, 6), decode_matrix(gf2, 3, 10)).decided_by == 'bfs'\n"
+        "assert census.count_dist_le_2(gf2, 3).to_json()['mode']['kind'] == 'exhaustive'\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,30 +1,38 @@
 """Distance-theoretic tests: lifts, rank criterion, derogatory classification,
 idempotent witnesses, certificates, and the distance decision ladder."""
 
+import json
 import math
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commdist.errors import BadWitness, CapExceeded, DimMismatch
 from commdist.field import FieldSpec
 from commdist import commute as cm
 from commdist import matrix
 from commdist.graph import bfs_distance, decode_matrix
-from commdist.verify import random_derogatory
+from commdist.verify import _invert, random_derogatory
 from commdist.matrix import (
     ExactMatrix,
     _code_digits,
     _code_stack,
+    _powers,
     _projective_reps,
+    lift_rows_raw,
     mat_vec,
     min_poly,
     nullspace_raw,
     random_matrix,
     rank,
+    rank_raw,
+    unvec,
+    vec,
 )
 
 QQ = FieldSpec.rationals()
@@ -160,6 +168,96 @@ def test_derogatory_agrees_with_min_poly_degree(spec):
         n = rng.randint(2, 4)
         a = random_matrix(spec, n, n, rng)
         assert cm.derogatory(a) == (len(min_poly(a)) - 1 < n)
+
+
+@st.composite
+def _qq_pairs(draw):
+    """A rational pair, n = 2..6, of one of five shapes: generic, sparse, one
+    side a conjugate of diag(l, l, m, ...), both sides so (the lift fallback),
+    or both block diagonal in one basis (so at distance at most 2).  Heights up
+    to 10^6 over the denominators of ladder-qq's large and skip pairs."""
+    n, shape = draw(st.integers(2, 6)), draw(st.sampled_from(["generic", "sparse", "derog", "both", "shared"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    height, k = rng.choice([9, 10**6]), rng.randint(1, n - 1)
+
+    def entry():
+        return Fraction(rng.randint(-height, height), rng.choice([1, 3, 5, 7, 13]))
+
+    def rand(zeros=0.0):
+        return ExactMatrix(QQ, [[0 if rng.random() < zeros else entry() for _ in range(n)] for _ in range(n)])
+
+    def invertible():
+        p = rand()
+        while rank(p) < n:
+            p = rand()
+        return p
+
+    def conj(p, rows):
+        return p @ ExactMatrix(QQ, rows) @ _invert(p)
+
+    def derog():  # diag(lam, lam, ...) in a fresh random basis
+        d = [lam, lam] + [entry() for _ in range(n - 2)]
+        return conj(invertible(), [[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+    def block_diagonal(p):  # blocks k and n - k in the basis p
+        return conj(p, [[entry() if (i < k) == (j < k) else 0 for j in range(n)] for i in range(n)])
+
+    lam = entry()
+    if shape == "generic":
+        return rand(), rand()
+    if shape == "sparse":
+        return rand(0.7), rand(0.7)
+    if shape == "derog":
+        return derog(), rand()
+    if shape == "both":
+        return derog(), derog()
+    p = invertible()
+    return block_diagonal(p), block_diagonal(p)
+
+
+def _lift_witness(a, b):
+    """The first non-scalar joint null vector of the stacked lift, as a matrix."""
+    null = nullspace_raw(QQ, lift_rows_raw(a) + lift_rows_raw(b))
+    return next((m for m in (unvec(QQ, a.nrows, v) for v in null) if not cm.is_scalar(m)), None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_qq_pairs())
+def test_rational_commutator_route_matches_the_stacked_lift(pair):
+    a, b = pair
+    n = a.nrows
+    lifted = rank_raw(QQ, lift_rows_raw(a) + lift_rows_raw(b)) <= n * n - 2
+    assert cm.dist_le_2(a, b) == lifted
+    assert cm.common_nonscalar_commuter(a, b) == (_lift_witness(a, b) if lifted else None)
+    for m in (a, b):  # the Fraction powers the derogatory test used to rank
+        assert cm.derogatory(m) == (rank_raw(QQ, [list(vec(x)) for x in _powers(m, n - 1)]) <= n - 1)
+
+
+def test_rational_rank_criterion_skips_the_lift_unless_both_sides_are_derogatory(monkeypatch):
+    built = []
+    monkeypatch.setattr(cm, "lift_rows_raw", lambda m: built.append(m) or lift_rows_raw(m))
+    a, b = random_matrix(QQ, 4, 4, random.Random(3)), random_matrix(QQ, 4, 4, random.Random(4))
+    assert not cm.dist_le_2(a, b) and cm.common_nonscalar_commuter(a, b) is None
+    assert not cm.dist_le_2(A46, b) and built == []  # A46 is derogatory, b is not
+    d2 = ExactMatrix.diag(QQ, [1, 2, 2])
+    assert cm.dist_le_2(C25, d2) and built == [C25, d2]  # both derogatory
+    assert cm.dist_le_2(A25, B25) and cm.common_nonscalar_commuter(A25, B25) is not None
+    # a 1 x 1 pair has no non-scalar commuter, and the lift says so
+    one = ExactMatrix(QQ, [[Fraction(1, 3)]])
+    assert cm.common_nonscalar_commuter(one, one) is None
+
+
+def test_rational_reports_match_their_snapshots():
+    # taken before the rank criterion over QQ moved off the stacked lift: an
+    # n = 5 skip pair (pc-unknown), an n = 4 distance-2 pair with its witness
+    # and an n = 4 pair with a derogatory side, all from ladder-qq seed 1
+    snaps = json.loads((Path(__file__).parent / "data" / "qq_ladder.json").read_text())
+    assert [s["distance"]["decided_by"] for s in snaps.values()] == ["pc-unknown", "rank-criterion", "pc-scalar-side"]
+    for snap in snaps.values():
+        a, b = ExactMatrix.from_json(snap["a"]), ExactMatrix.from_json(snap["b"])
+        assert cm.distance(a, b).to_json() == snap["distance"]
+        assert [cm.derogatory(a), cm.derogatory(b)] == snap["derogatory"]
+    assert [True, False] in [s["derogatory"] for s in snaps.values()]
 
 
 def test_zi_witness_validation():
