@@ -43,6 +43,7 @@ from .matrix import (
     _powers,
     _projective_coeffs,
     _rational_reconstruct,
+    _row_ops,
     decode_matrix,
     is_scalar,
     lift_rows_raw,
@@ -187,7 +188,7 @@ def idempotent_pool(spec: FieldSpec, n: int) -> list[tuple[int, int]]:
         codes = np.arange(part.start, part.stop, dtype=np.int64)
         mats = _code_stack(spec, n, codes)
         hit = np.all(_ff_matmul(spec, mats, mats) == mats, axis=(1, 2))
-        ranks = (_gauss_jordan(spec, mats[hit].astype(np.uint8)) >= 0).sum(1)  # rank = pivot count
+        ranks = (_gauss_jordan(spec, mats[hit].astype(_row_ops(spec).dtype)) >= 0).sum(1)  # rank = pivot count
         out += zip(codes[hit].tolist(), ranks.tolist())
     return out
 
@@ -334,23 +335,18 @@ def _exhaustive_pc(a: ExactMatrix, b: ExactMatrix) -> PcCertificate | None:
     """
     spec, n = a.spec, a.nrows
     m, coeffs = n * n, _projective_coeffs(spec, n - 1, _PC_CLASS_CAP)
-    if spec.order > 256:
-        a_pows, b_pows = _powers(a, n - 1)[1:], _powers(b, n - 1)[1:]
-        lmat = np.array([[vec(ai @ bj - bj @ ai) for bj in b_pows] for ai in a_pows], np.int64).transpose(0, 2, 1)
-    else:
-        pows = [np.array([a.rows, b.rows], np.int64)]  # A^k and B^k for k in 1..n-1
-        while len(pows) < n - 1:
-            pows.append(_ff_matmul(spec, pows[-1], pows[0]))
-        a_pows, b_pows = np.stack(pows, 1)
-        # M_X vec(Y) = vec(XY - YX), so L(e_i) = M_(A^i) [vec(B) ... vec(B^(n-1))]
-        lmat = _ff_matmul(spec, _lifts(spec, a_pows.astype(np.uint8)), b_pows.reshape(n - 1, m).T)
-    lmat = lmat.reshape(n - 1, m * (n - 1))  # row i - 1 is L(e_i), row-major
+    pows = [np.array([a.rows, b.rows], np.int64)]  # A^k and B^k for k in 1..n-1
+    while len(pows) < n - 1:
+        pows.append(_ff_matmul(spec, pows[-1], pows[0]))
+    a_pows, b_pows = np.stack(pows, 1)
+    # M_X vec(Y) = vec(XY - YX), so row i - 1 of lmat is L(e_i) = M_(A^i) [vec(B) ... vec(B^(n-1))] row-major
+    lmat = _ff_matmul(spec, _lifts(spec, a_pows), b_pows.reshape(n - 1, m).T).reshape(n - 1, m * (n - 1))
 
     def singular(part):  # the classes whose L(c) has a column without a pivot
-        block = _ff_matmul(spec, coeffs[part], lmat).astype(np.uint8).reshape(-1, m, n - 1)
+        block = _ff_matmul(spec, coeffs[part], lmat).reshape(-1, m, n - 1)
         return (_gauss_jordan(spec, block) < 0).any(1)
 
-    for idx in _hits(spec, len(coeffs), 8 * m * (n - 1), singular):  # cells of the int64 product
+    for idx in _hits(len(coeffs), 8 * m * (n - 1), singular):  # cells of the int64 product
         cs = coeffs[idx].tolist()
         null = nullspace_raw(spec, np.reshape(_combine(spec, cs, lmat.tolist()), (m, n - 1)).tolist())
         if null:

@@ -452,8 +452,8 @@ def _extension_ops(spec: FieldSpec) -> _Ops:
 @functools.lru_cache(maxsize=None)
 def _np_tables(spec: FieldSpec):
     """(add, neg, mul, inv, -mul) uint8 lookup tables of a finite field, with
-    inv[0] = 0; CapExceeded above q = 256, which sampled spaces and
-    `neighbors` allow.  Sums add digits mod p, products add exp/log indices."""
+    inv[0] = 0; CapExceeded above q = 256, where the numpy kernels compute in
+    int64 instead.  Sums add digits mod p, products add exp/log indices."""
     q = spec.order
     if q > 256:
         raise CapExceeded(f"table arithmetic needs q <= 256, got {q}")

@@ -305,7 +305,7 @@ def restricted_distance_le_3(a: ExactMatrix, b: ExactMatrix):
         cs = _ff_matmul(spec, coeffs[part], np.array(quotient)).reshape(-1, n, n)
         return _stack_ranks(spec, n, cs, np.broadcast_to(np.array(b.rows), cs.shape)) <= n * n - 2
 
-    for idx in _hits(spec, len(coeffs), 2 * n**4, joint):
+    for idx in _hits(len(coeffs), 2 * n**4, joint):
         c_mat = unvec(spec, n, _combine(spec, coeffs[idx].tolist(), quotient))
         for null_vec in nullspace_raw(spec, lift_rows_raw(c_mat) + b_rows):
             cand = unvec(spec, n, null_vec)

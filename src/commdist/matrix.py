@@ -4,12 +4,13 @@ Entries are stored in raw form (integer codes for finite fields, Fraction for
 the rationals).  Rank and nullspace go through reduced row echelon form, which
 is unique, so nullspace bases are reproducible across runs and backends.  Three
 elimination backends share that contract: XOR elimination on bit-packed rows
-for GF(2); one numpy loop for every other finite field, whose row arithmetic
-`_row_ops` picks per field (int64 modulo p, uint8 tables for q <= 256, the
-scalar ops on object arrays above); and over the rationals that loop run modulo
-primes below 2^31, lifted by CRT and rational reconstruction and certified by
-an exact nullspace check over the integers.  Rational products clear each row's
-and column's denominators once and take integer dot products.
+for GF(2); one numpy loop for every other finite field; and over the rationals
+that loop run modulo primes below 2^31, lifted by CRT and rational
+reconstruction and certified by an exact nullspace check over the integers.
+`_row_ops` is the one numpy arithmetic of that loop and every batched kernel:
+uint8 tables for q <= 256, int64 modulo larger primes, digit sums and exp/log
+products in larger extensions.  Rational products clear each row's and
+column's denominators once and take integer dot products.
 
 This module also holds what the higher layers share: the integer codec that
 enumerates Mat_n over a finite field, the lift M_A built by row slices, the
@@ -19,6 +20,7 @@ one batched finite-field product, and the orbits of Mat_n under graph automorphi
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -29,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapExceeded, DimMismatch, FieldMismatch, ParseError
-from .field import FieldElem, FieldSpec, _is_prime, _np_tables
+from .field import FieldElem, FieldSpec, _ext_tables, _is_prime, _np_tables
 
 SIZE_CAP = 8  # all interesting content lives at n <= 4; larger inputs are mistakes
 _MAX_DIM = 2 * SIZE_CAP**2  # the stacked lift [M_A; M_B] at n = SIZE_CAP; anything larger is a mistake
@@ -472,32 +474,50 @@ def _rref_gf2(rows, rank_only=False):
     return out, [low.bit_length() - 1 for low in order]
 
 
+_Arith = collections.namedtuple("_Arith", "dtype inv scale clear add neg mul neg_mul invs")
+
+
 @functools.lru_cache(maxsize=None)
-def _row_ops(spec: FieldSpec):
-    """(dtype, inv, scale, clear) for `_rref_np` over a finite field: the array
-    dtype, the scalar inverse, row * s, and rows - f[:, None] * row.  Prime
-    fields reduce int64 products mod p (exact below the 2^31 prime cap), fields
-    with q <= 256 look up the `_np_tables`, and larger extension fields apply
-    the scalar ops entrywise to object arrays."""
+def _row_ops(spec: FieldSpec) -> _Arith:
+    """The numpy arithmetic of a finite field: dtype, scalar inverse, row * s
+    and rows - f[:, None] * row for `_rref_np`, then x + y, -x, x * y, -(x * y)
+    and 1 / x entrywise.  q <= 256 looks up the uint8 `_np_tables`; larger
+    primes reduce int64 products mod p (exact below the 2^31 cap), and larger
+    extensions add base-p digits and multiply through the exp/log tables."""
     ops = spec.ops()
+    if spec.order <= 256:
+        add, neg, mul, inv, neg_mul = _np_tables(spec)
+        # neg_mul.take(f, 0) holds the rows -f_i * x of the minus-product table
+        return _Arith(
+            np.uint8, ops.inv, lambda row, s: mul[s].take(row),
+            lambda rows, f, row: _lookup(add, rows, neg_mul.take(f, 0).take(row, 1)),
+            functools.partial(_lookup, add), neg.__getitem__, functools.partial(_lookup, mul),
+            functools.partial(_lookup, neg_mul), inv.__getitem__,
+        )
     if spec.kind == "prime":
         p = spec.p
-        return np.int64, ops.inv, lambda row, s: row * s % p, lambda rows, f, row: (rows - f[:, None] * row) % p
-    if spec.order <= 256:
-        add, _, mul, _, neg_mul = _np_tables(spec)
-        # neg_mul.take(f, 0) holds the rows -f_i * x of the minus-product table
-        return np.uint8, ops.inv, lambda row, s: mul[s].take(row), lambda rows, f, row: _lookup(
-            add, rows, neg_mul.take(f, 0).take(row, 1)
+        add, neg, mul = lambda x, y: (x + y) % p, lambda x: -x % p, lambda x, y: x * y % p
+        scale, clear = lambda row, s: row * s % p, lambda rows, f, row: (rows - f[:, None] * row) % p
+    else:  # digit i of a code x is x // p^i mod p; exp runs twice over, so a sum of logs indexes it
+        t = _ext_tables(spec)
+        w, exp, log = np.array(t.weights), np.array(t.exp * 2), np.array(t.log)
+        add, neg, mul = (
+            lambda x, y: (x[..., None] // w + y[..., None] // w) % t.p @ w,
+            lambda x: -(x[..., None] // w) % t.p @ w,
+            lambda x, y: np.where((x != 0) & (y != 0), exp[log[x] + log[y]], 0),
         )
-    mul, sub = np.frompyfunc(ops.mul, 2, 1), np.frompyfunc(ops.sub, 2, 1)
-    return object, ops.inv, mul, lambda rows, f, row: sub(rows, mul(f[:, None], row))
+        scale, clear = mul, lambda rows, f, row: add(rows, neg(mul(f[:, None], row)))
+    return _Arith(
+        np.int64, ops.inv, scale, clear, add, neg, mul, lambda x, y: neg(mul(x, y)),
+        lambda x: np.array(list(map(ops.inv, x.tolist())), np.int64),
+    )
 
 
 def _rref_np(spec: FieldSpec, rows, rank_only=False):
     """RREF of raw rows over a finite field, one pivot column at a time; with
     `rank_only`, (None, pivots) of a forward echelon that clears only below each pivot."""
-    dtype, inv, scale, clear = _row_ops(spec)
-    mat = np.array(rows, dtype=dtype)
+    arith = _row_ops(spec)
+    mat = np.array(rows, dtype=arith.dtype)
     m, n = mat.shape
     pivots = []
     r = 0
@@ -508,12 +528,12 @@ def _rref_np(spec: FieldSpec, rows, rank_only=False):
         pr = r + int(nz[0])
         if pr != r:
             mat[[r, pr]] = mat[[pr, r]]
-        mat[r] = scale(mat[r], inv(int(mat[r, c])))
+        mat[r] = arith.scale(mat[r], arith.inv(int(mat[r, c])))
         col = mat[:, c].copy()
         col[0 if rank_only else r : r + 1] = 0  # a forward echelon leaves the rows above alone
         hot = np.nonzero(col)[0]
         if hot.size:
-            mat[hot] = clear(mat[hot], col[hot], mat[r])
+            mat[hot] = arith.clear(mat[hot], col[hot], mat[r])
         pivots.append(c)
         r += 1
         if r == m:
@@ -650,13 +670,11 @@ def _blocks(count: int, cells_per_item: int):
     return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
-def _hits(spec: FieldSpec, count: int, cells_per_item: int, test):
+def _hits(count: int, cells_per_item: int, test):
     """The items i < count that pass `test`, a mask over one `_blocks` slice,
-    ascending and lazily, so a caller that stops early skips later blocks.
-    Fields with q > 256 have no tables, so there every item passes."""
+    ascending and lazily, so a caller that stops early skips later blocks."""
     for part in _blocks(count, cells_per_item):
-        mask = np.ones(part.stop - part.start, bool) if spec.order > 256 else test(part)
-        yield from (part.start + np.flatnonzero(mask)).tolist()
+        yield from (part.start + np.flatnonzero(test(part))).tolist()
 
 
 def _code_digits(q: int, codes: np.ndarray, length: int) -> np.ndarray:
@@ -670,25 +688,26 @@ def _code_stack(spec: FieldSpec, n: int, codes) -> np.ndarray:
 
 
 def _lookup(table: np.ndarray, x, y) -> np.ndarray:
-    """table[x, y] for a q x q table: one take at x * q + y, widened to uint16 (q <= 256)."""
+    """table[x, y] for a q x q `_np_tables` table: one take at x * q + y, widened to uint16."""
     return table.take(x.astype(np.uint16) * len(table) + y)
 
 
-def _lifts(spec: FieldSpec, mats: np.ndarray) -> np.ndarray:
-    """The lifts M_A of an (S, n, n) uint8 raw array, as an (S, n^2, n^2) array."""
-    add, neg, *_ = _np_tables(spec)
-    size, n = mats.shape[:2]
-    eye = np.eye(n, dtype=np.uint8)
+def _lifts(spec: FieldSpec, *mats: np.ndarray) -> np.ndarray:
+    """The stacked lifts [M_A; M_B; ...] of (S, n, n) raw arrays A, B, ..., as
+    an (S, k n^2, n^2) array of the `_row_ops` dtype for k arrays."""
+    arith, (size, n) = _row_ops(spec), mats[0].shape[:2]
+    # the lifts of one stack sit next to each other, so a reshape stacks them
+    mats, eye = np.stack(mats, 1).astype(arith.dtype).reshape(-1, n, n), np.eye(n, dtype=arith.dtype)
     # M_A = A (x) I - I (x) A^T, row (i, j) and column (k, l)
-    lift = _lookup(add, np.einsum("bik,jl->bijkl", mats, eye), neg[np.einsum("ik,blj->bijkl", eye, mats)])
-    return lift.reshape(size, n * n, n * n)
+    lift = arith.add(np.einsum("bik,jl->bijkl", mats, eye), arith.neg(np.einsum("ik,blj->bijkl", eye, mats)))
+    return lift.reshape(size, -1, n * n)
 
 
 def _gauss_jordan(spec: FieldSpec, mat: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan in place over an (S, rows, cols) uint8 batch; returns
-    pivot_row (S, cols), -1 for a free column.  A column's pivot is the first
-    unused row with a nonzero entry, and rows are never swapped."""
-    add, _, mul, inv, neg_mul = _np_tables(spec)
+    """Gauss-Jordan in place over an (S, rows, cols) batch of the `_row_ops`
+    dtype; returns pivot_row (S, cols), -1 for a free column.  A column's
+    pivot is the first unused row with a nonzero entry, and rows are never swapped."""
+    arith = _row_ops(spec)
     size, rows, cols = mat.shape
     batch = np.arange(size)
     used, pivot_row = np.zeros((size, rows), bool), np.full((size, cols), -1)
@@ -698,11 +717,11 @@ def _gauss_jordan(spec: FieldSpec, mat: np.ndarray) -> np.ndarray:
         b, r = batch[has], open_[has].argmax(1)  # the members with a pivot here
         if not len(b):
             continue
-        prow = _lookup(mul, mat[b, r], inv[mat[b, r, c]][:, None])
+        prow = arith.mul(mat[b, r], arith.invs(mat[b, r, c])[:, None])
         factor = mat[b, :, c]
         factor[np.arange(len(b)), r] = 0
         fb, fr = np.nonzero(factor)  # only the rows with something to clear
-        mat[b[fb], fr] = _lookup(add, mat[b[fb], fr], _lookup(neg_mul, factor[fb, fr][:, None], prow[fb]))
+        mat[b[fb], fr] = arith.add(mat[b[fb], fr], arith.neg_mul(factor[fb, fr][:, None], prow[fb]))
         mat[b, r] = prow
         used[b, r] = True
         pivot_row[b, c] = r
@@ -714,64 +733,47 @@ def _centralizer_chunks(spec: FieldSpec, n: int, codes):
 
     Gauss-Jordan runs over the lifts M_A of a whole chunk.  Yields (codes,
     free, vecs) per chunk: free[b] marks the free columns of M_A, and
-    vecs[b][free[b]] is the basis nullspace_raw gives, which fields with
-    q > 256 run one matrix at a time.  `codes` is an array or a range, which
-    keeps a whole space from being materialized.
+    vecs[b][free[b]] is the basis nullspace_raw gives.  `codes` is an array
+    or a range, which keeps a whole space from being materialized.
     """
     m = n * n
     for part in _blocks(len(codes), m * m):
         chunk = np.asarray(codes[part])
-        size, batch = len(chunk), np.arange(len(chunk))
-        if spec.order > 256:  # the tables need q <= 256
-            free, vecs = np.zeros((size, m), bool), np.zeros((size, m, m), np.int64)
-            for b, code in enumerate(chunk.tolist()):
-                for v in nullspace_raw(spec, lift_rows_raw(decode_matrix(spec, n, code))):
-                    f = max(i for i, x in enumerate(v) if x)  # v is 1 at its free column, 0 after
-                    free[b, f], vecs[b, f] = True, v
-            yield chunk, free, vecs
-            continue
-        lift = _lifts(spec, _code_stack(spec, n, chunk).astype(np.uint8))
+        lift = _lifts(spec, _code_stack(spec, n, chunk))
         pivot_row = _gauss_jordan(spec, lift)
         pivot = pivot_row >= 0
         # vecs[b, f, e] is minus entry f of column e's pivot row, or the identity
-        rref = lift[batch[:, None], np.maximum(pivot_row, 0)].transpose(0, 2, 1)
-        neg = _np_tables(spec)[1]
-        yield chunk, ~pivot, np.where(pivot[:, None, :], neg[rref], np.eye(m, dtype=np.uint8))
+        rref = lift[np.arange(len(chunk))[:, None], np.maximum(pivot_row, 0)].transpose(0, 2, 1)
+        yield chunk, ~pivot, np.where(pivot[:, None, :], _row_ops(spec).neg(rref), np.eye(m, dtype=lift.dtype))
 
 
 def _stack_ranks(spec: FieldSpec, n: int, *mats: np.ndarray) -> np.ndarray:
-    """Rank of each stacked lift [M_A; M_B; ...] for (S, n, n) raw arrays A, B, ...
-
-    Fields with q <= 256 eliminate chunks of at most _BATCH_CELLS entries at
-    once; larger fields rank one stack at a time with rank_raw.
-    """
-    if spec.order > 256:
-        stacks = zip(*([lift_rows_raw(ExactMatrix._from_raw(spec, x)) for x in a.tolist()] for a in mats))
-        return np.array([rank_raw(spec, sum(stack, [])) for stack in stacks], np.int64)
+    """Rank of each stacked lift [M_A; M_B; ...] for (S, n, n) raw arrays A, B,
+    ..., eliminating chunks of at most _BATCH_CELLS entries at once."""
     m, k = n * n, len(mats)
     ranks = np.zeros(len(mats[0]), np.int64)
     for part in _blocks(len(ranks), k * m * m):
-        # the lifts of one stack sit next to each other, so a reshape stacks them
-        stacks = np.stack([a[part] for a in mats], 1).astype(np.uint8).reshape(-1, n, n)
-        ranks[part] = (_gauss_jordan(spec, _lifts(spec, stacks).reshape(-1, k * m, m)) >= 0).sum(1)
+        ranks[part] = (_gauss_jordan(spec, _lifts(spec, *(a[part] for a in mats))) >= 0).sum(1)
     return ranks
 
 
 def _ff_matmul(spec: FieldSpec, x, y) -> np.ndarray:
     """Batched product x @ y of raw-entry arrays over a finite field, with
-    numpy broadcasting over the leading axes.
+    numpy broadcasting over the leading axes, in the `_row_ops` dtype.
 
     Prime fields multiply in int64 and reduce once, exact while the inner
-    dimension times (p - 1)^2 stays below 2^63; extension fields sum table
-    lookups, which needs q <= 256 (q <= 64 whenever n >= 2 fits SPACE_CAP).
+    dimension times (p - 1)^2 stays below 2^63: spans hold at most SPACE_CAP
+    codes, _PC_CLASS_CAP admits p <= 8191 at n = 3 (inner dimension 9) and
+    p <= 89 at n = 4, and _CLASS_CAP admits any p for one coefficient and
+    p < 2^20 for more.  Extension fields sum `_row_ops` products one index at a time.
     """
+    arith = _row_ops(spec)
     if spec.kind == "prime":
-        return np.asarray(x, np.int64) @ np.asarray(y, np.int64) % spec.p
-    add, _, mul, *_ = _np_tables(spec)
+        return (np.asarray(x, np.int64) @ np.asarray(y, np.int64) % spec.p).astype(arith.dtype, copy=False)
     lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
-    out = np.zeros(lead + (x.shape[-2], y.shape[-1]), np.uint8)
+    out = np.zeros(lead + (x.shape[-2], y.shape[-1]), arith.dtype)
     for j in range(x.shape[-1]):
-        out = _lookup(add, out, _lookup(mul, x[..., :, j, None], y[..., None, j, :]))
+        out = arith.add(out, arith.mul(x[..., :, j, None], y[..., None, j, :]))
     return out
 
 

@@ -62,7 +62,7 @@ def test_commuting_pairs_match_the_feit_fine_series(spec, n, pairs):
 
 
 def test_commuting_pairs_n1_is_q_squared():
-    # GF(257) ranks the 1 x 1 lift alone, GF(2^2) in a batch
+    # GF(257) and GF(16777213) rank the 1 x 1 lifts in int64 batches, the rest through the tables
     for spec in (GF2, GF3, GF4, FieldSpec.prime(257)):
         assert cs.count_commuting_pairs(spec, 1).value == spec.order**2
     assert cs.count_commuting_pairs(FieldSpec.prime(16777213), 1).value == 16777213**2

@@ -430,14 +430,63 @@ def test_pc_search_first_hit_survives_one_class_blocks(spec, n, monkeypatch):
 
 
 def test_pc_search_past_the_table_fields():
-    # q > 256 has no tables, so every class is a candidate; A^2 = 0 gives an
-    # early hit at c = (0, 1), whose p(A) is scalar
+    # q > 256 ranks the classes in int64 arithmetic modulo 257; A^2 = 0 gives
+    # an early hit at c = (0, 1), whose p(A) is scalar
     gf257 = FieldSpec.prime(257)
     a = ExactMatrix(gf257, [[0, 5, 1], [0, 0, 0], [0, 0, 0]])
     b = random_matrix(gf257, 3, 3, random.Random(257))
     res = cm.pc_search(a, b)
     assert res.status == "certificate" and res.certificate == _first_hit_by_double_loop(a, b)
     assert [c.raw for c in res.certificate.cs] == [0, 1] and res.certificate.pa_scalar
+
+
+def _first_hit_by_class_ranks(a, b):
+    """The certificate scan one class at a time: L(c) from exact products,
+    column j being sum_i c_i vec(A^i B^j - B^j A^i), ranked by rank_raw; the
+    first singular L(c) gives d, its first nullspace vector normalized."""
+    spec, n = a.spec, a.nrows
+    a_pows, b_pows = _powers(a, n - 1)[1:], _powers(b, n - 1)[1:]
+    terms = [[vec(ai @ bj - bj @ ai) for ai in a_pows] for bj in b_pows]  # terms[j][i]
+    for cs in _code_digits(spec.order, _projective_reps(spec, n - 1), n - 1).tolist():
+        rows = [list(r) for r in zip(*(matrix._combine(spec, cs, column) for column in terms))]
+        if rank_raw(spec, rows) < n - 1:
+            return cm._certificate(a, b, cs, cm._normalize_vector(spec, nullspace_raw(spec, rows)[0]))
+    return None
+
+
+def test_pc_search_over_gf17_squared_matches_both_references():
+    # digit sums and exp/log products past the tables: early hits against the
+    # double loop, every status against the per-class ranks
+    spec = FieldSpec.parse("gf(17^2):14,0,1")
+    rng = random.Random(289)
+    a = ExactMatrix(spec, [[0, 5, 1], [0, 0, 0], [0, 0, 0]])  # A^2 = 0: the hit is c = (0, 1)
+    b = random_matrix(spec, 3, 3, rng)
+    for x, y in [(a, b), (b, b @ b + b)]:
+        res = cm.pc_search(x, y)
+        assert res.status == "certificate" and res.certificate == _first_hit_by_double_loop(x, y)
+    statuses = set()
+    for t in range(4):
+        x = random_derogatory(spec, 3, rng) if t % 2 else random_matrix(spec, 3, 3, rng)
+        y = random_matrix(spec, 3, 3, rng)
+        res = cm.pc_search(x, y)
+        assert res.certificate == _first_hit_by_class_ranks(x, y)
+        statuses.add(res.status)
+    assert statuses == {"certificate", "none"}
+
+
+def test_pc_search_at_the_class_cap_and_the_int64_edge():
+    # GF(8191) is the largest prime whose 3x3 scan fits _PC_CLASS_CAP (q + 1 = 8192
+    # classes), so its int64 products are the largest a certificate scan forms
+    spec = FieldSpec.prime(8191)
+    assert len(matrix._projective_coeffs(spec, 2, matrix._PC_CLASS_CAP)) == matrix._PC_CLASS_CAP
+    rng = random.Random(8191)
+    statuses = set()
+    for a in (random_matrix(spec, 3, 3, rng), random_derogatory(spec, 3, rng)):
+        b = random_matrix(spec, 3, 3, rng)
+        res = cm.pc_search(a, b)
+        assert res.certificate == _first_hit_by_class_ranks(a, b)
+        statuses.add(res.status)
+    assert statuses == {"certificate", "none"}
 
 
 def test_pc_search_takes_one_nullspace_only_for_a_certificate(monkeypatch):

@@ -1,6 +1,7 @@
 """Commuting-graph oracle: codec, neighbor expansion, BFS, components,
 diameter, and the restricted distance-3 search."""
 
+import itertools
 import math
 import random
 
@@ -117,8 +118,8 @@ def test_frontier_batch_matches_one_code_at_a_time(spec, n, data):
     assert got == [_one_code_neighbors(spec, n, code) for code in frontier]
 
 
-def test_neighbors_over_gf257_use_the_per_matrix_kernel():
-    # q > 256 overflows the uint8 tables, so each matrix is eliminated alone
+def test_neighbors_over_gf257_list_the_whole_plane():
+    # q > 256 leaves the uint8 tables, so the batched kernel runs int64 arithmetic modulo 257
     g257 = FieldSpec.prime(257)
     a = ExactMatrix(g257, [[1, 2], [3, 4]])
     codes = [gr.encode_matrix(m) for m in gr.neighbors(a)]
@@ -126,11 +127,21 @@ def test_neighbors_over_gf257_use_the_per_matrix_kernel():
     assert codes == sorted(codes)
 
 
-def test_neighbors_over_large_extension_fields_exceed_the_table_cap():
-    for spec in (FieldSpec.parse("gf(5^4):1,0,1,1,1"), FieldSpec.parse("gf(31^2)")):
-        a = gr.decode_matrix(spec, 2, 12345)
-        with pytest.raises(CapExceeded, match="q <= 256"):
-            list(gr.neighbors(a))
+def test_neighbors_over_large_extension_fields_list_the_whole_plane():
+    # a non-scalar 2x2 centralizer is the plane F[A]: q^2 codes minus the q scalars and A
+    for spec, count in [(FieldSpec.parse("gf(5^4):1,0,1,1,1"), 389999), (FieldSpec.parse("gf(31^2)"), 922559)]:
+        q, a = spec.order, gr.decode_matrix(spec, 2, 12345)
+        codes = next(gr._neighbor_lists(spec, 2, [12345]))
+        assert len(codes) == q * q - q - 1 == count
+        assert codes == sorted(codes)
+        shown = list(itertools.islice(gr.neighbors(a), 3))
+        assert [gr.encode_matrix(m) for m in shown] == codes[:3]
+        sample = [gr.decode_matrix(spec, 2, c) for c in random.Random(q).sample(codes, 20)] + shown
+        assert all(a @ m == m @ a for m in sample)
+    # 31^16 codes leave int64; 13^16 codes fit, but a plane spans 13^8 > 2^24 of them
+    for text, match in [("gf(31^4):1,1,0,0,1", "2\\^63"), ("gf(13^4):1,1,0,0,1", "span 815730721 exceeds 2\\^24")]:
+        with pytest.raises(CapExceeded, match=match):
+            next(gr.neighbors(gr.decode_matrix(FieldSpec.parse(text), 2, 12345)))
 
 
 @pytest.mark.parametrize(

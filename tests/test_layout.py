@@ -3,7 +3,8 @@ reaches the matrix codec without going through commute, the CRT, rational
 reconstruction, orbit and twin-class helpers live in matrix alone, the
 sampled censuses rank in batches, every cap is defined in matrix, graph has
 one neighbor kernel, extension fields have one digit codec and one generator
-walk, the batched kernels look up q x q tables through one flat take and
+walk, one function picks the numpy arithmetic of each finite field and
+looks up its q x q tables through one flat take, the batched kernels
 share one chunk rule, one raw decoder and one table per field, single
 matrices over every finite field but GF(2) eliminate in one numpy loop, and
 every attribute the benchmark's tracer patches exists, and every public
@@ -98,6 +99,20 @@ def _called(path) -> set[str]:
     return _called_in(ast.parse(path.read_text()))
 
 
+KERNEL_MODULES = [SRC / name for name in ("matrix.py", "commute.py", "graph.py", "census.py")]
+
+
+def _top_level_users(*paths, name) -> set[tuple[str, str]]:
+    """(module, top-level function) pairs whose body mentions `name`, its own definition aside."""
+    return {
+        (path.name, fn.name)
+        for path in paths
+        for fn in ast.parse(path.read_text()).body
+        if isinstance(fn, ast.FunctionDef) and fn.name != name
+        and any(isinstance(node, ast.Name) and node.id == name for node in ast.walk(fn))
+    }
+
+
 def test_extension_arithmetic_has_one_codec_and_one_generator_walk():
     # digits/code serve add, sub and neg; exp/log come from walking powers
     retired = ("_pow_poly", "_build_log_tables", "_neg_code", "_add_slow")
@@ -123,32 +138,29 @@ def test_census_ranks_no_pair_alone():
 
 
 def test_batched_kernels_look_up_pairs_through_one_flat_take():
-    # table[x, y] on a q x q table is a 2-D fancy index; the kernels take
-    # from the flat table through `_lookup` instead
+    # table[x, y] on a q x q table is a 2-D fancy index; `_row_ops` takes from
+    # the flat table through `_lookup` instead, and it alone reads the tables
+    # or calls `_lookup`, so every kernel gets its lookups from `_row_ops`
     assert _definers("_lookup") == {("matrix.py", "_lookup")}
-    kernels = [
-        fn
-        for fn in ast.parse((SRC / "matrix.py").read_text()).body
-        if isinstance(fn, ast.FunctionDef) and fn.name in ("_lifts", "_gauss_jordan", "_ff_matmul")
+    assert _top_level_users(*KERNEL_MODULES, name="_lookup") == {("matrix.py", "_row_ops")}
+    readers = _top_level_users(*KERNEL_MODULES, name="_np_tables")  # `_orbits` runs at q <= 64 only
+    assert ("matrix.py", "_row_ops") in readers <= {("matrix.py", "_row_ops"), ("matrix.py", "_orbits")}
+    row_ops = _function(SRC / "matrix.py", "_row_ops")
+    tables = {
+        name.id
+        for node in ast.walk(row_ops)
+        if isinstance(node, ast.Assign) and "_np_tables" in ast.unparse(node.value)
+        for name in ast.walk(node.targets[0])
+        if isinstance(name, ast.Name)
+    }
+    pair_lookups = [
+        ast.unparse(node)
+        for node in ast.walk(row_ops)
+        if isinstance(node, ast.Subscript)
+        and getattr(node.value, "id", None) in tables
+        and isinstance(node.slice, ast.Tuple)
     ]
-    assert len(kernels) == 3
-    for fn in kernels:
-        tables = set()  # names bound to _np_tables(...) or to a lookup into one of them
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign) and (
-                "_np_tables" in ast.unparse(node.value)
-                or isinstance(node.value, ast.Subscript) and getattr(node.value.value, "id", None) in tables
-            ):
-                tables |= {name.id for name in ast.walk(node.targets[0]) if isinstance(name, ast.Name)}
-        pair_lookups = [
-            ast.unparse(node)
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Subscript)
-            and getattr(node.value, "id", None) in tables
-            and isinstance(node.slice, ast.Tuple)
-        ]
-        assert tables and pair_lookups == [], fn.name
-        assert "_lookup" in {getattr(node.func, "id", None) for node in ast.walk(fn) if isinstance(node, ast.Call)}
+    assert tables == {"add", "neg", "mul", "inv", "neg_mul"} and pair_lookups == []
 
 
 def test_each_batched_kernel_decision_has_one_home():
@@ -177,13 +189,37 @@ def test_one_numpy_elimination_loop_for_prime_and_extension_fields():
     }
     assert backends == {"_rref_gf2", "_rref_rationals", "_rref_np"}
     assert "_rref_np" in _called_in(_function(matrix_py, "_rref_rationals"))
-    # the row arithmetic of each field kind is chosen in `_row_ops` alone
-    assert _definers("_row_ops") == {("matrix.py", "_row_ops")}
-    assert {
-        fn.name for fn in ast.parse(matrix_py.read_text()).body
-        if isinstance(fn, ast.FunctionDef) and "_row_ops" in _called_in(fn)
-    } == {"_rref_np"}
     assert "kind" not in ast.unparse(_function(matrix_py, "_rref_np"))
+    # one arithmetic per finite field, chosen in `_row_ops` alone: the loop and
+    # the batched kernels take it from there, and no other function of the
+    # kernel modules tests a field against the 256 elements of the uint8 tables
+    assert _definers("_row_ops") == {("matrix.py", "_row_ops")}
+    kernels = ("_rref_np", "_lifts", "_gauss_jordan", "_ff_matmul")
+    assert all("_row_ops" in _called_in(_function(matrix_py, name)) for name in kernels)
+    assert {
+        (path.name, fn.name)
+        for path in KERNEL_MODULES
+        for fn in ast.parse(path.read_text()).body
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(x, ast.Constant) and x.value == 256 for x in [node.left, *node.comparators])
+    } == {("matrix.py", "_row_ops")}
+    # and no kernel builds object arrays: `object` is only ever a type annotation
+    # or the receiver of object.__setattr__ and object.__new__
+    for path in KERNEL_MODULES:
+        tree = ast.parse(path.read_text())
+        exempt = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)} | {
+            id(name)
+            for node in ast.walk(tree)
+            for note in [getattr(node, "annotation", None), getattr(node, "returns", None)]
+            if note is not None
+            for name in ast.walk(note)
+        }
+        assert "frompyfunc" not in path.read_text()
+        assert [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "object" and id(node) not in exempt
+        ] == [], path.name
 
 
 def test_every_cap_lives_in_matrix():

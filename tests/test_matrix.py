@@ -41,6 +41,7 @@ GF9 = FieldSpec.parse("gf(9)")
 GF4 = FieldSpec.parse("gf(2^2):1,1,1")
 GF8 = FieldSpec.parse("gf(2^3):1,1,0,1")
 GF17_2 = FieldSpec.parse("gf(17^2):14,0,1")
+GF5_4 = FieldSpec.parse("gf(5^4):1,0,1,1,1")
 
 ALL_FIELDS = [QQ, GF2, GF3, GF9]
 P0 = 2**31 - 1  # the first prime the rational kernel eliminates modulo
@@ -477,8 +478,10 @@ def test_rref_over_q_raises_instead_of_looping_past_the_hadamard_bound():
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_batched_centralizers_match_the_per_matrix_route(data):
-    spec = data.draw(st.sampled_from([GF2, GF3, GF5, GF4, GF9, GF8]))
-    n = data.draw(st.integers(1, 3))
+    # past 256 elements the kernel runs int64 arithmetic: modulo 257, or
+    # digit sums and exp/log products over GF(17^2)
+    spec = data.draw(st.sampled_from([GF2, GF3, GF5, GF4, GF9, GF8, FieldSpec.prime(257), GF17_2]))
+    n = data.draw(st.integers(1, 2 if spec.order > 256 else 3))
     total = spec.order ** (n * n)
     start = data.draw(st.integers(0, total - 1))
     codes = np.arange(start, min(start + data.draw(st.integers(1, 40)), total))
@@ -499,13 +502,14 @@ def test_batched_centralizers_match_the_per_matrix_route(data):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_batched_product_matches_the_exact_product(data):
-    spec = data.draw(st.sampled_from([GF5, GF4, GF9, GF8]))
+    spec = data.draw(st.sampled_from([GF5, GF4, GF9, GF8, GF17_2, GF5_4]))
     rows, inner, cols = (data.draw(st.integers(1, 4)) for _ in range(3))
     # each operand has length 1 on some leading axes, or y has none of them
     lead = data.draw(st.lists(st.integers(1, 3), max_size=2))
     lead_x, lead_y = ([k if data.draw(st.booleans()) else 1 for k in lead] for _ in range(2))
     lead_y = [] if data.draw(st.booleans()) else lead_y
-    digits, dtype = st.integers(0, spec.order - 1), data.draw(st.sampled_from([np.uint8, np.int64]))
+    dtypes = [np.uint8, np.int64] if spec.order <= 256 else [np.int64]  # codes past 255 need int64
+    digits, dtype = st.integers(0, spec.order - 1), data.draw(st.sampled_from(dtypes))
 
     def draw_array(shape):
         size = int(np.prod(shape))
@@ -571,7 +575,9 @@ def test_dimension_cap():
         ExactMatrix.zeros(QQ, 200, 1)
 
 
-STACK_FIELDS = [GF2, GF3, GF5, GF4, GF9, GF8, FieldSpec.prime(101), FieldSpec.prime(257), FieldSpec.prime(P0)]
+STACK_FIELDS = [
+    GF2, GF3, GF5, GF4, GF9, GF8, FieldSpec.prime(101), FieldSpec.prime(257), FieldSpec.prime(P0), GF17_2, GF5_4
+]
 
 
 @st.composite
@@ -605,7 +611,7 @@ def test_stack_ranks_match_rank_raw_of_the_stacked_lifts(case):
 @pytest.mark.parametrize("spec", STACK_FIELDS, ids=str)
 def test_one_operand_stack_ranks_are_lift_ranks(spec, n):
     # the exhaustive counts read centralizer dimensions as n^2 minus these ranks;
-    # GF(257) and GF(2^31 - 1) rank one lift at a time, the rest in batches
+    # every field ranks in batches, past 256 elements in int64 arithmetic
     rng = np.random.default_rng(spec.order * 10 + n)
     mats = rng.integers(0, spec.order, (12, n, n)) * (rng.random((12, n, n)) < 0.4)
     mats[1] = np.eye(n, dtype=np.int64)
