@@ -27,6 +27,7 @@ from .matrix import (
     _code_stack,
     _commuting_pairs,
     _orbits,
+    _shares_commuter,
     _stack_ranks,
     _twin_reps,
     lift_rows_raw,  # like dist_le_2, unused here: kept only for the benchmark's tracer
@@ -115,7 +116,8 @@ def count_dist_le_2(
     that commute with a common non-scalar matrix.
 
     Exhaustive when Mat_n fits SPACE_CAP, else give `samples` for a seeded
-    estimate (at most 2^96 pairs), which ranks the samples in batches.  The
+    estimate (at most 2^96 pairs): `_shares_commuter` decides batches of them
+    from n - 1 commutators, ranking lifts only when both sides are derogatory.  The
     exhaustive count adds up, for one A per orbit weighted by its size, every B
     if A is scalar and else the union of C(C) over the non-scalar C in C(A),
     where C runs over the `_twin_reps` codes only, as twins share C(C).
@@ -145,10 +147,7 @@ def count_dist_le_2(
         raise ValueError(f"the sample count must be at least 1, got {samples}")
     if n < 2:
         raise DimMismatch("the rank criterion needs n >= 2")
-    hits = sum(
-        int((_stack_ranks(spec, n, a, b) <= n * n - 2).sum())
-        for a, b in _sampled_pairs(spec, n, samples, seed)
-    )
+    hits = sum(int(_shares_commuter(spec, n, a, b).sum()) for a, b in _sampled_pairs(spec, n, samples, seed))
     return CensusReport(
         spec.to_string(),
         n,
@@ -197,7 +196,8 @@ def zi_pair_census(
     """Fraction of sampled pairs sharing a rank-i idempotent commuter.
 
     Such a commuter is not scalar, so only the pairs inside the rank criterion
-    meet the rank-i pool, and each hit's first common idempotent is validated
+    meet the rank-i pool (`_shares_commuter`, the commutator route of
+    `count_dist_le_2`), and each hit's first common idempotent is validated
     through `zi_membership`, which raises BadWitness on a false hit.
     """
     if samples < 1:
@@ -208,7 +208,7 @@ def zi_pair_census(
     pool = _code_stack(spec, n, [code for code, r in idempotent_pool(spec, n) if r == i])
     hits = 0
     for a, b in _sampled_pairs(spec, n, samples, seed):
-        near = np.flatnonzero(_stack_ranks(spec, n, a, b) <= n * n - 2)
+        near = np.flatnonzero(_shares_commuter(spec, n, a, b))
         common = _pool_commutes(spec, pool, a[near]) & _pool_commutes(spec, pool, b[near])
         hit = np.flatnonzero(common.any(1))
         for s, j in zip(near[hit].tolist(), common[hit].argmax(1).tolist()):

@@ -33,7 +33,7 @@ from .matrix import (
     _orbits,
     _projective_coeffs,
     _scalar_codes,
-    _stack_ranks,
+    _shares_commuter,
     decode_matrix,
     encode_matrix,
     is_scalar,
@@ -286,12 +286,11 @@ def restricted_distance_le_3(a: ExactMatrix, b: ExactMatrix):
     identity, which suffices: commuting with D is unchanged under
     C -> u*C + v*I, so one representative per projective class of the quotient
     centralizer(a)/<I> covers every candidate, in the code order of
-    `_projective_coeffs` and at most _CLASS_CAP of them.  vec(I) is a joint
-    null vector, so C has a non-scalar common commuter with B iff rank
-    [M_C; M_B] <= n^2 - 2: one product forms the C of a `_blocks` block, one
-    `_stack_ranks` ranks them, and only the first class within the bound gets
-    a nullspace.  Complete for the <=3 question; returns the chain (C, D) or None.
-    """
+    `_projective_coeffs` and at most _CLASS_CAP of them.  One product forms the C of a
+    `_blocks` block, and `_shares_commuter` (B's powers formed once) tells which share a
+    non-scalar commuter with B, from the n - 1 commutators [B^k, C] when B is nonderogatory,
+    else [C^k, B], else the lifts; only the first such class gets a nullspace.  Complete
+    for the <=3 question; returns the chain (C, D) or None."""
     _check_vertex_pair(a, b)
     spec, n = a.spec, a.nrows
     basis = nullspace_raw(spec, lift_rows_raw(a))
@@ -303,7 +302,7 @@ def restricted_distance_le_3(a: ExactMatrix, b: ExactMatrix):
 
     def joint(part):  # the classes whose C shares a non-scalar commuter with b
         cs = _ff_matmul(spec, coeffs[part], np.array(quotient)).reshape(-1, n, n)
-        return _stack_ranks(spec, n, cs, np.broadcast_to(np.array(b.rows), cs.shape)) <= n * n - 2
+        return _shares_commuter(spec, n, np.array([b.rows]), cs)
 
     for idx in _hits(len(coeffs), 2 * n**4, joint):
         c_mat = unvec(spec, n, _combine(spec, coeffs[idx].tolist(), quotient))

@@ -14,8 +14,9 @@ column's denominators once and take integer dot products.
 
 This module also holds what the higher layers share: the integer codec that
 enumerates Mat_n over a finite field, the lift M_A built by row slices, the
-size caps, a batched kernel for the centralizers of a whole chunk of codes, the
-one batched finite-field product, and the orbits of Mat_n under graph automorphisms.
+size caps, a batched kernel for the centralizers of a whole chunk of codes, one
+for the pairs that share a non-scalar commuter, the one batched finite-field
+product, and the orbits of Mat_n under graph automorphisms.
 """
 
 from __future__ import annotations
@@ -498,6 +499,12 @@ def _row_ops(spec: FieldSpec) -> _Arith:
         p = spec.p
         add, neg, mul = lambda x, y: (x + y) % p, lambda x: -x % p, lambda x, y: x * y % p
         scale, clear = lambda row, s: row * s % p, lambda rows, f, row: (rows - f[:, None] * row) % p
+
+        def invs(x):  # Fermat: x^(p-2) by squaring, each product below p^2 < 2^62
+            out = np.ones_like(x)
+            for bit in bin(p - 2)[2:]:
+                out = out * out % p * (x if bit == "1" else 1) % p
+            return out
     else:  # digit i of a code x is x // p^i mod p; exp runs twice over, so a sum of logs indexes it
         t = _ext_tables(spec)
         w, exp, log = np.array(t.weights), np.array(t.exp * 2), np.array(t.log)
@@ -507,10 +514,8 @@ def _row_ops(spec: FieldSpec) -> _Arith:
             lambda x, y: np.where((x != 0) & (y != 0), exp[log[x] + log[y]], 0),
         )
         scale, clear = mul, lambda rows, f, row: add(rows, neg(mul(f[:, None], row)))
-    return _Arith(
-        np.int64, ops.inv, scale, clear, add, neg, mul, lambda x, y: neg(mul(x, y)),
-        lambda x: np.array(list(map(ops.inv, x.tolist())), np.int64),
-    )
+        invs = lambda x: exp[t.q - 1 - log[x]]  # 1/g^e = g^(q-1-e)
+    return _Arith(np.int64, ops.inv, scale, clear, add, neg, mul, lambda x, y: neg(mul(x, y)), invs)
 
 
 def _rref_np(spec: FieldSpec, rows, rank_only=False):
@@ -757,6 +762,30 @@ def _stack_ranks(spec: FieldSpec, n: int, *mats: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _shares_commuter(spec: FieldSpec, n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Which pairs (x[s], y[s]) of two (S, n, n) raw arrays share a non-scalar commuter, i.e.
+    `_stack_ranks(spec, n, x, y) <= n * n - 2` at n >= 2; a (1, n, n) side pairs with every s
+    and forms its powers once.  A nonderogatory X (vec I, ..., vec X^(n-1) have no free column)
+    has C(X) = F[X], so that holds iff the commutators [X^k, Y], 0 < k < n, are dependent; both
+    stacks keep their columns on the short axis, so `_gauss_jordan` loops n times, not n^2.  A
+    derogatory X retries with the sides swapped; only two derogatory sides rank their lifts."""
+    arith, todo = _row_ops(spec), np.arange(np.broadcast_shapes(x.shape, y.shape)[0])
+    shares, pick = np.zeros(len(todo), bool), lambda side, rows: side if len(side) == 1 else side[rows]
+    for first, second in ((x, y), (y, x)):
+        a = pick(first, todo).astype(arith.dtype)
+        pows = [np.broadcast_to(np.eye(n, dtype=arith.dtype), a.shape), a]
+        while len(pows) < n:
+            pows.append(_ff_matmul(spec, pows[-1], a))
+        cyclic = (_gauss_jordan(spec, np.stack(pows, -1).reshape(len(a), n * n, n)) >= 0).all(1)
+        cyclic = np.broadcast_to(cyclic, todo.shape)
+        xk, yc = pick(np.stack(pows[1:], 1), cyclic), pick(second, todo[cyclic]).astype(arith.dtype)[:, None]
+        comms = arith.add(_ff_matmul(spec, xk, yc), arith.neg(_ff_matmul(spec, yc, xk)))
+        free = _gauss_jordan(spec, comms.reshape(len(comms), n - 1, n * n).transpose(0, 2, 1).copy()) < 0
+        shares[todo[cyclic]], todo = free.any(1), todo[~cyclic]
+    shares[todo] = _stack_ranks(spec, n, *np.broadcast_arrays(pick(x, todo), pick(y, todo))) <= n * n - 2
+    return shares
+
+
 def _ff_matmul(spec: FieldSpec, x, y) -> np.ndarray:
     """Batched product x @ y of raw-entry arrays over a finite field, with
     numpy broadcasting over the leading axes, in the `_row_ops` dtype.
@@ -764,8 +793,9 @@ def _ff_matmul(spec: FieldSpec, x, y) -> np.ndarray:
     Prime fields multiply in int64 and reduce once, exact while the inner
     dimension times (p - 1)^2 stays below 2^63: spans hold at most SPACE_CAP
     codes, _PC_CLASS_CAP admits p <= 8191 at n = 3 (inner dimension 9) and
-    p <= 89 at n = 4, and _CLASS_CAP admits any p for one coefficient and
-    p < 2^20 for more.  Extension fields sum `_row_ops` products one index at a time.
+    p <= 89 at n = 4, _CLASS_CAP admits any p for one coefficient and p < 2^20
+    for more (so `_shares_commuter` meets p >= 2^20 only at n = 2, and under
+    SAMPLE_CAP p < 2^12).  Extension fields sum `_row_ops` products one index at a time.
     """
     arith = _row_ops(spec)
     if spec.kind == "prime":

@@ -200,6 +200,17 @@ def test_sampled_dist_le_2_keeps_the_benchmark_counts(field, seed, hits):
     assert rep.value["hits"] == hits
 
 
+SAMPLED_PINS = json.loads((Path(__file__).parent / "data" / "sampled_census.json").read_text())
+
+
+@pytest.mark.parametrize("pin", SAMPLED_PINS, ids=lambda pin: f"{pin['fn']}-{pin['field']}-{pin['kwargs']['seed']}")
+def test_sampled_census_reports_stay_byte_identical(pin):
+    # the sampled dist-le-2 and zi-pairs calls of the benchmark's census pass,
+    # pinned before the commutator route replaced the stacked lift ranks
+    fn = getattr(cs, pin["fn"])
+    assert fn(FieldSpec.parse(pin["field"]), pin["n"], **pin["kwargs"]).to_json_line() == pin["report"]
+
+
 def test_sampled_dist_le_2_needs_n_at_least_2():
     with pytest.raises(DimMismatch, match="the rank criterion needs n >= 2"):
         cs.count_dist_le_2(GF2, 1, samples=10, seed=0)

@@ -1,7 +1,8 @@
 """Module layout: imports sit at the top of each module, the graph layer
 reaches the matrix codec without going through commute, the CRT, rational
 reconstruction, orbit and twin-class helpers live in matrix alone, the
-sampled censuses rank in batches, every cap is defined in matrix, graph has
+sampled censuses rank in batches and share one commuter kernel with the
+restricted search, every cap is defined in matrix, graph has
 one neighbor kernel, extension fields have one digit codec and one generator
 walk, one function picks the numpy arithmetic of each finite field and
 looks up its q x q tables through one flat take, the batched kernels
@@ -135,6 +136,18 @@ def test_census_ranks_no_pair_alone():
     called = _called(SRC / "census.py")
     assert "_stack_ranks" in called
     assert called & {"dist_le_2", "decode_matrix", "rank_raw"} == set()
+
+
+def test_sampled_censuses_and_the_joint_test_share_one_commuter_kernel():
+    # the mask consumers decide from n - 1 commutators through `_shares_commuter`;
+    # none of them compares lift ranks with n^2 - 2 itself
+    assert _definers("_shares_commuter") == {("matrix.py", "_shares_commuter")}
+    for path, name in [("census.py", "count_dist_le_2"), ("census.py", "zi_pair_census"),
+                       ("graph.py", "restricted_distance_le_3")]:
+        assert "_shares_commuter" in _called_in(_function(SRC / path, name)), name
+    for path in (SRC / "census.py", SRC / "graph.py"):
+        compares = [ast.unparse(node) for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Compare)]
+        assert [c for c in compares if "_stack_ranks" in c and "n * n - 2" in c] == [], path.name
 
 
 def test_batched_kernels_look_up_pairs_through_one_flat_take():

@@ -636,3 +636,123 @@ def test_flat_lookup_matches_the_two_dimensional_index_past_uint8(spec):
     assert np.array_equal(neg_mul, neg[mul])
     ops = spec.ops()
     assert all(neg_mul[a, b] == ops.neg(ops.mul(a, b)) for a, b in [(1, 1), (2, 3), (spec.order - 1, spec.order - 2)])
+
+
+@pytest.mark.parametrize(
+    "spec,elements",
+    [
+        (FieldSpec.prime(257), range(1, 257)),
+        (GF17_2, range(1, 289)),
+        (FieldSpec.prime(8191), np.random.default_rng(8191).integers(1, 8191, 500)),
+        (FieldSpec.prime(P0), np.random.default_rng(P0).integers(1, P0, 500)),
+    ],
+    ids=str,
+)
+def test_batched_pivot_inverses_match_the_scalar_inverse(spec, elements):
+    # past 256 elements a Fermat power in int64, or the exp/log tables, invert a whole pivot column
+    xs = np.array(elements, np.int64)
+    inverses = matrix._row_ops(spec).invs(xs)
+    assert inverses.dtype == np.int64
+    assert inverses.tolist() == [spec.ops().inv(int(x)) for x in xs]
+
+
+def _lift_mask(spec, n, x, y):
+    return matrix._stack_ranks(spec, n, x, y) <= n * n - 2
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4], ids=str)
+def test_shared_commuters_of_every_two_by_two_pair_match_the_lift_ranks(spec):
+    codes = np.arange(spec.order**4)
+    x, y = (matrix._code_stack(spec, 2, grid.ravel()) for grid in np.meshgrid(codes, codes, indexing="ij"))
+    assert np.array_equal(matrix._shares_commuter(spec, 2, x, y), _lift_mask(spec, 2, x, y))
+
+
+def test_shared_commuters_of_every_gf2_orbit_representative_match_the_lift_ranks():
+    reps = matrix._orbits(GF2, 3)[0]
+    x = matrix._code_stack(GF2, 3, np.repeat(reps, 512))
+    y = matrix._code_stack(GF2, 3, np.tile(np.arange(512), len(reps)))
+    mask = matrix._shares_commuter(GF2, 3, x, y)
+    assert np.array_equal(mask, _lift_mask(GF2, 3, x, y)) and 0 < mask.sum() < len(mask)
+
+
+def _structured_pairs(spec, n, seed):
+    """Seeded (x, y) raw pairs: random sides, which are mostly nonderogatory,
+    scalar plus rank-one sides, which are derogatory at n >= 3, scalar sides
+    and equal sides, in every combination."""
+    rng = np.random.default_rng(seed)
+
+    def rand():
+        return ExactMatrix._from_raw(spec, rng.integers(0, spec.order, (n, n)).tolist())
+
+    def scalar():
+        return ExactMatrix.diag(spec, [int(rng.integers(0, spec.p))] * n)
+
+    def derog():
+        u, v = (ExactMatrix._from_raw(spec, rng.integers(0, spec.order, shape).tolist()) for shape in ((n, 1), (1, n)))
+        return u @ v + scalar()
+
+    pairs = [(f(), g()) for f in (rand, derog, scalar) for g in (rand, derog, scalar) for _ in range(6)]
+    pairs += [(m, m) for m in (f() for f in (rand, derog, scalar) for _ in range(4))]
+    return tuple(np.array([m.raw_rows() for m in side], np.int64) for side in zip(*pairs))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("spec", [GF2, GF5, GF8, FieldSpec.prime(257)], ids=str)
+def test_shared_commuters_take_every_branch_and_match_the_lift_ranks(monkeypatch, spec, n):
+    x, y = _structured_pairs(spec, n, seed=spec.order * 10 + n)
+    derogs = [np.array([derogatory(ExactMatrix._from_raw(spec, m.tolist())) for m in side]) for side in (x, y)]
+    both = derogs[0] & derogs[1]
+    # a nonderogatory x, a derogatory x with a nonderogatory y, and two derogatory sides
+    assert (~derogs[0]).any() and (derogs[0] & ~derogs[1]).any() and both.any()
+    want = _lift_mask(spec, n, x, y)
+    assert want.any() and (~want).any()
+    seen = []
+    ranks = matrix._stack_ranks
+
+    def spy(spec_, n_, *mats):
+        seen.append(np.stack(mats, 1))
+        return ranks(spec_, n_, *mats)
+
+    monkeypatch.setattr(matrix, "_stack_ranks", spy)
+    assert np.array_equal(matrix._shares_commuter(spec, n, x, y), want)
+    # only the pairs with two derogatory sides rank their lifts
+    assert np.array_equal(np.concatenate(seen), np.stack([x, y], 1)[both])
+
+
+@pytest.mark.parametrize("spec", [GF2, GF9, FieldSpec.prime(257)], ids=str)
+def test_shared_commuters_of_an_empty_batch(spec):
+    empty = np.zeros((0, 3, 3), np.int64)
+    mask = matrix._shares_commuter(spec, 3, empty, empty)
+    assert mask.dtype == bool and mask.shape == (0,)
+
+
+def test_shared_commuters_at_the_int64_edge():
+    # the restricted scan admits every p < 2^31 at n = 2, where 2 (p - 1)^2 < 2^63
+    rng = np.random.default_rng(P0)
+    x, y = rng.integers(0, P0, (2, 300, 2, 2))
+    y[:100] = x[:100]
+    x[100:150] = x[100:150, :1, :1] * np.eye(2, dtype=np.int64)  # scalar sides
+    y[150:200] = (x[150:200] + np.eye(2, dtype=np.int64)) % P0  # commuting sides
+    mask = matrix._shares_commuter(FieldSpec.prime(P0), 2, x, y)
+    assert np.array_equal(mask, _lift_mask(FieldSpec.prime(P0), 2, x, y)) and mask.any() and (~mask).any()
+
+
+@pytest.mark.parametrize("spec", [GF2, GF5, FieldSpec.prime(257)], ids=str)
+def test_a_shared_side_forms_its_powers_once_and_matches_the_broadcast(monkeypatch, spec):
+    x, y = _structured_pairs(spec, 3, seed=spec.order)
+    eliminate, batches = matrix._gauss_jordan, []
+
+    def spy(spec_, mat):
+        batches.append(len(mat))
+        return eliminate(spec_, mat)
+
+    monkeypatch.setattr(matrix, "_gauss_jordan", spy)
+    sides = x[:1], x[18:19], np.eye(3, dtype=np.int64)[None]  # nonderogatory, derogatory and scalar
+    assert [derogatory(ExactMatrix._from_raw(spec, side[0].tolist())) for side in sides] == [False, True, True]
+    for one in sides:
+        full = np.broadcast_to(one, y.shape)
+        for pair, broadcast in (((one, y), (full, y)), ((y, one), (y, full))):
+            batches.clear()
+            got = matrix._shares_commuter(spec, 3, *pair)
+            assert 1 in batches and np.array_equal(got, _lift_mask(spec, 3, *broadcast))
+        assert matrix._shares_commuter(spec, 3, one, y[:0]).shape == (0,)
