@@ -1,10 +1,11 @@
 """Distance-theoretic tests between square matrices.
 
 Everything here reduces to exact linear algebra: centralizers are nullspaces
-of the Kronecker-style lift M_A = A (x) I - I (x) A^T, the distance<=2 test is
-a rank bound on the stacked lift of a pair, and the distance<=3 machinery
-searches for polynomials p, q without constant term and degree 1..n-1 such
-that p(A) and q(B) commute.
+of the Kronecker-style lift M_A = A (x) I - I (x) A^T; a pair is at distance <= 2
+iff it shares a non-scalar commuter, which over QQ a nonderogatory side X decides
+from the n - 1 commutators [X^k, Y], else a rank bound on the pair's stacked lift;
+and the distance<=3 machinery searches for polynomials p, q without constant term
+and degree 1..n-1 such that p(A) and q(B) commute.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,7 +33,6 @@ from .matrix import (
     ExactMatrix,
     _blocks,
     _check_square,
-    _cleared,
     _code_stack,
     _combine,
     _crt,
@@ -40,7 +41,7 @@ from .matrix import (
     _hits,
     _int_products,
     _lifts,
-    _powers,
+    _power_stack,
     _projective_coeffs,
     _rational_reconstruct,
     _row_ops,
@@ -53,7 +54,6 @@ from .matrix import (
     rank_raw,
     space_size,
     unvec,
-    vec,
 )
 
 PC_PRIMES = (3, 5, 7, 11)  # moduli used by the heuristic search over Q
@@ -116,30 +116,22 @@ def dist_le_2(a: ExactMatrix, b: ExactMatrix) -> bool:
     return shared if shared is not None else rank_raw(a.spec, lift_rows_raw(a) + lift_rows_raw(b)) <= n * n - 2
 
 
-def _int_powers(a: ExactMatrix, k: int) -> list[list[list[int]]]:
-    """[I, D, ..., D^k] on the integers for D = d a, d the least common denominator of the rational a."""
-    n = a.nrows
-    flat = _cleared([x for row in a.rows for x in row])[0]
-    out = [[[int(i == j) for j in range(n)] for i in range(n)], [flat[i * n : (i + 1) * n] for i in range(n)]]
-    while len(out) <= k:
-        out.append(_int_products(out[-1], list(zip(*out[1]))))
-    return out[: k + 1]
-
-
 def _shares_polynomial_commuter(a: ExactMatrix, b: ExactMatrix) -> bool | None:
     """Over the rationals at n >= 2, whether a and b share a non-scalar commuter, decided from a
     nonderogatory side X: C(X) = F[X] = span(I, ..., X^(n-1)), so they share one iff the commutators
-    [X^k, Y], 1 <= k < n, are dependent.  With D = dX and E = eY cleared, F[D] = F[X] and [D^k, E] =
-    d^k e [X^k, Y], so all of it runs on the integers.  None for two derogatory sides and over finite
-    fields, where one pair's lift ranks faster; batches of pairs go through `matrix._shares_commuter`."""
+    [X^k, Y], 1 <= k < n, are dependent.  The power stacks give D = dX, its powers, whether X is cyclic and
+    E = eY: F[D] = F[X] and [D^k, E] = d^k e [X^k, Y], so all of it runs on the integers.  None for two
+    derogatory sides and over finite fields, where one pair's lift ranks faster; batches of pairs go
+    through `matrix._shares_commuter`."""
     n = a.nrows
     if a.spec.kind != "rationals" or n < 2:
         return None
     for x, y in ((a, b), (b, a)):
-        pows, e = _int_powers(x, n - 1), _int_powers(y, 1)[1]
-        if rank_raw(x.spec, [sum(p, []) for p in pows]) == n:  # x is nonderogatory
-            pe = [sum(_int_products(p, list(zip(*e))), []) for p in pows[1:]]
-            ep = [sum(_int_products(e, list(zip(*p))), []) for p in pows[1:]]
+        stack = _power_stack(x)
+        if stack.cyclic:
+            pows, e = stack.upto(n - 1)[1:], _power_stack(y).upto(1)[1]
+            pe = [sum(_int_products(p, list(zip(*e))), []) for p in pows]
+            ep = [sum(_int_products(e, list(zip(*p))), []) for p in pows]
             return rank_raw(x.spec, [[s - t for s, t in zip(u, v)] for u, v in zip(pe, ep)]) < n - 1
     return None
 
@@ -160,17 +152,13 @@ def common_nonscalar_commuter(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix | N
 def derogatory(a: ExactMatrix) -> bool:
     """True iff the minimal polynomial has degree below n.
 
-    Tested as a rank bound on the n x n^2 stack of vec(I), vec(A), ...,
-    vec(A^(n-1)): a dependence among those powers is exactly an annihilating
-    polynomial of degree at most n-1.  Over the rationals dA stands for A, d
-    clearing its denominators, and its powers are formed on the integers.
+    Read off the power stack, which ranks vec(I), vec(D), ..., vec(D^(n-1)) for
+    D = dA once: a dependence is exactly an annihilating polynomial of degree at most n-1.
     """
     _check_square(a)
-    n = a.nrows
-    if n < 2:
+    if a.nrows < 2:
         raise DimMismatch("derogatory needs n >= 2")
-    pows = _int_powers(a, n - 1) if a.spec.kind == "rationals" else [m.rows for m in _powers(a, n - 1)]
-    return rank_raw(a.spec, [[x for row in p for x in row] for p in pows]) <= n - 1
+    return not _power_stack(a).cyclic
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +278,13 @@ class PcSearchResult:
 
 def poly_eval_no_const(a: ExactMatrix, coeffs) -> ExactMatrix:
     """sum coeffs[i] * a^(i+1); coefficients are FieldElems or raw values."""
-    spec = a.spec
+    spec, stack = a.spec, _power_stack(a)
     raws = [spec.ops().zero] + [c.raw if isinstance(c, FieldElem) else c for c in coeffs]
+    if spec.kind == "rationals":  # the stack holds D^i = d^i a^i
+        raws = [c * Fraction(1, stack.d**i) for i, c in enumerate(raws)]
     # the identity takes coefficient zero, so no coefficients give the zero matrix
-    return unvec(spec, a.nrows, _combine(spec, raws, [vec(m) for m in _powers(a, len(coeffs))]))
+    flats = [[x for row in p for x in row] for p in stack.upto(len(coeffs))]
+    return unvec(spec, a.nrows, _combine(spec, raws, flats))
 
 
 def _normalize_vector(spec: FieldSpec, raws: list) -> list | None:
@@ -365,32 +356,25 @@ def _elems(spec: FieldSpec, raws) -> tuple[FieldElem, ...]:
     return tuple(FieldElem(spec, x) for x in raws)
 
 
-def _minpoly_certificate(a: ExactMatrix, b: ExactMatrix, side: str) -> PcCertificate | None:
-    """Certificate from an annihilating polynomial when one side is derogatory."""
-    spec = a.spec
-    ops = spec.ops()
-    n = a.nrows
-    target = a if side == "a" else b
-    coeffs = [c.raw for c in min_poly(target)]
-    deg = len(coeffs) - 1
-    if not 1 <= deg <= n - 1:
-        return None
-    # drop the constant term: m(X) - m_0 I is scalar whenever m annihilates
-    vec_ = coeffs[1:] + [ops.zero] * (n - 1 - deg)
-    vec_ = _normalize_vector(spec, vec_)
+def _minpoly_certificate(a: ExactMatrix, b: ExactMatrix) -> PcCertificate | None:
+    """The first verified certificate from the minimal polynomial m of a derogatory side X, a
+    before b: deg m <= n - 1, and p(X) = m(X) - m_0 I is scalar, so it commutes with q(Y) = Y."""
+    ops, n = a.spec.ops(), a.nrows
     x_vec = [ops.one] + [ops.zero] * (n - 2)
-    cs, ds = (vec_, x_vec) if side == "a" else (x_vec, vec_)
-    cert = _certificate(a, b, cs, ds)
-    return cert if pc_verify(a, b, cert) else None
+    for first, side in ((True, a), (False, b)):
+        if derogatory(side):
+            p_vec = _normalize_vector(a.spec, [c.raw for c in min_poly(side)][1:])
+            p_vec += [ops.zero] * (n - 1 - len(p_vec))
+            cert = _certificate(a, b, *((p_vec, x_vec) if first else (x_vec, p_vec)))
+            if pc_verify(a, b, cert):
+                return cert
+    return None
 
 
 def _rational_pc(a: ExactMatrix, b: ExactMatrix) -> PcSearchResult:
-    # exact shortcut: a derogatory side yields a verified certificate directly
-    for side in ("a", "b"):
-        if derogatory(a if side == "a" else b):
-            cert = _minpoly_certificate(a, b, side)
-            if cert is not None:
-                return PcSearchResult("certificate", cert, "annihilating-polynomial")
+    cert = _minpoly_certificate(a, b)  # exact shortcut: a derogatory side gives a certificate directly
+    if cert is not None:
+        return PcSearchResult("certificate", cert, "annihilating-polynomial")
     n = a.nrows
     per_prime: list[tuple[int, PcCertificate]] = []
     skipped = ""  # primes whose projective scan exceeds the class cap

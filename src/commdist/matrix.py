@@ -16,7 +16,7 @@ This module also holds what the higher layers share: the integer codec that
 enumerates Mat_n over a finite field, the lift M_A built by row slices, the
 size caps, a batched kernel for the centralizers of a whole chunk of codes, one
 for the pairs that share a non-scalar commuter, the one batched finite-field
-product, and the orbits of Mat_n under graph automorphisms.
+product, the orbits of Mat_n under graph automorphisms and the powers of one matrix.
 """
 
 from __future__ import annotations
@@ -50,22 +50,11 @@ class ExactMatrix:
 
     __slots__ = ("spec", "nrows", "ncols", "rows")
 
-    def __init__(self, spec: FieldSpec, rows):
-        converted = tuple(
-            tuple(spec.raw_from(x) if not _is_raw(spec, x) else x for x in row)
-            for row in rows
-        )
-        if not converted or not converted[0]:
-            raise DimMismatch("matrices need at least one row and one column")
-        ncols = len(converted[0])
-        if any(len(r) != ncols for r in converted):
+    def __new__(cls, spec: FieldSpec, rows):
+        converted = [tuple(spec.raw_from(x) if not _is_raw(spec, x) else x for x in row) for row in rows]
+        if converted and converted[0] and any(len(r) != len(converted[0]) for r in converted):
             raise DimMismatch("ragged rows")
-        if len(converted) > _MAX_DIM or ncols > _MAX_DIM:
-            raise DimMismatch(f"dimension exceeds the {_MAX_DIM} cap")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "nrows", len(converted))
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", converted)
+        return cls._from_raw(spec, converted)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -74,9 +63,11 @@ class ExactMatrix:
 
     @classmethod
     def _from_raw(cls, spec: FieldSpec, rows) -> "ExactMatrix":
-        """Trusted constructor for rows that already hold raw values."""
+        """Constructor for rows that already hold raw values; every constructor checks the shape here."""
         obj = object.__new__(cls)
         converted = tuple(tuple(row) for row in rows)
+        if not converted or not converted[0]:
+            raise DimMismatch("matrices need at least one row and one column")
         if len(converted) > _MAX_DIM or len(converted[0]) > _MAX_DIM:
             raise DimMismatch(f"dimension exceeds the {_MAX_DIM} cap")
         object.__setattr__(obj, "spec", spec)
@@ -87,11 +78,7 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "ExactMatrix":
-        ops = spec.ops()
-        return cls._from_raw(
-            spec,
-            [[ops.one if i == j else ops.zero for j in range(n)] for i in range(n)],
-        )
+        return cls.diag(spec, [spec.ops().one] * n)
 
     @classmethod
     def zeros(cls, spec: FieldSpec, nrows: int, ncols: int) -> "ExactMatrix":
@@ -899,30 +886,58 @@ def _orbits(spec: FieldSpec, n: int) -> tuple[np.ndarray, np.ndarray]:
     return reps, np.bincount(label)[reps]
 
 
-def _powers(m: ExactMatrix, k: int) -> list[ExactMatrix]:
-    """[I, m, m^2, ..., m^k] for a square m: k - 1 products."""
-    out = [ExactMatrix.identity(m.spec, m.nrows), m][: k + 1]
-    while len(out) <= k:
-        out.append(out[-1] @ m)
-    return out
+class _PowerStack:
+    """The powers of D = d A for one square A as raw rows, each formed once (I as 0s and 1s, raw in every
+    field).  Over the rationals d clears A's denominators, so D is integral, F[D] = F[A] and the powers are
+    integer products; over a finite field d = 1.  `cyclic`: vec(I), ..., vec(D^(n-1)) are independent, so A
+    is nonderogatory (one rank-only elimination)."""
+
+    def __init__(self, a: ExactMatrix):
+        n = self.n = a.nrows
+        if a.spec.kind == "rationals":
+            flat, self.d = _cleared([x for row in a.rows for x in row])
+            rows, cols = [flat[i : i + n] for i in range(0, n * n, n)], [flat[j::n] for j in range(n)]
+            self._times_d = lambda p: _int_products(p, cols)
+        else:
+            rows, self.d = a.rows, 1
+            self._times_d = lambda p: (ExactMatrix._from_raw(a.spec, p) @ a).rows
+        self.spec, self.pows = a.spec, [[[int(i == j) for j in range(n)] for i in range(n)], rows]
+
+    def upto(self, k: int) -> list:
+        """[I, D, ..., D^k]; the powers formed are kept, and callers must not change them."""
+        pows = self.pows
+        while len(pows) <= k:
+            pows = pows + [self._times_d(pows[-1])]
+        self.pows = pows
+        return pows[: k + 1]
+
+    @functools.cached_property
+    def cyclic(self) -> bool:
+        return rank_raw(self.spec, [[x for row in p for x in row] for p in self.upto(self.n - 1)]) == self.n
+
+
+# sized for the handful of stacks one distance call asks for, not to keep them across calls
+_power_stack = functools.lru_cache(maxsize=16)(_PowerStack)
 
 
 def min_poly(m: ExactMatrix) -> list[FieldElem]:
     """Monic minimal polynomial, coefficients low-to-high.
 
-    Found as the first linear dependence in the flattened power sequence
-    vec(I), vec(A), vec(A^2), ...
+    Found as the first linear dependence among vec(I), vec(D), ..., vec(D^n)
+    for the power stack's D = d A; over the rationals m_A(x) = d^(-deg) m_D(d x).
     """
     if not m.is_square:
         raise DimMismatch("minimal polynomial needs a square matrix")
-    spec = m.spec
-    ops = spec.ops()
-    flats = [vec(power) for power in _powers(m, m.nrows)]
-    # columns vec(I), ..., vec(A^n): the first nullspace vector belongs to the
+    spec, stack = m.spec, _power_stack(m)
+    flats = [[x for row in p for x in row] for p in stack.upto(m.nrows)]
+    # columns vec(I), ..., vec(D^n): the first nullspace vector belongs to the
     # first free column, the degree; it is one there and zero beyond it
     first = nullspace_raw(spec, [list(c) for c in zip(*flats)])[0]
-    deg = max(i for i, c in enumerate(first) if c != ops.zero)
-    return [FieldElem(spec, c) for c in first[: deg + 1]]
+    deg = max(i for i, c in enumerate(first) if c != spec.ops().zero)
+    coeffs = first[: deg + 1]
+    if spec.kind == "rationals":
+        coeffs = [c / stack.d ** (deg - i) for i, c in enumerate(coeffs)]
+    return [FieldElem(spec, c) for c in coeffs]
 
 
 def random_matrix(spec: FieldSpec, nrows: int, ncols: int, rng) -> ExactMatrix:

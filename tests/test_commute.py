@@ -1,8 +1,10 @@
 """Distance-theoretic tests: lifts, rank criterion, derogatory classification,
 idempotent witnesses, certificates, and the distance decision ladder."""
 
+import itertools
 import json
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -22,7 +24,6 @@ from commdist.matrix import (
     ExactMatrix,
     _code_digits,
     _code_stack,
-    _powers,
     _projective_reps,
     lift_rows_raw,
     mat_vec,
@@ -221,6 +222,11 @@ def _lift_witness(a, b):
     return next((m for m in (unvec(QQ, a.nrows, v) for v in null) if not cm.is_scalar(m)), None)
 
 
+def _chain(m, k):
+    """[I, m, ..., m^k] by a chain of products."""
+    return list(itertools.accumulate([m] * k, operator.matmul, initial=ExactMatrix.identity(m.spec, m.nrows)))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_qq_pairs())
 def test_rational_commutator_route_matches_the_stacked_lift(pair):
@@ -230,7 +236,21 @@ def test_rational_commutator_route_matches_the_stacked_lift(pair):
     assert cm.dist_le_2(a, b) == lifted
     assert cm.common_nonscalar_commuter(a, b) == (_lift_witness(a, b) if lifted else None)
     for m in (a, b):  # the Fraction powers the derogatory test used to rank
-        assert cm.derogatory(m) == (rank_raw(QQ, [list(vec(x)) for x in _powers(m, n - 1)]) <= n - 1)
+        assert cm.derogatory(m) == (rank_raw(QQ, [list(vec(x)) for x in _chain(m, n - 1)]) <= n - 1)
+
+
+@pytest.mark.parametrize("name", ["derog4", "skip5"])
+def test_one_rational_distance_builds_each_power_stack_once(monkeypatch, name):
+    # a pc-scalar-side pair (derogatory A) and a pc-unknown pair: every consumer
+    # of a side's powers reads one stack, and no matrix, mod-p copies included, gets two
+    snap = json.loads((Path(__file__).parent / "data" / "qq_ladder.json").read_text())[name]
+    a, b = ExactMatrix.from_json(snap["a"]), ExactMatrix.from_json(snap["b"])
+    built, init = [], matrix._PowerStack.__init__
+    monkeypatch.setattr(matrix._PowerStack, "__init__", lambda stack, m: built.append(m) or init(stack, m))
+    matrix._power_stack.cache_clear()
+    assert cm.distance(a, b).to_json() == snap["distance"]
+    assert built.count(a) == built.count(b) == 1
+    assert len(built) == len(set(built))
 
 
 def test_rational_rank_criterion_skips_the_lift_unless_both_sides_are_derogatory(monkeypatch):
@@ -445,7 +465,7 @@ def _first_hit_by_class_ranks(a, b):
     column j being sum_i c_i vec(A^i B^j - B^j A^i), ranked by rank_raw; the
     first singular L(c) gives d, its first nullspace vector normalized."""
     spec, n = a.spec, a.nrows
-    a_pows, b_pows = _powers(a, n - 1)[1:], _powers(b, n - 1)[1:]
+    a_pows, b_pows = _chain(a, n - 1)[1:], _chain(b, n - 1)[1:]
     terms = [[vec(ai @ bj - bj @ ai) for ai in a_pows] for bj in b_pows]  # terms[j][i]
     for cs in _code_digits(spec.order, _projective_reps(spec, n - 1), n - 1).tolist():
         rows = [list(r) for r in zip(*(matrix._combine(spec, cs, column) for column in terms))]

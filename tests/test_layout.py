@@ -7,7 +7,8 @@ one neighbor kernel, extension fields have one digit codec and one generator
 walk, one function picks the numpy arithmetic of each finite field and
 looks up its q x q tables through one flat take, the batched kernels
 share one chunk rule, one raw decoder and one table per field, single
-matrices over every finite field but GF(2) eliminate in one numpy loop, and
+matrices over every finite field but GF(2) eliminate in one numpy loop, the
+powers of a single matrix come from one memoized stack, and
 every attribute the benchmark's tracer patches exists, and every public
 name is used by the library or the benchmark."""
 
@@ -235,6 +236,30 @@ def test_one_numpy_elimination_loop_for_prime_and_extension_fields():
         ] == [], path.name
 
 
+def test_one_power_stack_per_matrix():
+    # the per-consumer power routines are gone; derogatory, min_poly, the
+    # rational commutator test and certificate evaluation read the memoized
+    # stack and multiply no powers of their own (the commutator test forms
+    # [D^k, E] from the stack's powers, and pc_verify multiplies p(A) by q(B))
+    assert _definers("_int_powers", "_powers") == {("field.py", "_powers")}  # the field's generator walk
+    matrix_py, commute_py = SRC / "matrix.py", SRC / "commute.py"
+    assert _top_level_users(matrix_py, commute_py, name="_power_stack") == {
+        ("matrix.py", "min_poly"), ("commute.py", "derogatory"),
+        ("commute.py", "_shares_polynomial_commuter"), ("commute.py", "poly_eval_no_const"),
+    }
+    assert _top_level_users(*KERNEL_MODULES, name="_int_products") == {("commute.py", "_shares_polynomial_commuter")}
+    readers = [(matrix_py, "min_poly")] + [
+        (commute_py, name)
+        for name in ("derogatory", "poly_eval_no_const", "_certificate", "_minpoly_certificate", "_rational_pc")
+    ]
+    assert [
+        name for path, name in readers
+        for node in ast.walk(_function(path, name))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("rank_raw", "rank")
+    ] == []
+
+
 def test_every_cap_lives_in_matrix():
     # the certificate scan is capped on projective classes, not pairs, and the
     # exhaustive dist-le-2 count marks one space-sized array per orbit
@@ -308,6 +333,7 @@ def test_tracer_patch_targets_exist():
             targets += [(ast.unparse(owner), attr, _resolve(owner)) for owner in node.args[0].elts]
     names = {f"{owner}.{attr}" for owner, attr, _ in targets}
     assert {
-        "census.lift_rows_raw", "census.dist_le_2", "census.idempotent_pool", "graph.lift_rows_raw"
+        "census.lift_rows_raw", "census.dist_le_2", "census.idempotent_pool", "commute.lift_rows_raw",
+        "graph.lift_rows_raw",
     } <= names
     assert [f"{owner}.{attr}" for owner, attr, obj in targets if not hasattr(obj, attr)] == []

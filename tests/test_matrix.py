@@ -2,6 +2,7 @@
 powers, and minimal polynomials, checked against independent oracles."""
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from commdist.errors import DimMismatch, DivisionByZero, FieldMismatch, ParseErr
 from commdist.field import FieldSpec
 from commdist.matrix import (
     ExactMatrix,
-    _powers,
+    _power_stack,
     decode_matrix,
     lift_rows_raw,
     mat_vec,
@@ -32,6 +33,7 @@ from commdist.matrix import (
     unvec,
     vec,
 )
+from commdist.verify import _invert
 
 QQ = FieldSpec.rationals()
 GF2 = FieldSpec.prime(2)
@@ -192,19 +194,38 @@ def test_rank_nullity_and_kernel_membership(spec):
             assert all(x == zero for x in mat_vec(m, v))
 
 
+def _chain(m: ExactMatrix, k: int) -> list[ExactMatrix]:
+    """[I, m, ..., m^k] by a chain of products: the reference for the power stack."""
+    return list(itertools.accumulate([m] * k, operator.matmul, initial=ExactMatrix.identity(m.spec, m.nrows)))
+
+
 def test_mat_pow():
-    # the one list of powers behind min_poly, derogatory and the pc scan,
-    # against a chain of products and the exponent law
+    # the one power stack behind min_poly, derogatory, the rational commutator
+    # test and certificate evaluation: D = d A with d clearing A's denominators
+    # (d = 1 over a finite field), against a chain of products and in any order of requests
     rng = random.Random(11)
-    m = random_matrix(GF3, 3, 3, rng)
-    chain = [ExactMatrix.identity(GF3, 3)]
-    for _ in range(8):
-        chain.append(chain[-1] @ m)
-    for k in range(9):
-        assert _powers(m, k) == chain[: k + 1]
-    powers = _powers(m, 8)
-    for i, j in [(1, 2), (2, 3), (4, 4)]:
-        assert powers[i + j] == powers[i] @ powers[j]
+    for spec in (GF3, GF9, QQ):
+        m = random_matrix(spec, 3, 3, rng)
+        d = math.lcm(*(x.denominator for row in m.rows for x in row)) if spec.kind == "rationals" else 1
+        want = [p.scale(d**i).raw_rows() for i, p in enumerate(_chain(m, 8))]
+        _power_stack.cache_clear()
+        stack = _power_stack(m)
+        assert stack.d == d and _power_stack(m) is stack
+        for k in (1, 4, 0, 8, 2):
+            assert [[list(row) for row in p] for p in stack.upto(k)] == want[: k + 1]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ExactMatrix(QQ, []), lambda: ExactMatrix(QQ, [[]]), lambda: ExactMatrix.identity(QQ, 0),
+        lambda: ExactMatrix.zeros(QQ, 0, 3), lambda: ExactMatrix.zeros(QQ, 2, 0), lambda: ExactMatrix.diag(QQ, []),
+        lambda: ExactMatrix.identity(GF9, 0), lambda: matrix.unvec(GF2, 0, []),
+    ],
+)
+def test_empty_shapes_are_rejected_by_every_constructor(build):
+    with pytest.raises(DimMismatch, match="at least one row and one column"):
+        build()
 
 
 def test_min_poly_examples():
@@ -269,6 +290,95 @@ def test_min_poly_annihilates_over_q():
         m = random_matrix(QQ, 3, 3, rng)
         coeffs = [c.raw for c in min_poly(m)]
         assert _poly_eval_full(m, coeffs) == ExactMatrix.zeros(QQ, 3, 3)
+
+
+def _invertible(spec: FieldSpec, n: int, rng) -> ExactMatrix:
+    p = random_matrix(spec, n, n, rng)
+    while rank(p) < n:
+        p = random_matrix(spec, n, n, rng)
+    return p
+
+
+def _repeated_eigenvalue(spec: FieldSpec, n: int, rng) -> ExactMatrix:
+    """P diag(l, l, ...) P^-1 for a random invertible P: a derogatory matrix."""
+    e, zero, p = list(random_matrix(spec, 1, n, rng).rows[0]), spec.ops().zero, _invertible(spec, n, rng)
+    e[1] = e[0]
+    return p @ unvec(spec, n, [e[i] if i == j else zero for i in range(n) for j in range(n)]) @ _invert(p)
+
+
+def _sympy_charpoly(m: ExactMatrix) -> list:
+    """The characteristic polynomial of m, low-to-high, by sympy over QQ or a prime field."""
+    if m.spec.kind == "rationals":
+        dm = DomainMatrix([[SQQ(x.numerator, x.denominator) for x in row] for row in m.rows], (m.nrows,) * 2, SQQ)
+        return [Fraction(int(c.numerator), int(c.denominator)) for c in reversed(dm.charpoly())]
+    field = GF(m.spec.p)
+    dm = DomainMatrix([[field(x) for x in row] for row in m.rows], (m.nrows,) * 2, field)
+    return [int(c) % m.spec.p for c in reversed(dm.charpoly())]
+
+
+def _remainder(spec: FieldSpec, num: list, den: list) -> list:
+    """num mod den for raw coefficient lists, low-to-high, den monic."""
+    ops, num = spec.ops(), list(num)
+    for top in range(len(num) - 1, len(den) - 2, -1):
+        lead, shift = num[top], top - len(den) + 1
+        num[shift : top + 1] = [ops.sub(x, ops.mul(lead, c)) for x, c in zip(num[shift : top + 1], den)]
+    return num[: len(den) - 1]
+
+
+@pytest.mark.parametrize("spec", [QQ, GF2, GF3, FieldSpec.prime(257)], ids=str)
+def test_min_poly_is_the_charpoly_or_divides_it(spec):
+    # sympy's charpoly as the oracle: equal on a nonderogatory matrix, and a
+    # proper divisor of it on a derogatory one
+    rng, seen = random.Random(23), set()
+    for n in range(2, 6):
+        for m in [random_matrix(spec, n, n, rng) for _ in range(3)] + [_repeated_eigenvalue(spec, n, rng)]:
+            coeffs, char = [c.raw for c in min_poly(m)], _sympy_charpoly(m)
+            seen.add(derogatory(m))
+            if derogatory(m):
+                assert len(coeffs) - 1 < n
+                assert _remainder(spec, char, coeffs) == [spec.ops().zero] * (len(coeffs) - 1)
+            else:
+                assert coeffs == char
+    assert seen == {False, True}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([QQ, GF3, GF4, FieldSpec.prime(257)]), st.integers(2, 5), st.booleans(), st.integers(0, 2**32)
+)
+def test_min_poly_and_derogatory_are_invariant_under_conjugation(spec, n, repeated, seed):
+    rng = random.Random(seed)
+    a = _repeated_eigenvalue(spec, n, rng) if repeated else random_matrix(spec, n, n, rng)
+    p = _invertible(spec, n, rng)
+    b = p @ a @ _invert(p)
+    assert [c.raw for c in min_poly(b)] == [c.raw for c in min_poly(a)]
+    assert derogatory(b) == derogatory(a)
+    assert derogatory(a) or not repeated
+
+
+def _min_poly_by_fraction_powers(m: ExactMatrix) -> list:
+    """The minimal polynomial by the route min_poly took before the power stack: the
+    first nullspace vector of the columns vec(I), vec(A), ..., vec(A^n) of Fraction powers."""
+    first = nullspace_raw(m.spec, [list(c) for c in zip(*map(vec, _chain(m, m.nrows)))])[0]
+    return first[: max(i for i, c in enumerate(first) if c != 0) + 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.sampled_from(["generic", "sparse", "repeated"]), st.integers(0, 2**32))
+def test_rational_min_poly_matches_the_fraction_power_route(n, shape, seed):
+    # non-integer entries, so D = d A differs from A, with heights up to 10^6
+    rng = random.Random(seed)
+    height = rng.choice([9, 10**6])
+
+    def entry():
+        return Fraction(rng.randint(-height, height), rng.choice([1, 2, 3, 7, 12]))
+
+    if shape == "repeated" and n >= 2:
+        m = _repeated_eigenvalue(QQ, n, rng)
+    else:
+        keep = 1.0 if shape == "generic" else 0.3
+        m = ExactMatrix(QQ, [[entry() if rng.random() < keep else 0 for _ in range(n)] for _ in range(n)])
+    assert [c.raw for c in min_poly(m)] == _min_poly_by_fraction_powers(m)
 
 
 @st.composite
