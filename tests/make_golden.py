@@ -1,29 +1,50 @@
 """Write the golden corpus, tests/data/golden/<name>.jsonl, from the code as it is.
 
-Each file holds one field's calls (or the bundled fixtures'), one JSON object a
-line: an "input" line names a matrix, and every other line is one call of
-`derogatory`, `min_poly`, `centralizer_basis`, `dist_le_2`,
+Each field file holds one field's calls (or the bundled fixtures'), one JSON
+object a line: an "input" line names a matrix, and every other line is one call
+of `derogatory`, `min_poly`, `centralizer_basis`, `dist_le_2`,
 `common_nonscalar_commuter`, `pc_search` or `distance` on named inputs with its
-full output, or the error it raised.  The inputs are drawn from fixed seeds
-with `random_matrix` at n = 2..6, so `tests/test_golden.py` draws them again
-and compares line by line.  Run from the repository root:
+full output, or the error it raised; finite fields add `restricted_distance_le_3`
+at n = 3, and at n = 4 below q = 8.  The inputs are drawn from fixed seeds with `random_matrix` at
+n = 2..6, so `tests/test_golden.py` draws them again and compares line by line.
+census.jsonl holds every census quantity, exhaustive and sampled, and
+graph.jsonl `components`, `diameter`, `bfs_report` frontier sizes and the first
+`neighbors` codes over GF(2) and GF(3) at n = 2 and 3, each call named by its
+arguments.  The whole corpus takes about 7 s.  Run from the repository root:
 
-    PYTHONPATH=src python3 tests/make_golden.py
+    PYTHONPATH=src python3 tests/make_golden.py                 # rewrite every file
+    PYTHONPATH=src python3 tests/make_golden.py gf3 census      # rewrite these files only
+    PYTHONPATH=src python3 tests/make_golden.py --check [names] # compare, write nothing
 
-Rewriting the files changes the answers the corpus pins: do it only when an
-answer is meant to change, and say in CHANGES.md what changed and why.
+--check prints the first differing line of each file and exits 1 on any
+difference.  Rewriting the files changes the answers the corpus pins: do it only
+when an answer is meant to change, and say in CHANGES.md what changed and why.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
+import sys
 from pathlib import Path
 
+from commdist import census, graph
 from commdist import commute as cm
 from commdist.errors import CommdistError
 from commdist.field import FieldSpec
-from commdist.matrix import ExactMatrix, min_poly, random_matrix, rank, unvec, vec
+from commdist.matrix import (
+    ExactMatrix,
+    decode_matrix,
+    encode_matrix,
+    is_scalar,
+    min_poly,
+    random_matrix,
+    rank,
+    space_size,
+    unvec,
+    vec,
+)
 from commdist.verify import _invert, load_fixture
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -44,12 +65,13 @@ def _out(fn, *args):
         return {"error": type(exc).__name__, "message": str(exc)}
     if isinstance(value, ExactMatrix):
         return value.to_json()["rows"]
-    if isinstance(value, list):  # min_poly's elements or centralizer_basis' matrices
+    if isinstance(value, (list, tuple)):  # min_poly's elements, centralizer_basis' matrices or a chain (C, D)
         return [x.to_json()["rows"] if isinstance(x, ExactMatrix) else x.to_json() for x in value]
     if isinstance(value, cm.PcSearchResult):
         cert = value.certificate
         return {"status": value.status, "certificate": cert and cert.to_json(), "note": value.note}
-    return value.to_json() if isinstance(value, cm.DistanceResult) else value
+    reports = (cm.DistanceResult, census.CensusReport, graph.ComponentsReport)
+    return value.to_json() if isinstance(value, reports) else value
 
 
 SINGLE = {"derogatory": cm.derogatory, "min_poly": min_poly, "centralizer_basis": cm.centralizer_basis}
@@ -57,6 +79,13 @@ PAIR = {
     "dist_le_2": cm.dist_le_2, "common_nonscalar_commuter": cm.common_nonscalar_commuter,
     "pc_search": cm.pc_search, "distance": cm.distance,
 }
+RESTRICTED = {**PAIR, "restricted_distance_le_3": graph.restricted_distance_le_3}
+
+
+def _restricted_sizes(spec: FieldSpec) -> tuple[int, ...]:
+    """The sizes whose pairs also get `restricted_distance_le_3`: n = 3, and n = 4 below
+    q = 8, as the 4x4 pairs take about 2 s over GF(2^3) and 8 s over GF(17^2)."""
+    return () if not spec.is_finite else (3, 4) if spec.order < 8 else (3,)
 
 
 def _conjugate(p: ExactMatrix, entries) -> ExactMatrix:
@@ -99,38 +128,121 @@ PAIRS = [("g1", "g2"), ("s1", "g2"), ("s1", "s2"), ("dg", "g1"), ("g2", "dg"), (
          ("scalar", "g2"), ("g1", "g1")]
 
 
-def _lines(mats: dict[str, ExactMatrix], pairs) -> list[str]:
+def _dumps(lines) -> list[str]:
+    return [json.dumps(line, separators=(",", ":")) for line in lines]
+
+
+def _lines(mats: dict[str, ExactMatrix], pairs, pair_fns=PAIR) -> list[str]:
     out = []
     for name, m in mats.items():
         out.append({"input": name, "matrix": m.to_json()})
         out += [{"fn": fn, "args": [name], "out": _out(f, m)} for fn, f in SINGLE.items()]
     for x, y in pairs:
-        out += [{"fn": fn, "args": [x, y], "out": _out(f, mats[x], mats[y])} for fn, f in PAIR.items()]
-    return [json.dumps(line, separators=(",", ":")) for line in out]
+        out += [{"fn": fn, "args": [x, y], "out": _out(f, mats[x], mats[y])} for fn, f in pair_fns.items()]
+    return _dumps(out)
+
+
+def _calls(calls) -> list[str]:
+    """One line per (fn, args): args are JSON values, a field string first; a graph
+    helper below is named after the library function it calls."""
+    return _dumps(
+        {"fn": f.__name__.lstrip("_"), "args": args, "out": _out(f, FieldSpec.parse(args[0]), *args[1:])}
+        for f, args in calls
+    )
+
+
+def _census_lines() -> list[str]:
+    """Exhaustive counts where a space is small, and seeded samples of 200 pairs."""
+    calls = []
+    for field, sizes in (("gf(2)", (2, 3)), ("gf(3)", (2, 3)), ("gf(2^2):1,1,1", (2,)), ("gf(5)", (2,))):
+        for n in sizes:
+            calls += [(f, [field, n]) for f in (census.count_commuting_pairs, census.derogatory_count)]
+            calls.append((census.count_dist_le_2, [field, n]))
+    for field, sizes in (("gf(2)", (2, 3, 4)), ("gf(3)", (2, 3)), ("gf(2^2):1,1,1", (2, 3)), ("gf(5)", (2,))):
+        for n in sizes:
+            calls.append((census.count_dist_le_2, [field, n, 200, 7]))
+            calls += [(census.zi_pair_census, [field, n, i, 200, 7]) for i in range(1, n // 2 + 1)]
+    return _calls(calls)
+
+
+def _bfs_report(spec: FieldSpec, n: int, code: int, cap):
+    report = graph.bfs_report(decode_matrix(spec, n, code), cap)
+    return {"complete": report.complete, "frontier_sizes": report.frontier_sizes}
+
+
+def _neighbors(spec: FieldSpec, n: int, code: int):
+    """The number of neighbors of a vertex and the first ten codes `neighbors` yields."""
+    codes = [encode_matrix(m) for m in graph.neighbors(decode_matrix(spec, n, code))]
+    return {"count": len(codes), "first": codes[:10]}
+
+
+def _graph_lines() -> list[str]:
+    """Closed-form components, diameters, and from three seeded non-scalar
+    sources the BFS frontier sizes (also cut at radius 2) and first neighbors."""
+    calls = []
+    for field in ("gf(2)", "gf(3)"):
+        spec = FieldSpec.parse(field)
+        for n in (2, 3):
+            calls += [(graph.components, [field, n]), (graph.diameter, [field, n])]
+            rng, codes = random.Random(f"golden/graph/{field}/{n}"), []
+            while len(codes) < 3:
+                code = rng.randrange(space_size(spec, n))
+                codes += [] if code in codes or is_scalar(decode_matrix(spec, n, code)) else [code]
+            for code in codes:
+                calls += [(_bfs_report, [field, n, code, cap]) for cap in (None, 2)]
+                calls.append((_neighbors, [field, n, code]))
+    return _calls(calls)
 
 
 def lines(name: str) -> list[str]:
-    """The lines of golden file `name`: a key of FIELDS, or "fixtures"."""
+    """The lines of golden file `name`: a key of FIELDS, "fixtures", "census" or "graph"."""
     if name == "fixtures":
         mats = {f: load_fixture(f) for f in FIXTURES}
         pairs = [(x, y) for x in FIXTURES for y in FIXTURES
                  if x != y and (mats[x].spec, mats[x].nrows) == (mats[y].spec, mats[y].nrows)]
         return _lines(mats, pairs)
+    if name in ("census", "graph"):
+        return _census_lines() if name == "census" else _graph_lines()
     spec, out = FieldSpec.parse(FIELDS[name]), []
     for n in SIZES:
         mats = {f"n{n}_{k}": m for k, m in _matrices(spec, n, random.Random(f"golden/{name}/{n}")).items()}
-        out += _lines(mats, [(f"n{n}_{x}", f"n{n}_{y}") for x, y in PAIRS])
+        pair_fns = RESTRICTED if n in _restricted_sizes(spec) else PAIR
+        out += _lines(mats, [(f"n{n}_{x}", f"n{n}_{y}") for x, y in PAIRS], pair_fns)
     return out
 
 
-NAMES = [*FIELDS, "fixtures"]
+NAMES = [*FIELDS, "fixtures", "census", "graph"]
 
 
-def main():
+def first_difference(name: str) -> str | None:
+    """Where golden file `name` and the code's lines first differ, or None."""
+    path = GOLDEN / f"{name}.jsonl"
+    expected, actual = path.read_text().splitlines() if path.exists() else [], lines(name)
+    for i, (want, got) in enumerate(zip(expected, actual), 1):
+        if want != got:
+            return f"{path.name} line {i} differs\nexpected: {want}\nactual:   {got}"
+    if len(actual) != len(expected):
+        return f"{path.name}: {len(actual)} lines, expected {len(expected)}"
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Write or check the golden corpus.")
+    parser.add_argument("--check", action="store_true", help="compare with the files, write nothing")
+    parser.add_argument("names", nargs="*", help=f"files to handle (default: all of {', '.join(NAMES)})")
+    args = parser.parse_args(argv)
+    names = args.names or NAMES
+    if set(names) - set(NAMES):
+        parser.error(f"unknown golden files: {', '.join(sorted(set(names) - set(NAMES)))}")
+    if args.check:
+        diffs = [d for d in map(first_difference, names) if d]
+        print("\n".join(diffs) or f"{len(names)} golden files unchanged")
+        return 1 if diffs else 0
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name in NAMES:
+    for name in names:
         (GOLDEN / f"{name}.jsonl").write_text("\n".join(lines(name)) + "\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,7 +1,7 @@
 """The golden corpus: every output `tests/make_golden.py` wrote stays byte-identical.
 
 Each file is drawn again from its seeds and compared line by line; a failure
-names the first line that differs.  The whole corpus takes about 5 s.
+names the first line that differs.  The whole corpus takes about 7 s.
 """
 
 import pytest
