@@ -40,7 +40,6 @@ from .matrix import (
     _gauss_jordan,
     _hits,
     _int_products,
-    _lifts,
     _power_stack,
     _projective_coeffs,
     _rational_reconstruct,
@@ -313,17 +312,19 @@ def pc_verify(a: ExactMatrix, b: ExactMatrix, cert: PcCertificate) -> bool:
     return cert.pa_scalar == is_scalar(pa) and cert.qb_scalar == is_scalar(qb)
 
 
-def _exhaustive_pc(a: ExactMatrix, b: ExactMatrix) -> PcCertificate | None:
-    """Complete projective scan over a finite field; first hit in (c, d) order.
+def _exhaustive_pc(a: ExactMatrix, b: ExactMatrix) -> tuple[list, list] | None:
+    """Complete projective scan over a finite field; the first hit in (c, d) order
+    as raw vectors (cs, ds), or None.
 
     For each projective c in code order, the d with [p(A), q(B)] = 0 are the
-    nullspace of L(c), whose column j is sum_i c_i vec(A^i B^j - B^j A^i).
+    nullspace of L(c), whose column j is sum_i c_i vec([A^i, B^j]).
     The basis vector of its first free column f is the only solution, up to
     scaling, whose last nonzero coordinate is at f; every other has a later
     one, and codes compare the last coordinate first, so normalized it is the
-    least-code d.  One product forms L(c) for a `_blocks` block of classes and
-    one `_gauss_jordan` finds those with a free column; only the first of them
-    gets a nullspace.  At most _PC_CLASS_CAP classes.
+    least-code d.  One pair of broadcast products forms every [A^i, B^j], one
+    product L(c) for a `_blocks` block of classes, and one `_gauss_jordan`
+    finds those with a free column; only the first gets a nullspace.  At most
+    _PC_CLASS_CAP classes.
     """
     spec, n = a.spec, a.nrows
     m, coeffs = n * n, _projective_coeffs(spec, n - 1, _PC_CLASS_CAP)
@@ -331,8 +332,10 @@ def _exhaustive_pc(a: ExactMatrix, b: ExactMatrix) -> PcCertificate | None:
     while len(pows) < n - 1:
         pows.append(_ff_matmul(spec, pows[-1], pows[0]))
     a_pows, b_pows = np.stack(pows, 1)
-    # M_X vec(Y) = vec(XY - YX), so row i - 1 of lmat is L(e_i) = M_(A^i) [vec(B) ... vec(B^(n-1))] row-major
-    lmat = _ff_matmul(spec, _lifts(spec, a_pows), b_pows.reshape(n - 1, m).T).reshape(n - 1, m * (n - 1))
+    arith, ai = _row_ops(spec), a_pows[:, None]  # ai broadcasts against b_pows: [A^i, B^j] sits at [i - 1, j - 1]
+    comms = arith.add(_ff_matmul(spec, ai, b_pows), arith.neg(_ff_matmul(spec, b_pows, ai)))
+    # row i - 1 of lmat is L(e_i) row-major: its column j - 1 is vec([A^i, B^j])
+    lmat = comms.reshape(n - 1, n - 1, m).transpose(0, 2, 1).reshape(n - 1, m * (n - 1))
 
     def singular(part):  # the classes whose L(c) has a column without a pivot
         block = _ff_matmul(spec, coeffs[part], lmat).reshape(-1, m, n - 1)
@@ -342,7 +345,7 @@ def _exhaustive_pc(a: ExactMatrix, b: ExactMatrix) -> PcCertificate | None:
         cs = coeffs[idx].tolist()
         null = nullspace_raw(spec, np.reshape(_combine(spec, cs, lmat.tolist()), (m, n - 1)).tolist())
         if null:
-            return _certificate(a, b, cs, _normalize_vector(spec, null[0]))
+            return cs, _normalize_vector(spec, null[0])
     return None
 
 
@@ -375,8 +378,7 @@ def _rational_pc(a: ExactMatrix, b: ExactMatrix) -> PcSearchResult:
     cert = _minpoly_certificate(a, b)  # exact shortcut: a derogatory side gives a certificate directly
     if cert is not None:
         return PcSearchResult("certificate", cert, "annihilating-polynomial")
-    n = a.nrows
-    per_prime: list[tuple[int, PcCertificate]] = []
+    per_prime: list[tuple[int, tuple[list, list]]] = []  # each prime's raw (cs, ds)
     skipped = ""  # primes whose projective scan exceeds the class cap
 
     def unknown(note: str) -> PcSearchResult:
@@ -385,31 +387,26 @@ def _rational_pc(a: ExactMatrix, b: ExactMatrix) -> PcSearchResult:
     for p in PC_PRIMES:
         spec_p = FieldSpec.prime(p)
         try:
-            ap = a.to_field(spec_p)
-            bp = b.to_field(spec_p)
+            ap, bp = a.to_field(spec_p), b.to_field(spec_p)
         except DivisionByZero:
             continue  # a denominator vanishes mod p
         try:
-            cert = _exhaustive_pc(ap, bp)
+            found = _exhaustive_pc(ap, bp)
         except CapExceeded as exc:
             skipped += f"; skipped modulo {p}: {exc}"
             continue
-        if cert is None:
+        if found is None:
             return unknown(f"no certificate modulo {p}")
-        per_prime.append((p, cert))
+        per_prime.append((p, found))
     if not per_prime:
         return unknown("no usable primes")
-    moduli = [p for p, _ in per_prime]
-    modulus = math.prod(moduli)
-    cs, ds = (
-        [_rational_reconstruct(_crt([v[i].raw for v in vecs], moduli), modulus) for i in range(n - 1)]
-        for vecs in ([c.cs for _, c in per_prime], [c.ds for _, c in per_prime])
+    moduli, vecs = zip(*per_prime)
+    cs, ds = (  # one coordinate's residues at a time, cs then ds
+        [_rational_reconstruct(_crt(col, moduli), math.prod(moduli)) for col in zip(*side)] for side in zip(*vecs)
     )
-    if None in cs + ds:
+    if None in cs + ds:  # else each has a coordinate that is 1 modulo some prime, so not zero
         return unknown("rational reconstruction failed")
     cs, ds = _normalize_vector(a.spec, cs), _normalize_vector(a.spec, ds)
-    if cs is None or ds is None:
-        return unknown("reconstructed a zero vector")
     cert = _certificate(a, b, cs, ds)
     if pc_verify(a, b, cert):
         return PcSearchResult("certificate", cert, "reconstructed from residues")
@@ -428,10 +425,10 @@ def pc_search(a: ExactMatrix, b: ExactMatrix) -> PcSearchResult:
     if a.nrows < 3:
         raise DimMismatch("certificates are defined for n >= 3")
     if a.spec.is_finite:
-        cert = _exhaustive_pc(a, b)
-        if cert is None:
+        found = _exhaustive_pc(a, b)
+        if found is None:
             return PcSearchResult("none", None, "exhaustive projective scan")
-        return PcSearchResult("certificate", cert, "exhaustive projective scan")
+        return PcSearchResult("certificate", _certificate(a, b, *found), "exhaustive projective scan")
     return _rational_pc(a, b)
 
 

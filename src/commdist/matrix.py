@@ -778,9 +778,9 @@ def _ff_matmul(spec: FieldSpec, x, y) -> np.ndarray:
     numpy broadcasting over the leading axes, in the `_row_ops` dtype.
 
     Prime fields multiply in int64 and reduce once, exact while the inner
-    dimension times (p - 1)^2 stays below 2^63: spans hold at most SPACE_CAP
-    codes, _PC_CLASS_CAP admits p <= 8191 at n = 3 (inner dimension 9) and
-    p <= 89 at n = 4, _CLASS_CAP admits any p for one coefficient and p < 2^20
+    dimension times (p - 1)^2 stays below 2^63: spans hold at most SPACE_CAP codes,
+    the certificate scan's products have inner dimension n or n - 1 and p <= 8191
+    (_PC_CLASS_CAP), _CLASS_CAP admits any p for one coefficient and p < 2^20
     for more (so `_shares_commuter` meets p >= 2^20 only at n = 2, and under
     SAMPLE_CAP p < 2^12).  Extension fields sum `_row_ops` products one index at a time.
     """

@@ -529,6 +529,25 @@ def test_pc_search_takes_one_nullspace_only_for_a_certificate(monkeypatch):
     assert calls == [9]
 
 
+def test_a_reconstructed_certificate_is_the_only_one_built(monkeypatch):
+    # the scans modulo 3, 5, 7 and 11 hand back raw residue vectors, so of a
+    # corpus pair certified from residues only the rational certificate gets
+    # its flags evaluated
+    golden = [json.loads(line) for line in (Path(__file__).parent / "data" / "golden" / "qq.jsonl").open()]
+    mats = {line["input"]: ExactMatrix.from_json(line["matrix"]) for line in golden if "input" in line}
+    line = next(x for x in golden if x.get("fn") == "pc_search" and x["out"].get("note") == "reconstructed from residues")
+    built, certificate = [], cm._certificate
+
+    def spy(*args):
+        built.append(certificate(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cm, "_certificate", spy)
+    res = cm.pc_search(*(mats[name] for name in line["args"]))
+    assert res.note == "reconstructed from residues" and res.certificate.to_json() == line["out"]["certificate"]
+    assert built == [res.certificate] and built[0].cs[0].spec == QQ
+
+
 def test_pc_search_memory_stays_bounded_over_the_rationals():
     # denominators 3, 5 and 7 leave only the scan modulo 11: 1,464 classes at n = 5
     rng = random.Random(7)

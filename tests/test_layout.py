@@ -260,6 +260,25 @@ def test_one_power_stack_per_matrix():
     ] == []
 
 
+def test_only_matrix_forms_lifts_and_one_certificate_is_built_per_answer():
+    # the certificate scan reads L(c) off the commutators [A^i, B^j] and hands
+    # back raw vectors, so no prime's residues become a certificate
+    callers = {
+        name: {
+            (path.name, fn.name)
+            for path in MODULES
+            for fn in ast.parse(path.read_text()).body
+            if isinstance(fn, ast.FunctionDef) and name in _called_in(fn)
+        }
+        for name in ("_lifts", "_certificate")
+    }
+    assert {module for module, _ in callers["_lifts"]} == {"matrix.py"}
+    assert "_lifts" not in (SRC / "commute.py").read_text()
+    assert callers["_certificate"] == {
+        ("commute.py", "pc_search"), ("commute.py", "_minpoly_certificate"), ("commute.py", "_rational_pc")
+    }
+
+
 def test_every_cap_lives_in_matrix():
     # the certificate scan is capped on projective classes, not pairs, and the
     # exhaustive dist-le-2 count marks one space-sized array per orbit
