@@ -387,7 +387,8 @@ def _rational_pc(a: ExactMatrix, b: ExactMatrix) -> PcSearchResult:
     for p in PC_PRIMES:
         spec_p = FieldSpec.prime(p)
         try:
-            ap, bp = a.to_field(spec_p), b.to_field(spec_p)
+            ap = a.to_field(spec_p)
+            bp = b.to_field(spec_p)
         except DivisionByZero:
             continue  # a denominator vanishes mod p
         try:
@@ -401,8 +402,9 @@ def _rational_pc(a: ExactMatrix, b: ExactMatrix) -> PcSearchResult:
     if not per_prime:
         return unknown("no usable primes")
     moduli, vecs = zip(*per_prime)
+    modulus = math.prod(moduli)
     cs, ds = (  # one coordinate's residues at a time, cs then ds
-        [_rational_reconstruct(_crt(col, moduli), math.prod(moduli)) for col in zip(*side)] for side in zip(*vecs)
+        [_rational_reconstruct(_crt(col, moduli), modulus) for col in zip(*side)] for side in zip(*vecs)
     )
     if None in cs + ds:  # else each has a coordinate that is 1 modulo some prime, so not zero
         return unknown("rational reconstruction failed")
