@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .matrix import (
     _blocks,
     _check_square,
     _code_stack,
-    _combine,
     _crt,
     _ff_matmul,
     _gauss_jordan,
@@ -169,8 +167,6 @@ def idempotent_pool(spec: FieldSpec, n: int) -> list[tuple[int, int]]:
     """All idempotents of Mat_n over a finite field as (code, rank), code
     order; the list is memoized and shared, so callers must not change it."""
     total = space_size(spec, n)
-    if n == 1:  # the idempotents of a field are 0 and 1
-        return [(0, 0), (1, 1)]
     out: list[tuple[int, int]] = []
     for part in _blocks(total, n * n):
         codes = np.arange(part.start, part.stop, dtype=np.int64)
@@ -277,13 +273,7 @@ class PcSearchResult:
 
 def poly_eval_no_const(a: ExactMatrix, coeffs) -> ExactMatrix:
     """sum coeffs[i] * a^(i+1); coefficients are FieldElems or raw values."""
-    spec, stack = a.spec, _power_stack(a)
-    raws = [spec.ops().zero] + [c.raw if isinstance(c, FieldElem) else c for c in coeffs]
-    if spec.kind == "rationals":  # the stack holds D^i = d^i a^i
-        raws = [c * Fraction(1, stack.d**i) for i, c in enumerate(raws)]
-    # the identity takes coefficient zero, so no coefficients give the zero matrix
-    flats = [[x for row in p for x in row] for p in stack.upto(len(coeffs))]
-    return unvec(spec, a.nrows, _combine(spec, raws, flats))
+    return _power_stack(a).poly([c.raw if isinstance(c, FieldElem) else c for c in coeffs])
 
 
 def _normalize_vector(spec: FieldSpec, raws: list) -> list | None:
@@ -342,10 +332,8 @@ def _exhaustive_pc(a: ExactMatrix, b: ExactMatrix) -> tuple[list, list] | None:
         return (_gauss_jordan(spec, block) < 0).any(1)
 
     for idx in _hits(len(coeffs), 8 * m * (n - 1), singular):  # cells of the int64 product
-        cs = coeffs[idx].tolist()
-        null = nullspace_raw(spec, np.reshape(_combine(spec, cs, lmat.tolist()), (m, n - 1)).tolist())
-        if null:
-            return cs, _normalize_vector(spec, null[0])
+        lc = _ff_matmul(spec, coeffs[idx : idx + 1], lmat).reshape(m, n - 1)
+        return coeffs[idx].tolist(), _normalize_vector(spec, nullspace_raw(spec, lc.tolist())[0])
     return None
 
 

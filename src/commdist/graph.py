@@ -26,7 +26,6 @@ from .matrix import (
     PREBUILD_CAP,
     ExactMatrix,
     _blocks,
-    _combine,
     _commuting_pairs,
     _ff_matmul,
     _hits,
@@ -297,15 +296,15 @@ def restricted_distance_le_3(a: ExactMatrix, b: ExactMatrix):
     # vec(I) sums the basis vectors whose free column, their last nonzero
     # entry, is diagonal, so the others and all but the last of those span the quotient
     last = max(k for k, v in enumerate(basis) if max(i for i, x in enumerate(v) if x) % (n + 1) == 0)
-    quotient = basis[:last] + basis[last + 1 :]
+    quotient = np.array(basis[:last] + basis[last + 1 :])
     coeffs, b_rows = _projective_coeffs(spec, len(quotient), _CLASS_CAP), lift_rows_raw(b)
 
     def joint(part):  # the classes whose C shares a non-scalar commuter with b
-        cs = _ff_matmul(spec, coeffs[part], np.array(quotient)).reshape(-1, n, n)
+        cs = _ff_matmul(spec, coeffs[part], quotient).reshape(-1, n, n)
         return _shares_commuter(spec, n, np.array([b.rows]), cs)
 
     for idx in _hits(len(coeffs), 2 * n**4, joint):
-        c_mat = unvec(spec, n, _combine(spec, coeffs[idx].tolist(), quotient))
+        c_mat = unvec(spec, n, _ff_matmul(spec, coeffs[idx : idx + 1], quotient)[0].tolist())
         for null_vec in nullspace_raw(spec, lift_rows_raw(c_mat) + b_rows):
             cand = unvec(spec, n, null_vec)
             if not is_scalar(cand):

@@ -51,7 +51,7 @@ class ExactMatrix:
     __slots__ = ("spec", "nrows", "ncols", "rows")
 
     def __new__(cls, spec: FieldSpec, rows):
-        converted = [tuple(spec.raw_from(x) if not _is_raw(spec, x) else x for x in row) for row in rows]
+        converted = [tuple(map(spec.raw_from, row)) for row in rows]
         if converted and converted[0] and any(len(r) != len(converted[0]) for r in converted):
             raise DimMismatch("ragged rows")
         return cls._from_raw(spec, converted)
@@ -116,9 +116,8 @@ class ExactMatrix:
         """Reinterpret entries in another field (e.g. reduce rationals mod p)."""
         if target == self.spec:
             return self
-        return ExactMatrix(
-            target, [[target.raw_from(_as_portable(self.spec, x)) for x in row] for row in self.rows]
-        )
+        rows = [[target.raw_from(_as_portable(self.spec, x)) for x in row] for row in self.rows]
+        return ExactMatrix._from_raw(target, rows)
 
     # -- accessors ------------------------------------------------------------
 
@@ -205,14 +204,6 @@ class ExactMatrix:
         return ExactMatrix._from_raw(self.spec, list(zip(*self.rows)))
 
 
-def _is_raw(spec: FieldSpec, x) -> bool:
-    if spec.kind == "rationals":
-        return isinstance(x, Fraction)
-    if spec.kind == "extension":
-        return False  # plain ints always embed as integer constants
-    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < spec.p
-
-
 def _cleared(row) -> tuple[list[int], int]:
     """Integers N and the least d with row = N / d, for a row of Fractions."""
     pairs = [x.as_integer_ratio() for x in row]
@@ -229,22 +220,6 @@ def _as_portable(spec: FieldSpec, raw):
     """Raw value in a form `raw_from` of another field accepts."""
     # an extension code becomes its coefficient list
     return spec.entry_to_json(raw) if spec.kind == "extension" else raw
-
-
-def mat_vec(m: ExactMatrix, v) -> list:
-    """Apply m to a vector of raw values (FieldElems are unwrapped); returns raws."""
-    spec = m.spec
-    raws = [x.raw if isinstance(x, FieldElem) else x for x in v]
-    if len(raws) != m.ncols:
-        raise DimMismatch("vector length mismatch")
-    ops = spec.ops()
-    out = []
-    for row in m.rows:
-        acc = ops.zero
-        for a, x in zip(row, raws):
-            acc = ops.add(acc, ops.mul(a, x))
-        out.append(acc)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +314,6 @@ def _projective_coeffs(spec: FieldSpec, length: int, cap: int) -> np.ndarray:
     out = _code_digits(q, _projective_reps(spec, length), length)
     out.flags.writeable = False
     return out
-
-
-def _combine(spec: FieldSpec, coeffs, vectors) -> list:
-    """sum coeffs[i] * vectors[i] of raw vectors, skipping zero coefficients."""
-    ops = spec.ops()
-    acc = [ops.zero] * len(vectors[0])
-    for coef, v in zip(coeffs, vectors):
-        if coef != ops.zero:
-            acc = [ops.add(x, ops.mul(coef, y)) for x, y in zip(acc, v)]
-    return acc
 
 
 def _twin_reps(spec: FieldSpec, n: int) -> np.ndarray:
@@ -910,6 +875,16 @@ class _PowerStack:
             pows = pows + [self._times_d(pows[-1])]
         self.pows = pows
         return pows[: k + 1]
+
+    def poly(self, coeffs) -> ExactMatrix:
+        """sum coeffs[i] A^(i+1) for raw coefficients: one product of the coefficient row, the identity's
+        zero first, with the stacked vec(D^i); over the rationals D^i = d^i A^i scales them by 1/d^i."""
+        raws = [self.spec.ops().zero, *coeffs]
+        if self.spec.kind == "rationals":
+            raws = [Fraction(c, self.d**i) for i, c in enumerate(raws)]
+        flats = [[x for row in p for x in row] for p in self.upto(len(coeffs))]
+        (row,) = (ExactMatrix._from_raw(self.spec, [raws]) @ ExactMatrix._from_raw(self.spec, flats)).rows
+        return unvec(self.spec, self.n, row)
 
     @functools.cached_property
     def cyclic(self) -> bool:

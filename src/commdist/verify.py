@@ -22,12 +22,12 @@ from .errors import ParseError
 from .field import FieldSpec
 from .matrix import (
     ExactMatrix,
-    mat_vec,
     min_poly,
     nullspace_raw,
     random_matrix,
     rank_raw,
     rref_raw,
+    vec,
 )
 
 QQ = FieldSpec.rationals()
@@ -372,9 +372,8 @@ def check_invariant_suites():
         for _ in range(1000):
             m = random_matrix(spec, 3, 3, rng)
             c = random_matrix(spec, 3, 3, rng)
-            lhs = mat_vec(cm.lift_M(m), [x for row in c.rows for x in row])
-            rhs = [x for row in (m @ c - c @ m).rows for x in row]
-            if lhs != rhs:
+            column = ExactMatrix._from_raw(spec, [[x] for x in vec(c)])
+            if (cm.lift_M(m) @ column).transpose().rows[0] != vec(m @ c - c @ m):
                 lift_ok = False
         for _ in range(50):
             m = random_matrix(spec, rng.randint(1, 6), rng.randint(1, 6), rng)

@@ -168,6 +168,17 @@ def test_dist2_minors_on_low_rank_pair(capsys):
     assert report["minors"]["consistent"] is True
 
 
+def test_field_keeps_the_coefficients_of_extension_entries(capsys):
+    # regression: converting to another extension field kept only the constant terms
+    a = json.dumps({"field": "gf(3^2):1,0,1", "rows": [[[0, 1], [2, 1]], [[1, 0], [0, 2]]]})
+    code, report = run_json(capsys, "centralizer", "--field", "gf(3^3):1,2,0,1", "--a", a)
+    assert code == 0
+    assert report["config"]["a"]["rows"] == [[[0, 1, 0], [2, 1, 0]], [[1, 0, 0], [0, 2, 0]]]
+    # a coefficient vector longer than the target's degree is an input error
+    b = json.dumps({"field": "gf(3^3):1,2,0,1", "rows": [[[0, 0, 1]]]})
+    assert main(["centralizer", "--field", "gf(9)", "--a", b]) == 1
+
+
 def test_centralizer(capsys):
     code, report = run_json(capsys, "centralizer", "--a", "fixture:ex46_B")
     assert code == 0 and report["dimension"] == 4

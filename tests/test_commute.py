@@ -1,6 +1,7 @@
 """Distance-theoretic tests: lifts, rank criterion, derogatory classification,
 idempotent witnesses, certificates, and the distance decision ladder."""
 
+import functools
 import itertools
 import json
 import math
@@ -26,7 +27,6 @@ from commdist.matrix import (
     _code_stack,
     _projective_reps,
     lift_rows_raw,
-    mat_vec,
     min_poly,
     nullspace_raw,
     random_matrix,
@@ -77,9 +77,8 @@ def test_lift_identity_property(spec):
     for _ in range(40):
         a = random_matrix(spec, 3, 3, rng)
         c = random_matrix(spec, 3, 3, rng)
-        lhs = mat_vec(cm.lift_M(a), [x for row in c.rows for x in row])
-        rhs = [x for row in (a @ c - c @ a).rows for x in row]
-        assert lhs == rhs
+        lhs = cm.lift_M(a) @ ExactMatrix._from_raw(spec, [[x] for x in vec(c)])
+        assert lhs == ExactMatrix._from_raw(spec, [[x] for x in vec(a @ c - c @ a)])
 
 
 def test_centralizer_of_scalar_is_everything():
@@ -462,13 +461,16 @@ def test_pc_search_past_the_table_fields():
 
 def _first_hit_by_class_ranks(a, b):
     """The certificate scan one class at a time: L(c) from exact products,
-    column j being sum_i c_i vec(A^i B^j - B^j A^i), ranked by rank_raw; the
-    first singular L(c) gives d, its first nullspace vector normalized."""
+    column j being sum_i c_i vec(A^i B^j - B^j A^i) by scaling and adding
+    matrices, ranked by rank_raw; the first singular L(c) gives d, its first
+    nullspace vector normalized."""
     spec, n = a.spec, a.nrows
     a_pows, b_pows = _chain(a, n - 1)[1:], _chain(b, n - 1)[1:]
-    terms = [[vec(ai @ bj - bj @ ai) for ai in a_pows] for bj in b_pows]  # terms[j][i]
+    terms = [[ai @ bj - bj @ ai for ai in a_pows] for bj in b_pows]  # terms[j][i]
     for cs in _code_digits(spec.order, _projective_reps(spec, n - 1), n - 1).tolist():
-        rows = [list(r) for r in zip(*(matrix._combine(spec, cs, column) for column in terms))]
+        elems = [spec.elem_from_code(c) for c in cs]
+        columns = [vec(functools.reduce(operator.add, map(ExactMatrix.scale, column, elems))) for column in terms]
+        rows = [list(r) for r in zip(*columns)]
         if rank_raw(spec, rows) < n - 1:
             return cm._certificate(a, b, cs, cm._normalize_vector(spec, nullspace_raw(spec, rows)[0]))
     return None
@@ -660,6 +662,24 @@ def test_poly_eval_uses_field_coefficients():
     expected = (a @ a).scale(i_elem)
     assert p == expected
     assert cm.poly_eval_no_const(a, []) == ExactMatrix.zeros(GF9, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "spec", [QQ, GF2, GF3, GF9, GF8, FieldSpec.prime(257), FieldSpec.parse("gf(17^2):14,0,1")], ids=str
+)
+def test_poly_eval_matches_horner(spec):
+    # one product with the stacked powers against A(c_1 I + A(c_2 I + ...)) by `@` and `+`
+    rng = random.Random(41)
+    for n in range(2, 7):
+        eye = ExactMatrix.identity(spec, n)
+        for k in range(n):
+            a = random_matrix(spec, n, n, rng)
+            cs = [c[0, 0] for c in (random_matrix(spec, 1, 1, rng) for _ in range(k))]
+            horner = ExactMatrix.zeros(spec, n, n)
+            for c in reversed(cs):
+                horner = a @ (horner + eye.scale(c))
+            assert cm.poly_eval_no_const(a, cs) == horner
+            assert cm.poly_eval_no_const(a, [c.raw for c in cs]) == horner
 
 
 def test_certificate_json_round_trip():

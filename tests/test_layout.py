@@ -8,7 +8,8 @@ walk, one function picks the numpy arithmetic of each finite field and
 looks up its q x q tables through one flat take, the batched kernels
 share one chunk rule, one raw decoder and one table per field, single
 matrices over every finite field but GF(2) eliminate in one numpy loop, the
-powers of a single matrix come from one memoized stack, and
+powers of a single matrix come from one memoized stack, entries turn raw by
+one rule and polynomial evaluation is one product in that stack, and
 every attribute the benchmark's tracer patches exists, and every public
 name is used by the library or the benchmark."""
 
@@ -258,6 +259,20 @@ def test_one_power_stack_per_matrix():
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
         or isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("rank_raw", "rank")
     ] == []
+
+
+def test_one_raw_value_rule_and_one_product():
+    # entries turn raw through FieldSpec.raw_from alone, once each, and
+    # polynomial evaluation is one product inside the power stack
+    assert _definers("_is_raw", "_combine", "mat_vec") == set()
+    tree = ast.parse((SRC / "matrix.py").read_text())
+    exact = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ExactMatrix")
+    methods = {fn.name: fn for fn in exact.body if isinstance(fn, ast.FunctionDef)}
+    assert "raw_from" in ast.unparse(methods["__new__"]) and "kind" not in ast.unparse(methods["__new__"])
+    assert "ExactMatrix" not in _called_in(methods["to_field"]) and "_from_raw" in _called_in(methods["to_field"])
+    stack = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_PowerStack")
+    assert any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) for node in ast.walk(stack))
+    assert "poly" in _called_in(_function(SRC / "commute.py", "poly_eval_no_const"))
 
 
 def test_only_matrix_forms_lifts_and_one_certificate_is_built_per_answer():

@@ -23,7 +23,6 @@ from commdist.matrix import (
     _power_stack,
     decode_matrix,
     lift_rows_raw,
-    mat_vec,
     min_poly,
     nullspace_raw,
     random_matrix,
@@ -185,13 +184,12 @@ def test_nullspace_exact_regression():
 @pytest.mark.parametrize("spec", ALL_FIELDS)
 def test_rank_nullity_and_kernel_membership(spec):
     rng = random.Random(3)
-    zero = spec.ops().zero
     for _ in range(60):
         m = random_matrix(spec, rng.randint(1, 6), rng.randint(1, 6), rng)
         basis = nullspace_raw(spec, m.raw_rows())
         assert rank(m) + len(basis) == m.ncols
         for v in basis:
-            assert all(x == zero for x in mat_vec(m, v))
+            assert m @ ExactMatrix._from_raw(spec, [[x] for x in v]) == ExactMatrix.zeros(spec, m.nrows, 1)
 
 
 def _chain(m: ExactMatrix, k: int) -> list[ExactMatrix]:
@@ -672,6 +670,17 @@ def test_field_coercion():
     # prime residues embed into an extension of the same characteristic
     lifted = ExactMatrix(GF3, [[2]]).to_field(GF9)
     assert lifted.to_json()["rows"] == [[[2, 0]]]
+
+
+def test_extension_entries_keep_every_coefficient_in_another_extension():
+    # regression: to_field read the converted codes back as integer
+    # constants, so every coefficient of x and above was lost
+    m = ExactMatrix(FieldSpec.parse("gf(3^2):1,0,1"), [[[0, 1], [2, 1]], [[1, 0], [0, 2]]])  # [[x, 2+x], [1, 2x]]
+    assert m.to_field(FieldSpec.parse("gf(3^2):2,2,1")).to_json()["rows"] == [[[0, 1], [2, 1]], [[1, 0], [0, 2]]]
+    gf27 = FieldSpec.parse("gf(3^3):1,2,0,1")
+    assert m.to_field(gf27).to_json()["rows"] == [[[0, 1, 0], [2, 1, 0]], [[1, 0, 0], [0, 2, 0]]]
+    with pytest.raises(ParseError):  # x^2 has no coefficient vector of length 2
+        ExactMatrix(gf27, [[[0, 0, 1]]]).to_field(GF9)
 
 
 def test_extension_int_entries_embed_as_constants():
