@@ -303,10 +303,8 @@ def restricted_distance_le_3(a: ExactMatrix, b: ExactMatrix):
         cs = _ff_matmul(spec, coeffs[part], quotient).reshape(-1, n, n)
         return _shares_commuter(spec, n, np.array([b.rows]), cs)
 
-    for idx in _hits(len(coeffs), 2 * n**4, joint):
+    for idx in _hits(len(coeffs), 2 * n**4, joint):  # the first hit is final: [0] raises if the kernels disagree
         c_mat = unvec(spec, n, _ff_matmul(spec, coeffs[idx : idx + 1], quotient)[0].tolist())
-        for null_vec in nullspace_raw(spec, lift_rows_raw(c_mat) + b_rows):
-            cand = unvec(spec, n, null_vec)
-            if not is_scalar(cand):
-                return c_mat, cand
+        null = (unvec(spec, n, v) for v in nullspace_raw(spec, lift_rows_raw(c_mat) + b_rows))
+        return c_mat, [d for d in null if not is_scalar(d)][0]
     return None

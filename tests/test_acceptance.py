@@ -1,24 +1,15 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Every criterion runs at its stated budget through the bundled reference-check
-registry, so `commdist verify-paper` and this module exercise identical code.
+registry, so `commdist verify-paper` and this module exercise identical code;
+the criteria are that registry's checks, numbered in its order.
 """
 
 import pytest
 
-from commdist.verify import verify_paper
+from commdist.verify import CHECKS, verify_paper
 
-CRITERIA = [
-    (1, "ex25-distance"),
-    (2, "ex32-lift-template"),
-    (3, "rank-criterion-vs-bfs"),
-    (4, "two-by-two-dichotomy"),
-    (5, "ex46"),
-    (6, "ex410"),
-    (7, "derogatory-certificates"),
-    (8, "census-fixtures"),
-    (9, "invariant-suites"),
-]
+CRITERIA = [(number, name) for number, (name, _, _) in enumerate(CHECKS, 1)]
 
 
 @pytest.mark.parametrize("number,check", CRITERIA, ids=[c for _, c in CRITERIA])

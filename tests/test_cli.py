@@ -334,6 +334,30 @@ def test_verify_paper_single_check(capsys):
     assert "ALL CHECKS PASS" in out
 
 
+def test_verify_paper_writes_its_report(tmp_path, capsys):
+    target = tmp_path / "verify.json"
+    assert main(["verify-paper", "--only", "ex25-distance", "--out", str(target)]) == 0
+    report = json.loads(target.read_text())
+    assert report["all_pass"] is True
+    assert [c["name"] for c in report["checks"]] == ["ex25-distance"]
+    assert report["config"] == {"subcommand": "verify-paper", "only": "ex25-distance"}
+    capsys.readouterr()
+
+
+def test_mismatched_pairs_exit_1(capsys):
+    gf3 = '{"field":"gf(3)","rows":[[1,2],[0,1]]}'
+    gf5 = '{"field":"gf(5)","rows":[[1,2],[0,1]]}'
+    two = '{"field":"gf(2)","rows":[[1,1],[0,1]]}'
+    three = '{"field":"gf(2)","rows":[[1,1,0],[0,1,0],[0,0,0]]}'
+    for argv, error in (
+        (["distance", "--a", gf3, "--b", gf5], "FieldMismatch"),
+        (["bfs", "--a", two, "--b", three], "DimMismatch"),
+    ):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err)["error"] == error
+
+
 def test_verify_paper_rejects_unknown_checks_before_running_any(capsys):
     for only, unknown in (("no-such-check", "'no-such-check'"), ("", "''"), ("ex25-distance,nope", "'nope'")):
         assert main(["verify-paper", "--only", only]) == 1

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commdist.errors import BadWitness, CapExceeded, DimMismatch
+from commdist.errors import BadWitness, CapExceeded, DimMismatch, FieldMismatch
 from commdist.field import FieldSpec
 from commdist import commute as cm
 from commdist import matrix
@@ -252,6 +252,68 @@ def test_one_rational_distance_builds_each_power_stack_once(monkeypatch, name):
     assert len(built) == len(set(built))
 
 
+def _block_diagonal(x, y):
+    k, n = x.nrows, x.nrows + y.nrows
+    return ExactMatrix(QQ, [
+        [x.rows[i][j] if i < k and j < k else y.rows[i - k][j - k] if i >= k and j >= k else 0 for j in range(n)]
+        for i in range(n)
+    ])
+
+
+def _nonderogatory_side_pairs():
+    """Seeded rational pairs at n = 2..6 with a nonderogatory side: generic; b in Q[a], as it is
+    and perturbed, sides swapped; a derogatory side beside a generic one; and a pair P (R1 + R2) P^-1,
+    P (S1 + sI) P^-1 with 2 x 2 blocks R1, S1 (1 x 1 at n = 2), whose joint commutant is the scalars plus
+    Q[R2] on the second block, so its commutator kernel has dimension n - 2 and the pair does not commute."""
+    rng = random.Random(29)
+
+    def rand(m):
+        return random_matrix(QQ, m, m, rng)
+
+    for n, _ in itertools.product(range(2, 7), range(2)):
+        a, b = rand(n), rand(n)
+        poly = cm.poly_eval_no_const(a, [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n - 1)])
+        p = rand(n)
+        while rank(p) < n:
+            p = rand(n)
+        lam, k = Fraction(rng.randint(-3, 3)), min(2, n - 1)
+        derog = p @ ExactMatrix.diag(QQ, [lam, lam] + [Fraction(i) for i in range(n - 2)]) @ _invert(p)
+        yield a, b
+        yield a, poly
+        yield poly + ExactMatrix.diag(QQ, [1] + [0] * (n - 1)), a
+        yield derog, b
+        yield (
+            p @ _block_diagonal(rand(k), rand(n - k)) @ _invert(p),
+            p @ _block_diagonal(rand(k), ExactMatrix.identity(QQ, n - k).scale(lam)) @ _invert(p),
+        )
+
+
+def test_polynomial_commutant_is_the_stacked_lift_nullspace():
+    # the commutator kernel of a nonderogatory side gives the lift's own basis, matrix for matrix
+    dims, apart = [], []  # kernel dimensions, of every pair and of the non-commuting ones
+    for a, b in _nonderogatory_side_pairs():
+        n = a.nrows
+        want = [unvec(QQ, n, v) for v in nullspace_raw(QQ, lift_rows_raw(a) + lift_rows_raw(b))]
+        got = cm._polynomial_commutant(a, b)
+        assert got == want
+        assert all(type(x) is Fraction for m in got for row in m.rows for x in row)
+        assert cm.dist_le_2(a, b) == (len(want) > 1)
+        dims.append(len(got) - 1)
+        if not cm.commutes(a, b):
+            apart.append(len(got) - 1)
+    assert len(dims) == 50 and dims.count(0) >= 10 and sum(d >= 2 for d in apart) >= 5
+
+
+def test_a_rational_pair_with_a_nonderogatory_side_builds_no_lift(monkeypatch):
+    pairs = list(_nonderogatory_side_pairs())
+    wants = [_lift_witness(a, b) for a, b in pairs]
+    built = []
+    monkeypatch.setattr(cm, "lift_rows_raw", lambda m: built.append(m) or lift_rows_raw(m))
+    assert [cm.common_nonscalar_commuter(a, b) for a, b in pairs] == wants
+    assert built == []
+    assert None in wants and wants.count(None) < len(wants)
+
+
 def test_rational_rank_criterion_skips_the_lift_unless_both_sides_are_derogatory(monkeypatch):
     built = []
     monkeypatch.setattr(cm, "lift_rows_raw", lambda m: built.append(m) or lift_rows_raw(m))
@@ -292,6 +354,20 @@ def test_zi_witness_validation():
     with pytest.raises(BadWitness) as err:
         cm.zi_membership(A25, B25, 1, witness=bad)
     assert err.value.condition == "commutes-with-first"
+
+
+def test_zi_witness_errors_for_field_shape_and_second_operand():
+    a = ExactMatrix.diag(QQ, [1, 2, 3])
+    b = ExactMatrix(QQ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    e11 = ExactMatrix.diag(QQ, [1, 0, 0])  # commutes with a, not with b
+    with pytest.raises(BadWitness) as err:
+        cm.zi_membership(a, b, 1, witness=e11)
+    assert err.value.condition == "commutes-with-second"
+    with pytest.raises(BadWitness) as err:
+        cm.zi_membership(a, b, 1, witness=ExactMatrix.diag(QQ, [1, 0]))
+    assert err.value.condition == "shape"
+    with pytest.raises(FieldMismatch):
+        cm.zi_membership(a, b, 1, witness=ExactMatrix.diag(GF3, [1, 0, 0]))
 
 
 def test_zi_enumeration_matches_independent_oracle():

@@ -300,6 +300,15 @@ def test_entry_json_round_trip():
             assert spec.elem(e.to_json()) == e
 
 
+def test_string_entries_over_a_prime_field():
+    gf5 = FieldSpec.prime(5)
+    assert gf5.raw_from("3/2") == 4 and gf5.raw_from("-7") == 3
+    with pytest.raises(DivisionByZero):
+        gf5.raw_from("1/5")
+    with pytest.raises(ParseError):
+        gf5.raw_from("x")
+
+
 def test_fraction_embedding_into_prime_fields():
     # 1/2 = 2 in GF(3); denominators divisible by p are rejected
     assert GF3.elem(Fraction(1, 2)).to_json() == 2

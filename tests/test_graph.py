@@ -442,6 +442,18 @@ def test_restricted_mode_blocks_bundled_pair_mod_three():
     assert gr.restricted_distance_le_3(a3, b3) is None
 
 
+def test_the_restricted_search_stops_at_its_first_hit(monkeypatch):
+    # a companion of the irreducible x^3 + x + 1 has a component of its own, so no
+    # class of its centralizer shares a non-scalar commuter with E_11; a kernel that
+    # claims every class does must fail at the first class, not move on to the next
+    a = ExactMatrix(GF2, [[0, 0, 1], [1, 0, 1], [0, 1, 0]])
+    b = ExactMatrix(GF2, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert gr.restricted_distance_le_3(a, b) is None
+    monkeypatch.setattr(gr, "_shares_commuter", lambda spec, n, x, y: np.ones(len(y), bool))
+    with pytest.raises(IndexError):
+        gr.restricted_distance_le_3(a, b)
+
+
 def test_bfs_fills_only_the_neighbor_lists_it_reaches():
     # a GF(2) 4x4 pair at distance 3, in a space of 2^16 codes
     a = ExactMatrix(GF2, [[1, 0, 0, 1], [0, 0, 0, 1], [1, 1, 0, 1], [0, 1, 0, 0]])

@@ -8,8 +8,10 @@ walk, one function picks the numpy arithmetic of each finite field and
 looks up its q x q tables through one flat take, the batched kernels
 share one chunk rule, one raw decoder and one table per field, single
 matrices over every finite field but GF(2) eliminate in one numpy loop, the
-powers of a single matrix come from one memoized stack, entries turn raw by
-one rule and polynomial evaluation is one product in that stack, and
+powers of a single matrix come from one memoized stack, a rational pair
+with a nonderogatory side is decided and witnessed by one commutator kernel
+that forms no lift, entries turn raw by one rule and polynomial evaluation
+is one product in that stack, and
 every attribute the benchmark's tracer patches exists, and every public
 name is used by the library or the benchmark."""
 
@@ -246,9 +248,9 @@ def test_one_power_stack_per_matrix():
     matrix_py, commute_py = SRC / "matrix.py", SRC / "commute.py"
     assert _top_level_users(matrix_py, commute_py, name="_power_stack") == {
         ("matrix.py", "min_poly"), ("commute.py", "derogatory"),
-        ("commute.py", "_shares_polynomial_commuter"), ("commute.py", "poly_eval_no_const"),
+        ("commute.py", "_polynomial_commutant"), ("commute.py", "poly_eval_no_const"),
     }
-    assert _top_level_users(*KERNEL_MODULES, name="_int_products") == {("commute.py", "_shares_polynomial_commuter")}
+    assert _top_level_users(*KERNEL_MODULES, name="_int_products") == {("commute.py", "_polynomial_commutant")}
     readers = [(matrix_py, "min_poly")] + [
         (commute_py, name)
         for name in ("derogatory", "poly_eval_no_const", "_certificate", "_minpoly_certificate", "_rational_pc")
@@ -291,6 +293,17 @@ def test_only_matrix_forms_lifts_and_one_certificate_is_built_per_answer():
     assert "_lifts" not in (SRC / "commute.py").read_text()
     assert callers["_certificate"] == {
         ("commute.py", "pc_search"), ("commute.py", "_minpoly_certificate"), ("commute.py", "_rational_pc")
+    }
+
+
+def test_one_commutant_route_over_the_rationals():
+    # the rational pair with a nonderogatory side is decided and witnessed by one
+    # commutator kernel: the bool-only test is gone, and the kernel never forms a lift
+    assert _definers("_shares_polynomial_commuter") == set()
+    commute_py = SRC / "commute.py"
+    assert "lift_rows_raw" not in _called_in(_function(commute_py, "_polynomial_commutant"))
+    assert {name for _, name in _top_level_users(commute_py, name="_polynomial_commutant")} == {
+        "dist_le_2", "common_nonscalar_commuter"
     }
 
 

@@ -544,6 +544,17 @@ def test_rref_over_q_drops_bad_primes_and_lifts_tall_entries(rows):
     assert rref_raw(QQ, rows) == _sympy_rref_qq(rows)
 
 
+def test_rref_over_q_drops_a_later_prime_with_worse_pivots():
+    # the first prime alone cannot lift (7^30 + 1) / P; modulo P, the second prime,
+    # the second pivot moves to column 2, so that prime is met and dropped
+    p, tall = matrix._lift_prime(1), 7**30 + 1
+    assert matrix._rref_np(FieldSpec.prime(p), [[1, 0, 3], [0, 0, tall % p]])[1] == [0, 2]
+    with mock.patch.object(matrix, "_rref_np", wraps=matrix._rref_np) as spy:
+        got = rref_raw(QQ, [[Fraction(x) for x in row] for row in [[1, 0, 3], [0, p, tall]]])
+    assert got == ([[1, 0, 3], [0, 1, Fraction(tall, p)]], [0, 1])
+    assert [call.args[0].p for call in spy.call_args_list][:3] == [P0, p, matrix._lift_prime(2)]
+
+
 def test_tall_entries_take_several_primes():
     with mock.patch.object(matrix, "_rref_np", wraps=matrix._rref_np) as spy:
         rref, _ = rref_raw(QQ, [[Fraction(x) for x in row] for row in TALL])
