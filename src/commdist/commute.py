@@ -2,8 +2,8 @@
 
 Everything here reduces to exact linear algebra: centralizers are nullspaces
 of the Kronecker-style lift M_A = A (x) I - I (x) A^T; a pair is at distance <= 2
-iff it shares a non-scalar commuter, which over QQ a nonderogatory side X decides
-from the n - 1 commutators [X^k, Y], else a rank bound on the pair's stacked lift;
+iff it shares a non-scalar commuter, which `matrix._commutant` finds (over QQ from
+the n - 1 commutators [X^k, Y] of a nonderogatory side X, else from the lifts);
 and the distance<=3 machinery searches for polynomials p, q without constant term
 and degree 1..n-1 such that p(A) and q(B) commute.
 """
@@ -33,11 +33,11 @@ from .matrix import (
     _blocks,
     _check_square,
     _code_stack,
+    _commutant,
     _crt,
     _ff_matmul,
     _gauss_jordan,
     _hits,
-    _int_products,
     _power_stack,
     _projective_coeffs,
     _rational_reconstruct,
@@ -49,7 +49,6 @@ from .matrix import (
     nullspace_raw,
     rank,
     rank_raw,
-    rref_raw,
     space_size,
     unvec,
 )
@@ -91,10 +90,7 @@ def stack_M(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 def centralizer_basis(a: ExactMatrix) -> list[ExactMatrix]:
     """Echelon basis of the space of matrices commuting with a."""
     _check_square(a)
-    n = a.nrows
-    return [
-        unvec(a.spec, n, v) for v in nullspace_raw(a.spec, lift_rows_raw(a))
-    ]
+    return [unvec(a.spec, a.nrows, v) for v in _commutant(a)]
 
 
 def dist_le_2(a: ExactMatrix, b: ExactMatrix) -> bool:
@@ -102,50 +98,22 @@ def dist_le_2(a: ExactMatrix, b: ExactMatrix) -> bool:
 
     Equivalently the pair commutes with a common non-scalar matrix (the joint
     nullspace then exceeds the scalar line), which covers the conventions for
-    scalar and equal inputs as well.  Valid over every supported field; over the
-    rationals `_polynomial_commutant` decides every pair but two derogatory sides.
-    A finite-field pair keeps the lift: at n = 3, 4 one rank takes 4-35x less than a batch of one.
+    scalar and equal inputs as well.  Over the rationals that is the length of
+    `_commutant`; a finite-field pair ranks the lift, as a forward echelon skips back-reduction.
     """
     _check_pair(a, b)
     n = a.nrows
     if n < 2:
         raise DimMismatch("the rank criterion needs n >= 2")
-    basis = _polynomial_commutant(a, b)
-    return len(basis) > 1 if basis is not None else rank_raw(a.spec, lift_rows_raw(a) + lift_rows_raw(b)) <= n * n - 2
-
-
-def _polynomial_commutant(a: ExactMatrix, b: ExactMatrix) -> list[ExactMatrix] | None:
-    """Over the rationals at n >= 2, the basis of C(a) & C(b) that the stacked lift's nullspace gives, read off
-    a nonderogatory side X: C(X) = F[X], so p(X) = c_0 I + sum c_k X^k commutes with Y iff c is in the kernel of
-    the columns vec([X^k, Y]), 0 < k < n.  The power stacks give D = dX, its powers, whether X is cyclic and
-    E = eY, so the kernel is taken on the integers.  The basis is the reversed RREF of vec(I) and the vec(p(D)):
-    the nullspace's vector of a free column f has its last nonzero entry, a 1, at f and a 0 at every other free
-    column, which fixes it.  None for two derogatory sides and over finite fields."""
-    spec, n = a.spec, a.nrows
-    if spec.kind != "rationals" or n < 2:
-        return None
-    for x, y in ((a, b), (b, a)):
-        stack = _power_stack(x)
-        if stack.cyclic:
-            pows, e = stack.upto(n - 1), _power_stack(y).upto(1)[1]
-            pe = [sum(_int_products(p, list(zip(*e))), []) for p in pows[1:]]
-            ep = [sum(_int_products(e, list(zip(*p))), []) for p in pows[1:]]
-            kernel = nullspace_raw(spec, [[s - t for s, t in zip(u, v)] for u, v in zip(zip(*pe), zip(*ep))])
-            if not kernel:  # only the scalars
-                return [ExactMatrix.identity(spec, n)]
-            coeffs = [[1] + [0] * (n - 1)] + [[0, *c] for c in kernel]  # 0s and 1s, as in the stack's I
-            span = (ExactMatrix._from_raw(spec, coeffs) @ ExactMatrix._from_raw(spec, [sum(p, []) for p in pows])).rows
-            return [unvec(spec, n, v[::-1]) for v in reversed(rref_raw(spec, [v[::-1] for v in span])[0])]
-    return None
+    if a.spec.is_finite:
+        return rank_raw(a.spec, lift_rows_raw(a) + lift_rows_raw(b)) <= n * n - 2
+    return len(_commutant(a, b)) > 1
 
 
 def common_nonscalar_commuter(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix | None:
     """A non-scalar matrix commuting with both, if one exists: the first of the joint commutant's basis."""
     _check_pair(a, b)
-    basis = _polynomial_commutant(a, b)
-    if basis is None:
-        basis = (unvec(a.spec, a.nrows, v) for v in nullspace_raw(a.spec, lift_rows_raw(a) + lift_rows_raw(b)))
-    return next((m for m in basis if not is_scalar(m)), None)
+    return next((m for m in (unvec(a.spec, a.nrows, v) for v in _commutant(a, b)) if not is_scalar(m)), None)
 
 
 def derogatory(a: ExactMatrix) -> bool:

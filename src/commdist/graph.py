@@ -26,6 +26,7 @@ from .matrix import (
     PREBUILD_CAP,
     ExactMatrix,
     _blocks,
+    _commutant,
     _commuting_pairs,
     _ff_matmul,
     _hits,
@@ -36,8 +37,7 @@ from .matrix import (
     decode_matrix,
     encode_matrix,
     is_scalar,
-    lift_rows_raw,
-    nullspace_raw,
+    lift_rows_raw,  # unused here: kept only for the benchmark's tracer
     space_size,
     unvec,
 )
@@ -288,16 +288,16 @@ def restricted_distance_le_3(a: ExactMatrix, b: ExactMatrix):
     `_projective_coeffs` and at most _CLASS_CAP of them.  One product forms the C of a
     `_blocks` block, and `_shares_commuter` (B's powers formed once) tells which share a
     non-scalar commuter with B, from the n - 1 commutators [B^k, C] when B is nonderogatory,
-    else [C^k, B], else the lifts; only the first such class gets a nullspace.  Complete
+    else [C^k, B], else the lifts; only the first such class gets `_commutant`.  Complete
     for the <=3 question; returns the chain (C, D) or None."""
     _check_vertex_pair(a, b)
     spec, n = a.spec, a.nrows
-    basis = nullspace_raw(spec, lift_rows_raw(a))
+    basis = _commutant(a)
     # vec(I) sums the basis vectors whose free column, their last nonzero
     # entry, is diagonal, so the others and all but the last of those span the quotient
     last = max(k for k, v in enumerate(basis) if max(i for i, x in enumerate(v) if x) % (n + 1) == 0)
     quotient = np.array(basis[:last] + basis[last + 1 :])
-    coeffs, b_rows = _projective_coeffs(spec, len(quotient), _CLASS_CAP), lift_rows_raw(b)
+    coeffs = _projective_coeffs(spec, len(quotient), _CLASS_CAP)
 
     def joint(part):  # the classes whose C shares a non-scalar commuter with b
         cs = _ff_matmul(spec, coeffs[part], quotient).reshape(-1, n, n)
@@ -305,6 +305,5 @@ def restricted_distance_le_3(a: ExactMatrix, b: ExactMatrix):
 
     for idx in _hits(len(coeffs), 2 * n**4, joint):  # the first hit is final: [0] raises if the kernels disagree
         c_mat = unvec(spec, n, _ff_matmul(spec, coeffs[idx : idx + 1], quotient)[0].tolist())
-        null = (unvec(spec, n, v) for v in nullspace_raw(spec, lift_rows_raw(c_mat) + b_rows))
-        return c_mat, [d for d in null if not is_scalar(d)][0]
+        return c_mat, [d for d in (unvec(spec, n, v) for v in _commutant(c_mat, b)) if not is_scalar(d)][0]
     return None

@@ -16,7 +16,8 @@ This module also holds what the higher layers share: the integer codec that
 enumerates Mat_n over a finite field, the lift M_A built by row slices, the
 size caps, a batched kernel for the centralizers of a whole chunk of codes, one
 for the pairs that share a non-scalar commuter, the one batched finite-field
-product, the orbits of Mat_n under graph automorphisms and the powers of one matrix.
+product, the orbits of Mat_n under graph automorphisms, the powers of one matrix and
+the joint commutant of single matrices.
 """
 
 from __future__ import annotations
@@ -893,6 +894,32 @@ class _PowerStack:
 
 # sized for the handful of stacks one distance call asks for, not to keep them across calls
 _power_stack = functools.lru_cache(maxsize=16)(_PowerStack)
+
+
+def _commutant(*mats: ExactMatrix) -> list[list]:
+    """Raw basis of the joint commutant of square matrices of one field and size: the list `nullspace_raw`
+    of their stacked lifts gives.  Over the rationals at n >= 2 a nonderogatory member X needs no lift:
+    C(X) = F[X], so p(X) = c_0 I + sum c_k X^k commutes with every other member Y iff c is in the kernel of
+    the integer columns vec([D^k, E]), 0 < k < n, for D = dX and E = eY from the power stacks (every c when
+    X is alone).  The basis is the reversed RREF of vec(I) and the vec(p(D)): the nullspace's vector of a
+    free column f has its last nonzero entry, a 1, at f and a 0 at every other free column, which fixes it."""
+    spec, n = mats[0].spec, mats[0].nrows
+    for i, x in enumerate(mats if spec.kind == "rationals" and n >= 2 else ()):
+        stack = _power_stack(x)
+        if stack.cyclic:
+            pows, rows = stack.upto(n - 1), []
+            for y in mats[:i] + mats[i + 1 :]:
+                e = _power_stack(y).upto(1)[1]
+                pe = [sum(_int_products(p, list(zip(*e))), []) for p in pows[1:]]
+                ep = [sum(_int_products(e, list(zip(*p))), []) for p in pows[1:]]
+                rows += [[s - t for s, t in zip(u, v)] for u, v in zip(zip(*pe), zip(*ep))]
+            kernel = nullspace_raw(spec, rows or [[0] * (n - 1)])  # X alone: every c
+            if not kernel:  # only the scalars
+                return [[_ONE if k % (n + 1) == 0 else _ZERO for k in range(n * n)]]
+            coeffs = [[1] + [0] * (n - 1)] + [[0, *c] for c in kernel]  # 0s and 1s, as in the stack's I
+            span = (ExactMatrix._from_raw(spec, coeffs) @ ExactMatrix._from_raw(spec, [sum(p, []) for p in pows])).rows
+            return [v[::-1] for v in reversed(rref_raw(spec, [v[::-1] for v in span])[0])]
+    return nullspace_raw(spec, [row for m in mats for row in lift_rows_raw(m)])
 
 
 def min_poly(m: ExactMatrix) -> list[FieldElem]:

@@ -262,6 +262,11 @@ def test_derogatory_counts():
 
 
 @pytest.mark.slow
+def test_derogatory_count_needs_n_at_least_2():
+    with pytest.raises(DimMismatch, match="derogatory needs n >= 2"):
+        cs.derogatory_count(GF2, 1)
+
+
 def test_derogatory_count_mat3_gf3():
     snap = load_snapshot("census")["derogatory_count"]
     assert cs.derogatory_count(GF3, 3).value == snap["3|gf(3)"]

@@ -506,3 +506,39 @@ def test_malformed_certificate_lists_are_parse_errors(capsys):
         assert main(["pc-verify", "--a", a, "--b", a, "--cert", cert]) == 1
         out = capsys.readouterr()
         assert out.out == "" and json.loads(out.err)["error"] == "ParseError"
+
+
+def test_unknown_census_quantity_is_a_usage_error(capsys):
+    # argparse's choices reject it before the census handler runs
+    assert main(["census", "--field", "gf(2)", "--n", "2", "--quantity", "bogus"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "invalid choice: 'bogus'" in out.err
+
+
+def test_bfs_pair_at_a_finite_distance(capsys):
+    code, report = run_json(
+        capsys, "bfs", "--field", "gf(2)",
+        "--a", '{"field":"gf(2)","rows":[[1,1,0],[0,1,0],[0,0,0]]}',
+        "--b", '{"field":"gf(2)","rows":[[0,0,0],[1,0,0],[0,0,1]]}',
+    )
+    assert code == 0 and report["distance"] == 2
+
+
+def test_matrix_and_certificate_arguments_read_json_files(tmp_path, capsys):
+    a_path, b_path, cert_path = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "cert.json"
+    a_path.write_text('{"field": "gf(2)", "rows": [[1, 1], [0, 1]]}')
+    b_path.write_text('{"field": "gf(2)", "rows": [[0, 1], [0, 0]]}')  # A - I, so [A, B] = 0
+    cert_path.write_text('{"cs": [1], "ds": [1]}')
+    code, report = run_json(capsys, "derogatory", "--a", str(a_path))
+    assert code == 0 and report["derogatory"] is False
+    code, verdict = run_json(capsys, "pc-verify", "--a", str(a_path), "--b", str(b_path), "--cert", str(cert_path))
+    assert code == 0 and verdict["valid"] is True
+
+
+def test_subcommands_missing_a_required_flag_exit_1(capsys):
+    assert main(["components", "--n", "2"]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "CommdistError", "detail": "this subcommand needs --field"}
+    assert main(["census", "--field", "gf(2)", "--n", "2", "--quantity", "zi-pairs", "--samples", "5"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "CommdistError", "detail": "zi-pairs needs --i and --samples"
+    }

@@ -288,35 +288,81 @@ def _nonderogatory_side_pairs():
         )
 
 
-def test_polynomial_commutant_is_the_stacked_lift_nullspace():
-    # the commutator kernel of a nonderogatory side gives the lift's own basis, matrix for matrix
+def _lift_nullspace(*mats):
+    return nullspace_raw(mats[0].spec, [row for m in mats for row in lift_rows_raw(m)])
+
+
+def _commutant_checked(*mats):
+    """`matrix._commutant`, asserted to be the stacked lifts' nullspace list for list and entry type for entry type."""
+    got, want = matrix._commutant(*mats), _lift_nullspace(*mats)
+    assert got == want
+    assert [type(v) for v in got] == [list] * len(got)
+    assert [[type(x) for x in v] for v in got] == [[type(x) for x in v] for v in want]
+    return got
+
+
+def _derogatory_pairs():
+    """Seeded rational pairs with two derogatory sides at n = 3..5, conjugates of diag(l, l, ...) in one basis
+    (so they commute) and in two, and one pair of fixed diagonal forms."""
+    rng = random.Random(30)
+
+    def derog(p):
+        n = p.nrows
+        d = [Fraction(rng.randint(-3, 3))] * 2 + [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n - 2)]
+        return p @ ExactMatrix.diag(QQ, d) @ _invert(p)
+
+    for n in range(3, 6):
+        p, r = (random_matrix(QQ, n, n, rng) for _ in range(2))
+        assert rank(p) == rank(r) == n
+        yield derog(p), derog(p)
+        yield derog(p), derog(r)
+    yield C25, ExactMatrix.diag(QQ, [1, 2, 2])
+
+
+def test_commutant_is_the_stacked_lift_nullspace():
+    # the commutator kernel of a nonderogatory member gives the lifts' own basis, vector for vector,
+    # for one matrix and for a pair; two derogatory sides and the finite fields take the lifts
     dims, apart = [], []  # kernel dimensions, of every pair and of the non-commuting ones
     for a, b in _nonderogatory_side_pairs():
-        n = a.nrows
-        want = [unvec(QQ, n, v) for v in nullspace_raw(QQ, lift_rows_raw(a) + lift_rows_raw(b))]
-        got = cm._polynomial_commutant(a, b)
-        assert got == want
-        assert all(type(x) is Fraction for m in got for row in m.rows for x in row)
-        assert cm.dist_le_2(a, b) == (len(want) > 1)
+        _commutant_checked(a)
+        _commutant_checked(b)
+        got = _commutant_checked(a, b)
+        assert all(type(x) is Fraction for v in got for x in v)
+        assert cm.dist_le_2(a, b) == (len(got) > 1)
         dims.append(len(got) - 1)
         if not cm.commutes(a, b):
             apart.append(len(got) - 1)
     assert len(dims) == 50 and dims.count(0) >= 10 and sum(d >= 2 for d in apart) >= 5
+    derogs = list(_derogatory_pairs())
+    assert all(cm.derogatory(a) and cm.derogatory(b) for a, b in derogs)
+    assert {len(_commutant_checked(a, b)) > 1 for a, b in derogs} == {True, False}
+    one = ExactMatrix(QQ, [[Fraction(1, 3)]])
+    _commutant_checked(one)
+    _commutant_checked(one, one)
+    rng = random.Random(31)
+    for spec, n in itertools.product([GF2, GF9, FieldSpec.prime(257)], range(1, 5)):
+        a, b = random_matrix(spec, n, n, rng), random_matrix(spec, n, n, rng)
+        d = random_derogatory(spec, n, rng) if n > 1 else a
+        for mats in [(a,), (d,), (a, b), (d, b), (a, a)]:
+            _commutant_checked(*mats)
 
 
 def test_a_rational_pair_with_a_nonderogatory_side_builds_no_lift(monkeypatch):
     pairs = list(_nonderogatory_side_pairs())
     wants = [_lift_witness(a, b) for a, b in pairs]
+    sides = [a for a, _ in pairs if not cm.derogatory(a)]
+    bases = [[unvec(QQ, a.nrows, v) for v in _lift_nullspace(a)] for a in sides]
     built = []
-    monkeypatch.setattr(cm, "lift_rows_raw", lambda m: built.append(m) or lift_rows_raw(m))
+    monkeypatch.setattr(matrix, "lift_rows_raw", lambda m: built.append(m) or lift_rows_raw(m))
     assert [cm.common_nonscalar_commuter(a, b) for a, b in pairs] == wants
+    assert [cm.centralizer_basis(a) for a in sides] == bases
     assert built == []
-    assert None in wants and wants.count(None) < len(wants)
+    assert None in wants and wants.count(None) < len(wants) and len(sides) >= 20
 
 
 def test_rational_rank_criterion_skips_the_lift_unless_both_sides_are_derogatory(monkeypatch):
     built = []
-    monkeypatch.setattr(cm, "lift_rows_raw", lambda m: built.append(m) or lift_rows_raw(m))
+    monkeypatch.setattr(matrix, "lift_rows_raw", lambda m: built.append(m) or lift_rows_raw(m))
     a, b = random_matrix(QQ, 4, 4, random.Random(3)), random_matrix(QQ, 4, 4, random.Random(4))
     assert not cm.dist_le_2(a, b) and cm.common_nonscalar_commuter(a, b) is None
     assert not cm.dist_le_2(A46, b) and built == []  # A46 is derogatory, b is not
@@ -856,6 +902,27 @@ def test_verify_chain_rejects_scalar_interior():
     lam = ExactMatrix.identity(QQ, 3).scale(2)
     assert not cm.verify_chain(A25, B25, [lam])
     assert cm.verify_chain(A25, B25, [C25])
+
+
+def test_verify_chain_rejects_a_link_that_does_not_commute():
+    assert not cm.commutes(A25, B25)
+    assert not cm.verify_chain(A25, C25, [B25])
+
+
+def test_pc_verify_rejects_a_certificate_of_the_wrong_length():
+    cert = cm._certificate(A410.to_field(GF9), B410.to_field(GF9), [1], [1])
+    with pytest.raises(DimMismatch, match="certificate length must be 2"):
+        cm.pc_verify(A410.to_field(GF9), B410.to_field(GF9), cert)
+
+
+def test_one_by_one_and_mixed_sizes_are_dimension_errors():
+    one = ExactMatrix(QQ, [[Fraction(1, 3)]])
+    with pytest.raises(DimMismatch, match="rank criterion needs n >= 2"):
+        cm.dist_le_2(one, one)
+    with pytest.raises(DimMismatch, match="derogatory needs n >= 2"):
+        cm.derogatory(one)
+    with pytest.raises(DimMismatch, match="sizes 2 and 3 differ"):
+        cm.commutes(ExactMatrix.identity(QQ, 2), A25)
 
 
 def test_size_cap():

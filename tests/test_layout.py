@@ -8,9 +8,9 @@ walk, one function picks the numpy arithmetic of each finite field and
 looks up its q x q tables through one flat take, the batched kernels
 share one chunk rule, one raw decoder and one table per field, single
 matrices over every finite field but GF(2) eliminate in one numpy loop, the
-powers of a single matrix come from one memoized stack, a rational pair
-with a nonderogatory side is decided and witnessed by one commutator kernel
-that forms no lift, entries turn raw by one rule and polynomial evaluation
+powers of a single matrix come from one memoized stack, one joint-commutant
+function alone takes nullspaces of lift rows and forms none for a rational
+nonderogatory member, entries turn raw by one rule and polynomial evaluation
 is one product in that stack, and
 every attribute the benchmark's tracer patches exists, and every public
 name is used by the library or the benchmark."""
@@ -241,16 +241,16 @@ def test_one_numpy_elimination_loop_for_prime_and_extension_fields():
 
 def test_one_power_stack_per_matrix():
     # the per-consumer power routines are gone; derogatory, min_poly, the
-    # rational commutator test and certificate evaluation read the memoized
-    # stack and multiply no powers of their own (the commutator test forms
+    # joint commutant and certificate evaluation read the memoized
+    # stack and multiply no powers of their own (the commutant forms
     # [D^k, E] from the stack's powers, and pc_verify multiplies p(A) by q(B))
     assert _definers("_int_powers", "_powers") == {("field.py", "_powers")}  # the field's generator walk
     matrix_py, commute_py = SRC / "matrix.py", SRC / "commute.py"
     assert _top_level_users(matrix_py, commute_py, name="_power_stack") == {
         ("matrix.py", "min_poly"), ("commute.py", "derogatory"),
-        ("commute.py", "_polynomial_commutant"), ("commute.py", "poly_eval_no_const"),
+        ("matrix.py", "_commutant"), ("commute.py", "poly_eval_no_const"),
     }
-    assert _top_level_users(*KERNEL_MODULES, name="_int_products") == {("commute.py", "_polynomial_commutant")}
+    assert _top_level_users(*KERNEL_MODULES, name="_int_products") == {("matrix.py", "_commutant")}
     readers = [(matrix_py, "min_poly")] + [
         (commute_py, name)
         for name in ("derogatory", "poly_eval_no_const", "_certificate", "_minpoly_certificate", "_rational_pc")
@@ -297,13 +297,24 @@ def test_only_matrix_forms_lifts_and_one_certificate_is_built_per_answer():
 
 
 def test_one_commutant_route_over_the_rationals():
-    # the rational pair with a nonderogatory side is decided and witnessed by one
-    # commutator kernel: the bool-only test is gone, and the kernel never forms a lift
-    assert _definers("_shares_polynomial_commuter") == set()
-    commute_py = SRC / "commute.py"
-    assert "lift_rows_raw" not in _called_in(_function(commute_py, "_polynomial_commutant"))
-    assert {name for _, name in _top_level_users(commute_py, name="_polynomial_commutant")} == {
-        "dist_le_2", "common_nonscalar_commuter"
+    # every single-matrix centralizer and joint commutant is `matrix._commutant`:
+    # the per-caller kernels are gone, it alone takes a nullspace of lift rows,
+    # and it forms the lifts only in its last statement, the fallback
+    assert _definers("_shares_polynomial_commuter", "_polynomial_commutant") == set()
+    assert _definers("_commutant") == {("matrix.py", "_commutant")}
+    lift_nullspaces = {
+        (path.name, fn.name)
+        for path in MODULES
+        for fn in ast.parse(path.read_text()).body
+        if isinstance(fn, ast.FunctionDef) and {"nullspace_raw", "lift_rows_raw"} <= _called_in(fn)
+    }
+    assert lift_nullspaces == {("matrix.py", "_commutant")}
+    commutant = _function(SRC / "matrix.py", "_commutant")
+    lifting = [k for k, node in enumerate(commutant.body) if "lift_rows_raw" in _called_in(node)]
+    assert lifting == [len(commutant.body) - 1]
+    assert _top_level_users(*MODULES, name="_commutant") == {
+        ("commute.py", "centralizer_basis"), ("commute.py", "dist_le_2"),
+        ("commute.py", "common_nonscalar_commuter"), ("graph.py", "restricted_distance_le_3"),
     }
 
 
@@ -326,18 +337,13 @@ def test_every_cap_lives_in_matrix():
 
 
 def test_graph_has_one_neighbor_kernel():
-    # neighbor lists come from the batched `_commuting_pairs`; only the
-    # restricted distance-3 search eliminates a single lift
+    # neighbor lists come from the batched `_commuting_pairs`; graph takes no
+    # nullspace itself, and the restricted distance-3 search reads its
+    # centralizer and witness off `_commutant`
     tree = ast.parse((SRC / "graph.py").read_text())
     assert _definers("_neighbor_codes") == set()
-    callers = {
-        fn.name
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "nullspace_raw"
-    }
-    assert callers == {"restricted_distance_le_3"}
+    assert "nullspace_raw" not in _called_in(tree)
+    assert "_commutant" in _called_in(_function(SRC / "graph.py", "restricted_distance_le_3"))
     assert "partial" not in (SRC / "graph.py").read_text()
 
 
