@@ -10,7 +10,9 @@ n = 2..6, so `tests/test_golden.py` draws them again and compares line by line.
 census.jsonl holds every census quantity, exhaustive and sampled, and
 graph.jsonl `components`, `diameter`, `bfs_report` frontier sizes and the first
 `neighbors` codes over GF(2) and GF(3) at n = 2 and 3, each call named by its
-arguments.  The whole corpus takes about 7 s.  Run from the repository root:
+arguments.  idempotents.jsonl holds a digest of `idempotent_pool` and the
+`zi_membership` search (no witness) of every rank i on the seeded pairs over
+GF(2) at n = 3 and 4 and GF(3) at n = 3.  The whole corpus takes about 7 s.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/make_golden.py                 # rewrite every file
     PYTHONPATH=src python3 tests/make_golden.py gf3 census      # rewrite these files only
@@ -24,6 +26,7 @@ when an answer is meant to change, and say in CHANGES.md what changed and why.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import sys
@@ -194,15 +197,40 @@ def _graph_lines() -> list[str]:
     return _calls(calls)
 
 
+def _idempotent_pool(spec: FieldSpec, n: int):
+    """The size of `idempotent_pool`, its count per rank and the SHA-256 of its (code, rank) list."""
+    pool = cm.idempotent_pool(spec, n)
+    ranks = [r for _, r in pool]
+    digest = hashlib.sha256(json.dumps(pool, separators=(",", ":")).encode()).hexdigest()
+    return {"count": len(pool), "by_rank": [ranks.count(r) for r in range(n + 1)], "sha256": digest}
+
+
+def _zi_membership(spec: FieldSpec, n: int, code_a: int, code_b: int, i: int):
+    return cm.zi_membership(decode_matrix(spec, n, code_a), decode_matrix(spec, n, code_b), i)
+
+
+def _idempotent_lines() -> list[str]:
+    """Pool digests, then the rank-i search on the seeded pairs of `_matrices`, each named by codes."""
+    calls = []
+    for field, n in (("gf(2)", 3), ("gf(2)", 4), ("gf(3)", 3)):
+        spec = FieldSpec.parse(field)
+        mats = _matrices(spec, n, random.Random(f"golden/idempotents/{field}/{n}"))
+        calls.append((_idempotent_pool, [field, n]))
+        for x, y in PAIRS:
+            codes = [encode_matrix(mats[x]), encode_matrix(mats[y])]
+            calls += [(_zi_membership, [field, n, *codes, i]) for i in range(1, n // 2 + 1)]
+    return _calls(calls)
+
+
 def lines(name: str) -> list[str]:
-    """The lines of golden file `name`: a key of FIELDS, "fixtures", "census" or "graph"."""
+    """The lines of golden file `name`: a key of FIELDS, "fixtures", "census", "graph" or "idempotents"."""
     if name == "fixtures":
         mats = {f: load_fixture(f) for f in FIXTURES}
         pairs = [(x, y) for x in FIXTURES for y in FIXTURES
                  if x != y and (mats[x].spec, mats[x].nrows) == (mats[y].spec, mats[y].nrows)]
         return _lines(mats, pairs)
-    if name in ("census", "graph"):
-        return _census_lines() if name == "census" else _graph_lines()
+    if name in ("census", "graph", "idempotents"):
+        return {"census": _census_lines, "graph": _graph_lines, "idempotents": _idempotent_lines}[name]()
     spec, out = FieldSpec.parse(FIELDS[name]), []
     for n in SIZES:
         mats = {f"n{n}_{k}": m for k, m in _matrices(spec, n, random.Random(f"golden/{name}/{n}")).items()}
@@ -211,7 +239,7 @@ def lines(name: str) -> list[str]:
     return out
 
 
-NAMES = [*FIELDS, "fixtures", "census", "graph"]
+NAMES = [*FIELDS, "fixtures", "census", "graph", "idempotents"]
 
 
 def first_difference(name: str) -> str | None:
