@@ -3,14 +3,18 @@
 Everything here reduces to exact linear algebra: centralizers are nullspaces
 of the Kronecker-style lift M_A = A (x) I - I (x) A^T; a pair is at distance <= 2
 iff it shares a non-scalar commuter, which `matrix._commutant` finds (over QQ from
-the n - 1 commutators [X^k, Y] of a nonderogatory side X, else from the lifts);
-and the distance<=3 machinery searches for polynomials p, q without constant term
-and degree 1..n-1 such that p(A) and q(B) commute.
+the n - 1 commutators [X^k, Y] of a nonderogatory side X; over a finite field it
+rules the commuter out when [A, B^j] or [A^i, B] are independent; else from the
+lifts); and the distance<=3 machinery searches for polynomials p, q without
+constant term and degree 1..n-1 such that p(A) and q(B) commute, reading the
+commutators [A^i, B^j] of a finite-field pair from the grid the distance-2 test
+formed.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +36,9 @@ from .matrix import (
     ExactMatrix,
     _blocks,
     _check_square,
+    _code_digits,
     _code_stack,
+    _comm_grid,
     _commutant,
     _crt,
     _ff_matmul,
@@ -135,16 +141,33 @@ def derogatory(a: ExactMatrix) -> bool:
 @functools.lru_cache(maxsize=8)
 def idempotent_pool(spec: FieldSpec, n: int) -> list[tuple[int, int]]:
     """All idempotents of Mat_n over a finite field as (code, rank), code
-    order; the list is memoized and shared, so callers must not change it."""
-    total = space_size(spec, n)
-    out: list[tuple[int, int]] = []
-    for part in _blocks(total, n * n):
-        codes = np.arange(part.start, part.stop, dtype=np.int64)
-        mats = _code_stack(spec, n, codes)
-        hit = np.all(_ff_matmul(spec, mats, mats) == mats, axis=(1, 2))
-        ranks = (_gauss_jordan(spec, mats[hit].astype(_row_ops(spec).dtype)) >= 0).sum(1)  # rank = pivot count
-        out += zip(codes[hit].tolist(), ranks.tolist())
-    return out
+    order; the list is memoized and shared, so callers must not change it.
+
+    A rank-k idempotent is E = C R for the k x n RREF R of its row space and
+    the n x k C with R C = I_k, and every such pair gives one: C's rows off
+    R's pivots are a free (n - k) x k block F, and its pivot rows are
+    I - R_free F.  So the pool is built from every (R, F), with no pass over
+    Mat_n; the caps stay those of enumerating it.
+    """
+    space_size(spec, n)
+    q, arith, weights = spec.order, _row_ops(spec), spec.order ** np.arange(n * n, dtype=np.int64)
+    pool: list[tuple[int, int]] = []
+    for k in range(n + 1):
+        count = q ** (k * (n - k))
+        fs = _code_digits(q, np.arange(count), k * (n - k)).reshape(count, n - k, k)
+        for piv in itertools.combinations(range(n), k):
+            free = [c for c in range(n) if c not in piv]
+            slots = [(r, c) for r, p in enumerate(piv) for c in free if c > p]  # R's entries right of a pivot
+            rs = np.zeros((q ** len(slots), k, n), np.int64)
+            rs[:, range(k), piv] = 1
+            rs[:, [r for r, _ in slots], [c for _, c in slots]] = _code_digits(q, np.arange(len(rs)), len(slots))
+            cs = np.zeros((len(rs), len(fs), n, k), arith.dtype)
+            cs[:, :, free] = fs
+            r_free_f = _ff_matmul(spec, rs[:, None, :, free], fs)
+            cs[:, :, piv] = arith.add(np.eye(k, dtype=arith.dtype), arith.neg(r_free_f))
+            codes = _ff_matmul(spec, cs, rs[:, None]).reshape(-1, n * n) @ weights
+            pool += zip(codes.tolist(), itertools.repeat(k))
+    return sorted(pool)
 
 
 def _pool_commutes(spec: FieldSpec, pool: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -281,21 +304,16 @@ def _exhaustive_pc(a: ExactMatrix, b: ExactMatrix) -> tuple[list, list] | None:
     The basis vector of its first free column f is the only solution, up to
     scaling, whose last nonzero coordinate is at f; every other has a later
     one, and codes compare the last coordinate first, so normalized it is the
-    least-code d.  One pair of broadcast products forms every [A^i, B^j], one
-    product L(c) for a `_blocks` block of classes, and one `_gauss_jordan`
-    finds those with a free column; only the first gets a nullspace.  At most
+    least-code d.  The commutators [A^i, B^j] are the memoized `_comm_grid`,
+    which the distance-2 test of the same pair has formed already; one product
+    L(c) covers a `_blocks` block of classes, and one `_gauss_jordan` finds
+    those with a free column; only the first gets a nullspace.  At most
     _PC_CLASS_CAP classes.
     """
     spec, n = a.spec, a.nrows
     m, coeffs = n * n, _projective_coeffs(spec, n - 1, _PC_CLASS_CAP)
-    pows = [np.array([a.rows, b.rows], np.int64)]  # A^k and B^k for k in 1..n-1
-    while len(pows) < n - 1:
-        pows.append(_ff_matmul(spec, pows[-1], pows[0]))
-    a_pows, b_pows = np.stack(pows, 1)
-    arith, ai = _row_ops(spec), a_pows[:, None]  # ai broadcasts against b_pows: [A^i, B^j] sits at [i - 1, j - 1]
-    comms = arith.add(_ff_matmul(spec, ai, b_pows), arith.neg(_ff_matmul(spec, b_pows, ai)))
     # row i - 1 of lmat is L(e_i) row-major: its column j - 1 is vec([A^i, B^j])
-    lmat = comms.reshape(n - 1, n - 1, m).transpose(0, 2, 1).reshape(n - 1, m * (n - 1))
+    lmat = _comm_grid(a, b).reshape(n - 1, n - 1, m).transpose(0, 2, 1).reshape(n - 1, m * (n - 1))
 
     def singular(part):  # the classes whose L(c) has a column without a pivot
         block = _ff_matmul(spec, coeffs[part], lmat).reshape(-1, m, n - 1)
@@ -459,7 +477,8 @@ def distance(a: ExactMatrix, b: ExactMatrix) -> DistanceResult:
     if a @ b == b @ a:
         return DistanceResult("exact", value=1, decided_by="commuting")
     # the rank criterion and its witness: vec(I) is always a joint null vector,
-    # so a non-scalar one exists iff rank <= n^2 - 2 (QQ first tries F[X])
+    # so a non-scalar one exists iff rank <= n^2 - 2 (QQ first tries F[X], a
+    # finite field the commutators [A, B^j] and [A^i, B])
     wit = common_nonscalar_commuter(a, b)
     if wit is not None:
         return DistanceResult(

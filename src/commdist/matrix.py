@@ -16,8 +16,8 @@ This module also holds what the higher layers share: the integer codec that
 enumerates Mat_n over a finite field, the lift M_A built by row slices, the
 size caps, a batched kernel for the centralizers of a whole chunk of codes, one
 for the pairs that share a non-scalar commuter, the one batched finite-field
-product, the orbits of Mat_n under graph automorphisms, the powers of one matrix and
-the joint commutant of single matrices.
+product, the orbits of Mat_n under graph automorphisms, the powers of one matrix, the
+commutators [A^i, B^j] of one finite-field pair and the joint commutant of single matrices.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 class ExactMatrix:
     """Immutable dense matrix over one exact field."""
 
-    __slots__ = ("spec", "nrows", "ncols", "rows")
+    __slots__ = ("spec", "nrows", "ncols", "rows", "_hash")
 
     def __new__(cls, spec: FieldSpec, rows):
         converted = [tuple(map(spec.raw_from, row)) for row in rows]
@@ -142,8 +142,12 @@ class ExactMatrix:
             )
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.spec, self.rows))
+    def __hash__(self):  # the memos key on matrices, so each is hashed once
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.spec, self.rows)))
+            return self._hash
 
     def __repr__(self):
         return f"ExactMatrix({self.spec}, {self.nrows}x{self.ncols})"
@@ -743,15 +747,13 @@ def _ff_matmul(spec: FieldSpec, x, y) -> np.ndarray:
     """Batched product x @ y of raw-entry arrays over a finite field, with
     numpy broadcasting over the leading axes, in the `_row_ops` dtype.
 
-    Prime fields multiply in int64 and reduce once, exact while the inner
-    dimension times (p - 1)^2 stays below 2^63: spans hold at most SPACE_CAP codes,
-    the certificate scan's products have inner dimension n or n - 1 and p <= 8191
-    (_PC_CLASS_CAP), _CLASS_CAP admits any p for one coefficient and p < 2^20
-    for more (so `_shares_commuter` meets p >= 2^20 only at n = 2, and under
-    SAMPLE_CAP p < 2^12).  Extension fields sum `_row_ops` products one index at a time.
+    Prime fields multiply in int64 and reduce once when the inner dimension
+    times (p - 1)^2 stays below 2^63.  Otherwise, as over extension fields,
+    reduced `_row_ops` products are summed one index at a time, so no product
+    overflows at any p below the 2^31 cap.
     """
     arith = _row_ops(spec)
-    if spec.kind == "prime":
+    if spec.kind == "prime" and x.shape[-1] * (spec.p - 1) ** 2 < 2**63:
         return (np.asarray(x, np.int64) @ np.asarray(y, np.int64) % spec.p).astype(arith.dtype, copy=False)
     lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
     out = np.zeros(lead + (x.shape[-2], y.shape[-1]), arith.dtype)
@@ -896,14 +898,39 @@ class _PowerStack:
 _power_stack = functools.lru_cache(maxsize=16)(_PowerStack)
 
 
+@functools.lru_cache(maxsize=16)  # the one or two pairs of a distance call, not kept across calls
+def _comm_grid(a: ExactMatrix, b: ExactMatrix) -> np.ndarray:
+    """The commutators [A^i, B^j], 0 < i, j < n, of a finite-field pair at n >= 2 as a read-only
+    (n - 1, n - 1, n, n) array of the `_row_ops` dtype: [A^i, B^j] sits at [i - 1, j - 1].  One pair
+    of broadcast products forms them from the powers A^k and B^k."""
+    spec, n = a.spec, a.nrows
+    pows = [np.array([a.rows, b.rows], np.int64)]  # A^k and B^k for k in 1..n-1
+    while len(pows) < n - 1:
+        pows.append(_ff_matmul(spec, pows[-1], pows[0]))
+    a_pows, b_pows = np.stack(pows, 1)
+    arith, ai = _row_ops(spec), a_pows[:, None]  # ai broadcasts against b_pows
+    grid = arith.add(_ff_matmul(spec, ai, b_pows), arith.neg(_ff_matmul(spec, b_pows, ai)))
+    grid.flags.writeable = False
+    return grid
+
+
 def _commutant(*mats: ExactMatrix) -> list[list]:
     """Raw basis of the joint commutant of square matrices of one field and size: the list `nullspace_raw`
     of their stacked lifts gives.  Over the rationals at n >= 2 a nonderogatory member X needs no lift:
     C(X) = F[X], so p(X) = c_0 I + sum c_k X^k commutes with every other member Y iff c is in the kernel of
     the integer columns vec([D^k, E]), 0 < k < n, for D = dX and E = eY from the power stacks (every c when
     X is alone).  The basis is the reversed RREF of vec(I) and the vec(p(D)): the nullspace's vector of a
-    free column f has its last nonzero entry, a 1, at f and a 0 at every other free column, which fixes it."""
+    free column f has its last nonzero entry, a 1, at f and a 0 at every other free column, which fixes it.
+
+    A finite-field pair (A, B) first ranks row 0 of `_comm_grid`, then column 0.  If the n - 1 matrices
+    [A, B^j] are independent, B is nonderogatory (a derogatory B has q(x) = m_B(x) - m_B(0) of degree
+    below n with q(B) scalar, so sum d_j [A, B^j] = [A, q(B)] = 0), so C(B) = F[B] and only the scalars
+    commute with both; likewise with [A^i, B].  Otherwise the pair keeps the lift."""
     spec, n = mats[0].spec, mats[0].nrows
+    if spec.is_finite and n >= 2 and len(mats) == 2:
+        grid = _comm_grid(*mats).reshape(n - 1, n - 1, n * n)
+        if any(rank_raw(spec, side.tolist()) == n - 1 for side in (grid[0], grid[:, 0])):
+            return [[int(k % (n + 1) == 0) for k in range(n * n)]]
     for i, x in enumerate(mats if spec.kind == "rationals" and n >= 2 else ()):
         stack = _power_stack(x)
         if stack.cyclic:

@@ -347,6 +347,88 @@ def test_commutant_is_the_stacked_lift_nullspace():
             _commutant_checked(*mats)
 
 
+# 2^31 - 1, the largest prime, takes the commutator grid's products past the int64 edge
+FF_BACKENDS = [GF2, GF3, FieldSpec.prime(257), GF9, FieldSpec.parse("gf(17^2):14,0,1"), FieldSpec.prime(2**31 - 1)]
+
+
+def _ff_pair(spec, n, shape, rng):
+    """A seeded pair over a finite field: generic; a derogatory second or first side; or both block
+    diagonal in one random basis P, blocks of sizes k and n - k, so both commute with a rank-k projection."""
+    a, b = random_matrix(spec, n, n, rng), random_matrix(spec, n, n, rng)
+    if shape in ("derogatory", "swapped"):
+        a, b = (a, random_derogatory(spec, n, rng)) if shape == "derogatory" else (random_derogatory(spec, n, rng), b)
+    elif shape == "shared":
+        p, k = random_matrix(spec, n, n, rng), rng.randint(1, n - 1)
+        while rank(p) < n:
+            p = random_matrix(spec, n, n, rng)
+        a, b = (
+            p @ unvec(spec, n, [x if (i < k) == (j < k) else 0 for i in range(n) for j, x in enumerate(m.rows[i])])
+            @ _invert(p)
+            for m in (a, b)
+        )
+    return a, b
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(FF_BACKENDS), st.integers(2, 4), st.sampled_from(["generic", "derogatory", "swapped", "shared"]),
+       st.integers(0, 2**32))
+def test_finite_field_commutant_is_the_stacked_lift_nullspace(spec, n, shape, seed):
+    # the commutator filter answers [vec(I)] only where the lift would, with the lift's entry types
+    a, b = _ff_pair(spec, n, shape, random.Random(seed))
+    got = _commutant_checked(a, b)
+    assert all(type(x) is int for v in got for x in v)
+    assert _commutant_checked(b, a) == got
+    if shape == "shared":
+        assert len(got) > 1
+
+
+def test_the_commutator_filter_decides_without_a_lift_where_it_can(monkeypatch):
+    # with a nonderogatory side X the filter is exact: [X^k, Y] are dependent iff some non-scalar
+    # p(X) commutes with Y.  So such a pair takes the lift only when it shares a non-scalar commuter,
+    # and only two derogatory sides take it for the scalars
+    built, decided = [], []
+    monkeypatch.setattr(matrix, "lift_rows_raw", lambda m: built.append(m) or lift_rows_raw(m))
+    rng = random.Random(32)
+    for spec, n, shape in itertools.product(FF_BACKENDS, (3, 4), ("generic", "derogatory", "swapped", "shared")):
+        a, b = _ff_pair(spec, n, shape, rng)
+        want = _lift_nullspace(a, b)
+        assert matrix._commutant(a, b) == want
+        cyclic = not (cm.derogatory(a) and cm.derogatory(b))
+        assert (built == []) == (len(want) == 1 and cyclic), (spec, n, shape)
+        decided += [shape] if built == [] else []
+        built.clear()
+    assert decided.count("generic") == 2 * len(FF_BACKENDS) and decided.count("shared") == 0
+    assert decided.count("derogatory") >= 5 and decided.count("swapped") >= 5
+
+
+def test_comm_grid_holds_the_commutators_of_powers_read_only():
+    rng = random.Random(33)
+    for spec, n in itertools.product(FF_BACKENDS, (2, 3, 4)):
+        a, b = random_matrix(spec, n, n, rng), random_matrix(spec, n, n, rng)
+        grid = matrix._comm_grid(a, b)
+        assert grid.shape == (n - 1, n - 1, n, n) and not grid.flags.writeable
+        a_pows, b_pows = _chain(a, n - 1)[1:], _chain(b, n - 1)[1:]
+        assert [[x @ y - y @ x for y in b_pows] for x in a_pows] == [
+            [ExactMatrix._from_raw(spec, c.tolist()) for c in row] for row in grid
+        ]
+        assert matrix._comm_grid(a, b) is grid
+
+
+def test_a_finite_field_pc_none_distance_forms_one_grid_and_no_lift(monkeypatch):
+    # the distance-2 filter and the certificate scan share one commutator grid, and a pair with
+    # no certificate is settled without a lift or a nullspace
+    a = ExactMatrix(GF3, [[1, 1, 0, 0], [1, 2, 2, 1], [2, 1, 1, 2], [2, 0, 0, 2]])
+    b = ExactMatrix(GF3, [[0, 1, 0, 0], [2, 1, 0, 1], [2, 2, 2, 2], [0, 0, 2, 0]])
+    calls = []
+    monkeypatch.setattr(matrix, "lift_rows_raw", lambda m: calls.append("lift") or lift_rows_raw(m))
+    for module in (matrix, cm):
+        monkeypatch.setattr(module, "nullspace_raw", lambda *args: calls.append("nullspace") or nullspace_raw(*args))
+    matrix._comm_grid.cache_clear()
+    assert cm.distance(a, b).decided_by == "pc-none"
+    info = matrix._comm_grid.cache_info()
+    assert (info.misses, info.hits) == (1, 1) and calls == []
+
+
 def test_a_rational_pair_with_a_nonderogatory_side_builds_no_lift(monkeypatch):
     pairs = list(_nonderogatory_side_pairs())
     wants = [_lift_witness(a, b) for a, b in pairs]
@@ -452,10 +534,22 @@ def test_idempotent_pool_over_extension_fields(spec):
     "spec,n", [(GF2, 2), (GF2, 3), (GF2, 4), (GF3, 3), (GF4, 2), (GF9, 2)], ids=str
 )
 def test_idempotent_pool_ranks_match_the_per_matrix_rank(spec, n):
-    # the pool ranks each chunk's idempotents by one batched elimination
+    # the pool builds each idempotent from the RREF of its row space, so it knows the rank
     pool = cm.idempotent_pool(spec, n)
     assert [(code, rank(decode_matrix(spec, n, code))) for code, _ in pool] == pool
     assert {r for _, r in pool} == set(range(n + 1))
+
+
+@pytest.mark.parametrize(
+    "spec,n", [(GF2, 1), (GF2, 2), (GF2, 3), (GF2, 4), (GF3, 3), (FieldSpec.prime(5), 2), (FieldSpec.prime(7), 2)],
+    ids=str,
+)
+def test_idempotent_pool_matches_a_squaring_oracle(spec, n):
+    # every code of Mat_n squared by integer products mod p, with no library kernel
+    codes = np.arange(spec.order ** (n * n), dtype=np.int64)
+    mats = (codes[:, None] // spec.order ** np.arange(n * n) % spec.order).reshape(-1, n, n)
+    hits = codes[np.all(mats @ mats % spec.p == mats, axis=(1, 2))].tolist()
+    assert cm.idempotent_pool(spec, n) == [(code, rank(decode_matrix(spec, n, code))) for code in hits]
 
 
 @pytest.mark.parametrize("spec", [GF2, GF4], ids=str)

@@ -10,7 +10,8 @@ share one chunk rule, one raw decoder and one table per field, single
 matrices over every finite field but GF(2) eliminate in one numpy loop, the
 powers of a single matrix come from one memoized stack, one joint-commutant
 function alone takes nullspaces of lift rows and forms none for a rational
-nonderogatory member, entries turn raw by one rule and polynomial evaluation
+nonderogatory member, one memoized commutator grid serves a finite-field pair's
+commutant and certificate scan, entries turn raw by one rule and polynomial evaluation
 is one product in that stack, and
 every attribute the benchmark's tracer patches exists, and every public
 name is used by the library or the benchmark."""
@@ -316,6 +317,24 @@ def test_one_commutant_route_over_the_rationals():
         ("commute.py", "centralizer_basis"), ("commute.py", "dist_le_2"),
         ("commute.py", "common_nonscalar_commuter"), ("graph.py", "restricted_distance_le_3"),
     }
+
+
+def test_one_commutator_grid_per_finite_field_pair():
+    # `_commutant` and the certificate scan read [A^i, B^j] off one memo in
+    # matrix, sized below one distance call's pairs (a benchmark pass has 394
+    # distinct ones), so no hit crosses calls; the scan forms no powers itself
+    assert _definers("_comm_grid") == {("matrix.py", "_comm_grid")}
+    (memo,) = _function(SRC / "matrix.py", "_comm_grid").decorator_list
+    assert ast.unparse(memo.func) == "functools.lru_cache"
+    (size,) = [k.value.value for k in memo.keywords if k.arg == "maxsize"]
+    assert 1 <= size <= 16
+    assert _top_level_users(*MODULES, name="_comm_grid") == {
+        ("matrix.py", "_commutant"), ("commute.py", "_exhaustive_pc"),
+    }
+    scan = _function(SRC / "commute.py", "_exhaustive_pc")
+    assert "_comm_grid" in _called_in(scan)
+    assert not any(isinstance(node, ast.While) for node in ast.walk(scan))
+    assert "rows" not in {node.attr for node in ast.walk(scan) if isinstance(node, ast.Attribute)}
 
 
 def test_every_cap_lives_in_matrix():

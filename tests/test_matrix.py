@@ -68,6 +68,17 @@ def test_bundled_example_products():
     assert A25 @ B25 != B25 @ A25
 
 
+def test_a_matrix_hashes_its_entries_once():
+    # the memos key on matrices: the hash goes into a slot on first use, and the matrix stays immutable
+    m = ExactMatrix(GF3, [[1, 2], [0, 1]])
+    assert not hasattr(m, "_hash")
+    h = hash(m)
+    assert m._hash == h == hash(ExactMatrix(GF3, [[1, 2], [0, 1]])) == hash((GF3, m.rows))
+    assert hash(ExactMatrix(QQ, [[Fraction(1, 2)]])) == hash((QQ, ((Fraction(1, 2),),)))
+    with pytest.raises(AttributeError):
+        m._hash = 0
+
+
 def test_mat_op_errors():
     with pytest.raises(DimMismatch):
         ExactMatrix(QQ, [[1, 2]]) @ ExactMatrix(QQ, [[1, 2]])
@@ -621,7 +632,7 @@ def test_batched_centralizers_match_the_per_matrix_route(data):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_batched_product_matches_the_exact_product(data):
-    spec = data.draw(st.sampled_from([GF5, GF4, GF9, GF8, GF17_2, GF5_4]))
+    spec = data.draw(st.sampled_from([GF5, GF4, GF9, GF8, GF17_2, GF5_4, FieldSpec.prime(P0)]))
     rows, inner, cols = (data.draw(st.integers(1, 4)) for _ in range(3))
     # each operand has length 1 on some leading axes, or y has none of them
     lead = data.draw(st.lists(st.integers(1, 3), max_size=2))
@@ -642,6 +653,18 @@ def test_batched_product_matches_the_exact_product(data):
     for index in np.ndindex(*lead):
         want = ExactMatrix._from_raw(spec, xs[index].tolist()) @ ExactMatrix._from_raw(spec, ys[index].tolist())
         assert got[index].tolist() == [list(row) for row in want.rows]
+
+
+def test_batched_product_stays_exact_past_the_int64_edge():
+    # inner dimension times (p - 1)^2 past 2^63 sums reduced products one index at a time
+    for p in (P0, 2**20 + 7, 3):
+        spec = FieldSpec.prime(p)
+        for inner in (1, 2, 3, 8, 64):
+            x, y = np.full((2, 3, inner), p - 1, np.int64), np.full((inner, 2), p - 1, np.int64)
+            x[1, 0, 0] = 1
+            cols = y.T.tolist()
+            want = [[[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in m] for m in x.tolist()]
+            assert matrix._ff_matmul(spec, x, y).tolist() == want
 
 
 def test_vec_round_trip():
