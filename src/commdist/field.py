@@ -10,6 +10,7 @@ else in the library.
 
 from __future__ import annotations
 
+import collections
 import functools
 import operator
 import re
@@ -289,64 +290,21 @@ class FieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# raw arithmetic kits
+# raw arithmetic kits: `_ops_for` builds one record of scalar operations on raw
+# values per field, and every kit's inverse goes through the one zero check
+
+_Ops = collections.namedtuple("_Ops", "zero one add sub mul neg inv")
 
 
-class _Ops:
-    """Scalar arithmetic on raw values for one field spec."""
+def _nonzero(inv):
+    """`inv` behind the zero test: the inverse of zero raises in every field."""
 
-    __slots__ = ("spec", "zero", "one", "add", "sub", "mul", "neg", "inv")
-
-    def __init__(self, spec, zero, one, add, sub, mul, neg, inv):
-        self.spec = spec
-        self.zero = zero
-        self.one = one
-        self.add = add
-        self.sub = sub
-        self.mul = mul
-        self.neg = neg
-        self.inv = inv
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-
-def _rational_ops(spec: FieldSpec) -> _Ops:
-    def inv(a: Fraction) -> Fraction:
+    def checked(a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        return 1 / a
+        return inv(a)
 
-    return _Ops(
-        spec,
-        Fraction(0),
-        Fraction(1),
-        lambda a, b: a + b,
-        lambda a, b: a - b,
-        lambda a, b: a * b,
-        lambda a: -a,
-        inv,
-    )
-
-
-def _prime_ops(spec: FieldSpec) -> _Ops:
-    p = spec.p
-
-    def inv(a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("inverse of zero")
-        return pow(a, -1, p)
-
-    return _Ops(
-        spec,
-        0,
-        1,
-        lambda a, b: (a + b) % p,
-        lambda a, b: (a - b) % p,
-        lambda a, b: a * b % p,
-        lambda a: -a % p,
-        inv,
-    )
+    return checked
 
 
 class _ExtTables:
@@ -389,11 +347,6 @@ class _ExtTables:
             return 0
         return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("inverse of zero")
-        return self.exp[-self.log[a] % (self.q - 1)]
-
     def _times(self, digits) -> np.ndarray:
         """Matrix of multiplication by one element: row i is x^i times it."""
         rows = (_poly_mod((0,) * i + tuple(digits), self.modulus, self.p) for i in range(self.k))
@@ -421,32 +374,6 @@ class _ExtTables:
             if len(ones):
                 return codes[: n + ones[0]]
             n = end
-
-
-def _extension_ops(spec: FieldSpec) -> _Ops:
-    t = _ext_tables(spec)
-    if t.q > 256:
-        return _Ops(spec, 0, 1, t.add, t.sub, t.mul, t.neg, t.inv)
-    add_t, neg_t, mul_t, inv_t = (table.tolist() for table in _np_tables(spec)[:4])
-
-    def add(a, b):
-        return add_t[a][b]
-
-    def sub(a, b):
-        return add_t[a][neg_t[b]]
-
-    def mul(a, b):
-        return mul_t[a][b]
-
-    def neg(a):
-        return neg_t[a]
-
-    def inv(a):
-        if a == 0:
-            raise DivisionByZero("inverse of zero")
-        return inv_t[a]
-
-    return _Ops(spec, 0, 1, add, sub, mul, neg, inv)
 
 
 @functools.lru_cache(maxsize=None)
@@ -480,11 +407,27 @@ def _ext_tables(spec: FieldSpec) -> _ExtTables:
 
 @functools.lru_cache(maxsize=None)
 def _ops_for(spec: FieldSpec) -> _Ops:
+    """The scalar kit of one field: Fractions over QQ, residues over GF(p), and codes
+    over GF(p^k), looked up in the `_np_tables` lists up to q = 256 and computed
+    through the digit codec and exp/log tables of `_ExtTables` above."""
     if spec.kind == "rationals":
-        return _rational_ops(spec)
+        return _Ops(
+            Fraction(0), Fraction(1), operator.add, operator.sub, operator.mul, operator.neg, _nonzero(lambda a: 1 / a)
+        )
     if spec.kind == "prime":
-        return _prime_ops(spec)
-    return _extension_ops(spec)
+        p = spec.p
+        return _Ops(
+            0, 1, lambda a, b: (a + b) % p, lambda a, b: (a - b) % p, lambda a, b: a * b % p, lambda a: -a % p,
+            _nonzero(lambda a: pow(a, -1, p)),
+        )
+    t = _ext_tables(spec)
+    if t.q > 256:
+        return _Ops(0, 1, t.add, t.sub, t.mul, t.neg, _nonzero(lambda a: t.exp[-t.log[a] % (t.q - 1)]))
+    add_t, neg_t, mul_t, inv_t = (table.tolist() for table in _np_tables(spec)[:4])
+    return _Ops(
+        0, 1, lambda a, b: add_t[a][b], lambda a, b: add_t[a][neg_t[b]], lambda a, b: mul_t[a][b], neg_t.__getitem__,
+        _nonzero(inv_t.__getitem__),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +466,8 @@ class FieldElem:
 
     def __truediv__(self, other):
         o = self._peer(other)
-        return FieldElem(self.spec, self.spec.ops().div(self.raw, o.raw))
+        ops = self.spec.ops()
+        return FieldElem(self.spec, ops.mul(self.raw, ops.inv(o.raw)))
 
     def __neg__(self):
         return FieldElem(self.spec, self.spec.ops().neg(self.raw))

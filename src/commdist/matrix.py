@@ -914,11 +914,11 @@ def _comm_grid(a: ExactMatrix, b: ExactMatrix) -> np.ndarray:
     return grid
 
 
-def _commutant(*mats: ExactMatrix) -> list[list]:
-    """Raw basis of the joint commutant of square matrices of one field and size: the list `nullspace_raw`
-    of their stacked lifts gives.  Over the rationals at n >= 2 a nonderogatory member X needs no lift:
-    C(X) = F[X], so p(X) = c_0 I + sum c_k X^k commutes with every other member Y iff c is in the kernel of
-    the integer columns vec([D^k, E]), 0 < k < n, for D = dX and E = eY from the power stacks (every c when
+def _commutant(a: ExactMatrix, b: ExactMatrix | None = None) -> list[list]:
+    """Raw basis of the joint commutant of one or two square matrices of one field and size: the list
+    `nullspace_raw` of their stacked lifts gives.  Over the rationals at n >= 2 a nonderogatory member X needs
+    no lift: C(X) = F[X], so p(X) = c_0 I + sum c_k X^k commutes with the other member Y iff c is in the kernel
+    of the integer columns vec([D^k, E]), 0 < k < n, for D = dX and E = eY from the power stacks (every c when
     X is alone).  The basis is the reversed RREF of vec(I) and the vec(p(D)): the nullspace's vector of a
     free column f has its last nonzero entry, a 1, at f and a 0 at every other free column, which fixes it.
 
@@ -926,21 +926,22 @@ def _commutant(*mats: ExactMatrix) -> list[list]:
     [A, B^j] are independent, B is nonderogatory (a derogatory B has q(x) = m_B(x) - m_B(0) of degree
     below n with q(B) scalar, so sum d_j [A, B^j] = [A, q(B)] = 0), so C(B) = F[B] and only the scalars
     commute with both; likewise with [A^i, B].  Otherwise the pair keeps the lift."""
-    spec, n = mats[0].spec, mats[0].nrows
-    if spec.is_finite and n >= 2 and len(mats) == 2:
-        grid = _comm_grid(*mats).reshape(n - 1, n - 1, n * n)
+    spec, n = a.spec, a.nrows
+    mats = [a] if b is None else [a, b]
+    if spec.is_finite and n >= 2 and b is not None:
+        grid = _comm_grid(a, b).reshape(n - 1, n - 1, n * n)
         if any(rank_raw(spec, side.tolist()) == n - 1 for side in (grid[0], grid[:, 0])):
             return [[int(k % (n + 1) == 0) for k in range(n * n)]]
-    for i, x in enumerate(mats if spec.kind == "rationals" and n >= 2 else ()):
+    for x, y in [(a, b), (b, a)][: len(mats)] if spec.kind == "rationals" and n >= 2 else ():
         stack = _power_stack(x)
         if stack.cyclic:
-            pows, rows = stack.upto(n - 1), []
-            for y in mats[:i] + mats[i + 1 :]:
+            pows, rows = stack.upto(n - 1), [[0] * (n - 1)]  # X alone: every c
+            if y is not None:
                 e = _power_stack(y).upto(1)[1]
                 pe = [sum(_int_products(p, list(zip(*e))), []) for p in pows[1:]]
                 ep = [sum(_int_products(e, list(zip(*p))), []) for p in pows[1:]]
-                rows += [[s - t for s, t in zip(u, v)] for u, v in zip(zip(*pe), zip(*ep))]
-            kernel = nullspace_raw(spec, rows or [[0] * (n - 1)])  # X alone: every c
+                rows = [[s - t for s, t in zip(u, v)] for u, v in zip(zip(*pe), zip(*ep))]
+            kernel = nullspace_raw(spec, rows)
             if not kernel:  # only the scalars
                 return [[_ONE if k % (n + 1) == 0 else _ZERO for k in range(n * n)]]
             coeffs = [[1] + [0] * (n - 1)] + [[0, *c] for c in kernel]  # 0s and 1s, as in the stack's I

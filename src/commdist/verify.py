@@ -177,9 +177,6 @@ def check_two_by_two_dichotomy():
     return ok, "no distance-2 pairs, >1 component (both fields)", f"{outcomes}"
 
 
-_EX46_C_RELATIONS = "10 linear relations of the 6-parameter commuter form"
-
-
 def _fits_ex46_c_template(c: ExactMatrix) -> bool:
     ops = c.spec.ops()
     half = ops.inv(c.spec.raw_from(2))

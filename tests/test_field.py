@@ -140,6 +140,26 @@ def test_division_by_zero():
         GF9.elem_from_code(0).inv()
 
 
+@pytest.mark.parametrize(
+    "spec", [QQ, GF2, FieldSpec.prime(2**31 - 1), GF9, FieldSpec.parse("gf(5^4):1,0,1,1,1"),
+             FieldSpec.parse("gf(17^2):14,0,1")], ids=str,
+)
+def test_every_scalar_kit_refuses_the_inverse_of_zero(spec):
+    # the rationals, a table prime, the cap prime, a table extension and two
+    # extensions past the 256-entry tables: one record of seven operations
+    ops = spec.ops()
+    assert ops._fields == ("zero", "one", "add", "sub", "mul", "neg", "inv")
+    assert not hasattr(ops, "spec") and not hasattr(ops, "div")
+    with pytest.raises(DivisionByZero, match="inverse of zero"):
+        ops.inv(ops.zero)
+    with pytest.raises(DivisionByZero, match="inverse of zero"):
+        spec.one() / spec.zero()
+    with pytest.raises(DivisionByZero, match="inverse of zero"):
+        -spec.one() / 0
+    minus = -spec.one()
+    assert minus / minus == spec.one() == minus.inv() * minus
+
+
 def test_inverses_at_the_prime_cap():
     # oracle: a * a^-1 reduces to 1 in plain integers, and zero has no inverse
     p = 2**31 - 1

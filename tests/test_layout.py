@@ -8,11 +8,14 @@ walk, one function picks the numpy arithmetic of each finite field and
 looks up its q x q tables through one flat take, the batched kernels
 share one chunk rule, one raw decoder and one table per field, single
 matrices over every finite field but GF(2) eliminate in one numpy loop, the
-powers of a single matrix come from one memoized stack, one joint-commutant
+powers of a single matrix come from one memoized stack (the finite-field
+commutator grid forms its numpy powers on purpose: reading them off the
+stack measured slower on the ladder-gf workload), one joint-commutant
 function alone takes nullspaces of lift rows and forms none for a rational
 nonderogatory member, one memoized commutator grid serves a finite-field pair's
 commutant and certificate scan, entries turn raw by one rule and polynomial evaluation
-is one product in that stack, and
+is one product in that stack, `field._ops_for` alone builds the scalar kit
+of each field, with one zero-inverse check, and
 every attribute the benchmark's tracer patches exists, and every public
 name is used by the library or the benchmark."""
 
@@ -262,6 +265,25 @@ def test_one_power_stack_per_matrix():
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
         or isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("rank_raw", "rank")
     ] == []
+    # the one exception: `_comm_grid` multiplies a finite-field pair's numpy powers
+    # itself, as taking them from `_power_stack` slowed the ladder-gf workload
+    grid = _function(matrix_py, "_comm_grid")
+    assert "_ff_matmul" in _called_in(grid) and any(isinstance(node, ast.While) for node in ast.walk(grid))
+
+
+def test_one_scalar_kit_builder_with_one_zero_inverse_check():
+    # `_ops_for` builds every field's record of scalar operations itself, the
+    # benchmark's tracer wraps its lru_cache, and one helper refuses 1/0
+    assert _definers("_rational_ops", "_prime_ops", "_extension_ops") == set()
+    field_py = SRC / "field.py"
+    tree = ast.parse(field_py.read_text())
+    assert not [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_Ops"]
+    ext = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_ExtTables")
+    assert "inv" not in {fn.name for fn in ext.body if isinstance(fn, ast.FunctionDef)}
+    raises = [node for node in ast.walk(tree) if isinstance(node, ast.Raise) and "inverse of zero" in ast.unparse(node)]
+    assert len(raises) == 1
+    (memo,) = _function(field_py, "_ops_for").decorator_list
+    assert ast.unparse(memo.func) == "functools.lru_cache"
 
 
 def test_one_raw_value_rule_and_one_product():
