@@ -12,7 +12,12 @@ graph.jsonl `components`, `diameter`, `bfs_report` frontier sizes and the first
 `neighbors` codes over GF(2) and GF(3) at n = 2 and 3, each call named by its
 arguments.  idempotents.jsonl holds a digest of `idempotent_pool` and the
 `zi_membership` search (no witness) of every rank i on the seeded pairs over
-GF(2) at n = 3 and 4 and GF(3) at n = 3.  The whole corpus takes about 7 s.  Run from the repository root:
+GF(2) at n = 3 and 4 and GF(3) at n = 3.  cli.jsonl holds one line per call of
+`cli.main` over a fixed argv list: every subcommand, both formats, --out files
+(census appends among them) and the error exits, each with its exit code, stdout,
+the `error` field of stderr and the text of its --out file; paths inside the call's
+temporary directory read `{tmp}`, and verify-paper's timings are masked.  The
+whole corpus takes about 7 s.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/make_golden.py                 # rewrite every file
     PYTHONPATH=src python3 tests/make_golden.py gf3 census      # rewrite these files only
@@ -26,13 +31,17 @@ when an answer is meant to change, and say in CHANGES.md what changed and why.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import random
+import re
 import sys
+import tempfile
 from pathlib import Path
 
-from commdist import census, graph
+from commdist import census, cli, graph
 from commdist import commute as cm
 from commdist.errors import CommdistError
 from commdist.field import FieldSpec
@@ -222,15 +231,108 @@ def _idempotent_lines() -> list[str]:
     return _calls(calls)
 
 
+GF2_A = '{"field": "gf(2)", "rows": [[1, 1], [0, 1]]}'
+GF2_B = '{"field": "gf(2)", "rows": [[0, 1], [0, 0]]}'  # A - I, so [A, B] = 0
+QQ_PAIR = ["--field", "qq", "--a", "fixture:ex25_A", "--b", "fixture:ex25_B"]
+GF9_PAIR = ["--field", "gf(9)", "--a", "fixture:ex410_A", "--b", "fixture:ex410_B"]
+GF2_DERIVED = ["--field", "gf(2)", "--n", "2"]
+# `{tmp}` stands for a fresh temporary directory that holds the files below
+CLI_FILES = {"a.json": GF2_A, "b.json": GF2_B, "cert.json": '{"cs": [1], "ds": [1]}'}
+CLI_CALLS = [
+    ["distance", *QQ_PAIR],
+    ["distance", *QQ_PAIR, "--format", "table"],
+    ["distance", "--a", "{tmp}/a.json", "--b", "{tmp}/b.json"],
+    ["dist2", *QQ_PAIR],
+    ["dist2", "--field", "gf(3)", "--a", "fixture:ex410_A", "--b", "fixture:ex410_B", "--minors",
+     "--samples", "40", "--seed", "5"],
+    ["dist2", *QQ_PAIR, "--minors"],
+    ["centralizer", "--a", "fixture:ex46_B"],
+    ["centralizer", "--field", "gf(3^3):1,2,0,1",
+     "--a", '{"field": "gf(3^2):1,0,1", "rows": [[[0, 1], [2, 1]], [[1, 0], [0, 2]]]}'],
+    ["derogatory", "--a", "fixture:ex46_A"],
+    ["derogatory", "--a", "fixture:ex46_A", "--out", "{tmp}/report.json"],
+    ["derogatory", "--a", "fixture:ex46_A", "--format", "table", "--out", "{tmp}/report.txt"],
+    ["pc-search", *GF9_PAIR],
+    ["pc-search", *QQ_PAIR],
+    ["pc-verify", "--a", "{tmp}/a.json", "--b", "{tmp}/b.json", "--cert", "{tmp}/cert.json"],
+    ["pc-verify", "--a", GF2_A, "--b", GF2_B, "--cert", '{"cs": [1], "ds": [0]}'],
+    ["zi", *QQ_PAIR, "--i", "1", "--p", '{"field": "qq", "rows": [[0, 0, 0], [0, 0, 0], [0, 0, 1]]}'],
+    ["zi", *QQ_PAIR, "--i", "1", "--p", '{"field": "qq", "rows": [[0, 1, 0], [0, 0, 0], [0, 0, 0]]}'],
+    ["zi", "--field", "gf(2)", "--a", GF2_A, "--b", GF2_B, "--i", "1"],
+    ["bfs", "--field", "gf(2)", "--a", "fixture:ex25_A"],
+    ["bfs", "--field", "gf(2)", "--a", "fixture:ex25_A", "--cap", "1"],
+    ["bfs", "--a", GF2_A, "--b", GF2_B],
+    ["bfs", "--a", GF2_A, "--b", '{"field": "gf(2)", "rows": [[1, 0], [1, 1]]}', "--cap", "1"],
+    ["bfs", "--a", '{"field": "gf(2)", "rows": [[0, 1], [0, 0]]}', "--b", '{"field": "gf(2)", "rows": [[0, 0], [1, 0]]}'],
+    ["components", *GF2_DERIVED],
+    ["components", *GF2_DERIVED, "--format", "table"],
+    ["diameter", *GF2_DERIVED],
+    ["census", *GF2_DERIVED, "--quantity", "commuting-pairs"],
+    ["census", *GF2_DERIVED, "--quantity", "derogatory", "--format", "table"],
+    ["census", "--field", "gf(2)", "--n", "3", "--quantity", "dist-le-2", "--samples", "50", "--seed", "4"],
+    ["census", "--field", "gf(2)", "--n", "3", "--quantity", "zi-pairs", "--i", "1", "--samples", "30"],
+    ["census", *GF2_DERIVED, "--quantity", "commuting-pairs", "--out", "{tmp}/census.jsonl"],
+    ["census", *GF2_DERIVED, "--quantity", "dist-le-2", "--out", "{tmp}/census.jsonl"],
+    ["census", *GF2_DERIVED, "--quantity", "derogatory", "--format", "table", "--out", "{tmp}/census.txt"],
+    ["verify-paper", "--only", "ex25-distance"],
+    ["verify-paper", "--only", "ex25-distance", "--out", "{tmp}/verify.json"],
+    # input errors (exit 1) and a cap (exit 2)
+    ["verify-paper", "--only", "no-such-check"],
+    ["distance", "--field", "gf(6)", "--a", "fixture:ex25_A", "--b", "fixture:ex25_B"],
+    ["distance", "--a", "{tmp}/missing.json", "--b", "{tmp}/missing.json"],
+    ["distance", "--a", '{"field": "gf(3)", "rows": [[1]]}', "--b", '{"field": "gf(5)", "rows": [[1]]}'],
+    ["centralizer", "--a", '{"field": "gf(2)", "rows": [[1], 5]}'],
+    ["centralizer", "--a", '{"field": "gf(2)", "rows": [[1]'],
+    ["derogatory", "--a", '{"field": "qq", "rows": [["1e-99999999"]]}'],
+    ["derogatory", "--a", "fixture:ex46_A", "--out", "{tmp}/no-dir/report.json"],
+    ["pc-verify", "--a", GF2_A, "--b", GF2_B, "--cert", '{"cs": 5, "ds": [1]}'],
+    ["zi", *QQ_PAIR, "--i", "1"],
+    ["bfs", "--field", "gf(2)", "--a", "fixture:ex25_A", "--cap", "-1"],
+    ["dist2", *QQ_PAIR, "--samples", "7"],
+    ["components", "--n", "2"],
+    ["census", *GF2_DERIVED, "--quantity", "zi-pairs", "--samples", "5"],
+    ["census", *GF2_DERIVED, "--quantity", "derogatory", "--seed", "3"],
+    ["census", "--field", "gf(7)", "--n", "3", "--quantity", "commuting-pairs"],
+]
+
+
+def _untimed(text: str) -> str:
+    """`text` with the seconds of each verify-paper row and check masked."""
+    return re.sub(r'\d+\.\d+s/|"seconds": [\d.]+', "#", text)
+
+
+def _cli_lines() -> list[str]:
+    """One line per call of `cli.main`: exit code, stdout, the `error` field of
+    stderr and the text of the --out file, each path relative to `{tmp}`."""
+    out = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in CLI_FILES.items():
+            Path(tmp, name).write_text(text)
+        for argv in CLI_CALLS:
+            stdout, stderr = io.StringIO(), io.StringIO()
+            args = [arg.replace("{tmp}", tmp) for arg in argv]
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(args)
+            target = Path(args[args.index("--out") + 1]) if "--out" in args else None
+            out.append({
+                "argv": argv,
+                "exit": code,
+                "stdout": _untimed(stdout.getvalue()),
+                "error": json.loads(stderr.getvalue())["error"] if stderr.getvalue() else None,
+                "out": _untimed(target.read_text()) if target and target.exists() else None,
+            })
+    return _dumps(out)
+
+
 def lines(name: str) -> list[str]:
-    """The lines of golden file `name`: a key of FIELDS, "fixtures", "census", "graph" or "idempotents"."""
+    """The lines of golden file `name`: a key of FIELDS, "fixtures", "census", "graph", "idempotents" or "cli"."""
     if name == "fixtures":
         mats = {f: load_fixture(f) for f in FIXTURES}
         pairs = [(x, y) for x in FIXTURES for y in FIXTURES
                  if x != y and (mats[x].spec, mats[x].nrows) == (mats[y].spec, mats[y].nrows)]
         return _lines(mats, pairs)
-    if name in ("census", "graph", "idempotents"):
-        return {"census": _census_lines, "graph": _graph_lines, "idempotents": _idempotent_lines}[name]()
+    if name in ("census", "graph", "idempotents", "cli"):
+        return {"census": _census_lines, "graph": _graph_lines, "idempotents": _idempotent_lines, "cli": _cli_lines}[name]()
     spec, out = FieldSpec.parse(FIELDS[name]), []
     for n in SIZES:
         mats = {f"n{n}_{k}": m for k, m in _matrices(spec, n, random.Random(f"golden/{name}/{n}")).items()}
@@ -239,7 +341,7 @@ def lines(name: str) -> list[str]:
     return out
 
 
-NAMES = [*FIELDS, "fixtures", "census", "graph", "idempotents"]
+NAMES = [*FIELDS, "fixtures", "census", "graph", "idempotents", "cli"]
 
 
 def first_difference(name: str) -> str | None:
