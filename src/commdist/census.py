@@ -9,7 +9,6 @@ how an index range is partitioned.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -56,9 +55,6 @@ class CensusReport:
         }
         out.update(self.extra)
         return out
-
-    def to_json_line(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def sample_codes(seed: int, start: int, count: int, modulus: int) -> list[int]:

@@ -1,9 +1,11 @@
 """Command-line interface: parse inputs, dispatch to the library, emit reports.
 
-Every report echoes its resolved configuration so a run can be replayed from
-its own output.  Numeric output is exact (integers, fraction strings, field
-coefficient vectors); the only floats are standard errors of sampled
-estimates.  Exit codes: 0 success, 1 input error, 2 cap exceeded.
+Each subcommand handler returns only its answer; `main` alone adds the resolved
+configuration (the flags and every input `_load_matrix` recorded) and writes the
+report, so a run can be replayed from its own output.  Numeric output is exact
+(integers, fraction strings, field coefficient vectors); the only floats are
+standard errors of sampled estimates.  Exit codes: 0 success, 1 input error,
+2 cap exceeded.
 """
 
 from __future__ import annotations
@@ -17,44 +19,47 @@ import sys
 from . import census as cs
 from . import commute as cm
 from . import graph as gr
-from .errors import BadWitness, CapExceeded, CommdistError, DimMismatch
+from .errors import BadWitness, CapExceeded, CommdistError, DimMismatch, ParseError
 from .field import FieldSpec
 from .matrix import ExactMatrix, min_poly, rank, rank_raw, rref_raw
 from .verify import load_fixture, verify_paper
 
 
-def _load_matrix(text: str, field: FieldSpec | None) -> ExactMatrix:
+def _load_matrix(args, name: str, spec: FieldSpec | None = None) -> ExactMatrix:
+    """Matrix argument `name`, converted to `spec` or --field and recorded in the call's inputs."""
+    if spec is None and args.field:
+        spec = FieldSpec.parse(args.field)
+    text = getattr(args, name)
     if text.startswith("fixture:"):
         m = load_fixture(text.split(":", 1)[1])
-    elif text.lstrip().startswith("{"):
-        m = ExactMatrix.from_json(text)
     else:
-        with open(text) as fh:
-            m = ExactMatrix.from_json(json.load(fh))
-    if field is not None and field != m.spec:
-        m = m.to_field(field)
+        m = ExactMatrix.from_json(_load_json_arg(text))
+    if spec is not None and spec != m.spec:
+        m = m.to_field(spec)
+    args.inputs[name] = m.to_json()
     return m
 
 
 def _load_json_arg(text: str):
-    if text.lstrip().startswith("{"):
-        return json.loads(text)
-    with open(text) as fh:
-        return json.load(fh)
+    try:
+        if text.lstrip().startswith("{"):
+            return json.loads(text)
+        with open(text) as fh:
+            return json.load(fh)
+    except RecursionError as exc:  # the decoder recurses once per level of nesting
+        raise ParseError("JSON nested too deeply") from exc
 
 
 def _emit(report: dict, args) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "table":
+    if args.format == "table":
         text = "\n".join(_table_lines(report, prefix=""))
     else:
         text = json.dumps(report, indent=2, sort_keys=True)
-    out = getattr(args, "out", None)
-    if out:
-        append = getattr(args, "_append_out", False)
-        if append and fmt == "json":
+    if args.out:
+        append = args.cmd == "census"  # census logs are JSON lines, appended
+        if append and args.format == "json":
             text = json.dumps(report, sort_keys=True)  # one line per appended record
-        with open(out, "a" if append else "w") as fh:
+        with open(args.out, "a" if append else "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -84,27 +89,18 @@ def _is_flat(v) -> bool:
     return False
 
 
-def _config(args, **inputs) -> dict:
+def _config(args) -> dict:
     cfg = {"subcommand": args.cmd}
     for key in ("field", "n", "i", "cap", "samples", "seed", "quantity", "minors"):
         val = getattr(args, key, None)
         if val is not None and val is not False:
             cfg[key] = val
-    cfg.update(inputs)
+    cfg.update(args.inputs)
     return cfg
 
 
-def _field_arg(args) -> FieldSpec | None:
-    return FieldSpec.parse(args.field) if getattr(args, "field", None) else None
-
-
-def _load_pair(args) -> tuple[ExactMatrix, ExactMatrix]:
-    spec = _field_arg(args)
-    return _load_matrix(args.a, spec), _load_matrix(args.b, spec)
-
-
 def _require_field(args) -> FieldSpec:
-    if not getattr(args, "field", None):
+    if not args.field:
         raise CommdistError("this subcommand needs --field")
     return FieldSpec.parse(args.field)
 
@@ -114,11 +110,9 @@ def _require_field(args) -> FieldSpec:
 
 
 def _cmd_distance(args) -> dict:
-    a, b = _load_pair(args)
+    a, b = _load_matrix(args, "a"), _load_matrix(args, "b")
     res = cm.distance(a, b)
-    report = res.to_json()
-    report["config"] = _config(args, a=a.to_json(), b=b.to_json())
-    return report
+    return res.to_json()
 
 
 def _cmd_dist2(args) -> dict:
@@ -126,18 +120,13 @@ def _cmd_dist2(args) -> dict:
         raise CommdistError("--samples and --seed apply only with --minors")
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"the sample count must be at least 1, got {args.samples}")
-    a, b = _load_pair(args)
+    a, b = _load_matrix(args, "a"), _load_matrix(args, "b")
     stacked = cm.stack_M(a, b)
     n = a.nrows
     if n < 2:
         raise DimMismatch("the rank criterion needs n >= 2")
     r = rank(stacked)
-    report = {
-        "dist_le_2": r <= n * n - 2,
-        "rank": r,
-        "threshold": n * n - 2,
-        "config": _config(args, a=a.to_json(), b=b.to_json()),
-    }
+    report = {"dist_le_2": r <= n * n - 2, "rank": r, "threshold": n * n - 2}
     if args.minors:
         report["minors"] = _minors_report(stacked, r, n, args)
     return report
@@ -181,68 +170,52 @@ def _minors_report(stack: ExactMatrix, r: int, n: int, args) -> dict:
 
 
 def _cmd_centralizer(args) -> dict:
-    a = _load_matrix(args.a, _field_arg(args))
+    a = _load_matrix(args, "a")
     basis = cm.centralizer_basis(a)
-    return {
-        "dimension": len(basis),
-        "basis": [m.to_json() for m in basis],
-        "config": _config(args, a=a.to_json()),
-    }
+    return {"dimension": len(basis), "basis": [m.to_json() for m in basis]}
 
 
 def _cmd_derogatory(args) -> dict:
-    a = _load_matrix(args.a, _field_arg(args))
-    return {
-        "derogatory": cm.derogatory(a),
-        "min_poly": [c.to_json() for c in min_poly(a)],
-        "config": _config(args, a=a.to_json()),
-    }
+    a = _load_matrix(args, "a")
+    return {"derogatory": cm.derogatory(a), "min_poly": [c.to_json() for c in min_poly(a)]}
 
 
 def _cmd_pc_search(args) -> dict:
-    a, b = _load_pair(args)
+    a, b = _load_matrix(args, "a"), _load_matrix(args, "b")
     res = cm.pc_search(a, b)
     return {
         "status": res.status,
         "note": res.note,
         "certificate": res.certificate.to_json() if res.certificate else None,
-        "config": _config(args, a=a.to_json(), b=b.to_json()),
     }
 
 
 def _cmd_pc_verify(args) -> dict:
-    a, b = _load_pair(args)
+    a, b = _load_matrix(args, "a"), _load_matrix(args, "b")
     cert = cm.PcCertificate.from_json(a.spec, _load_json_arg(args.cert))
-    return {
-        "valid": cm.pc_verify(a, b, cert),
-        "config": _config(args, a=a.to_json(), b=b.to_json(), cert=cert.to_json()),
-    }
+    args.inputs["cert"] = cert.to_json()
+    return {"valid": cm.pc_verify(a, b, cert)}
 
 
 def _cmd_zi(args) -> dict:
-    a, b = _load_pair(args)
-    cfg = _config(args, a=a.to_json(), b=b.to_json())
+    a, b = _load_matrix(args, "a"), _load_matrix(args, "b")
     if args.p:
-        witness = _load_matrix(args.p, a.spec)
-        cfg["p"] = witness.to_json()
+        witness = _load_matrix(args, "p", a.spec)
         try:
             cm.zi_membership(a, b, args.i, witness=witness)
         except BadWitness as exc:
-            return {"valid": False, "violated": exc.condition, "config": cfg, "_exit": 1}
-        return {"valid": True, "witness": witness.to_json(), "config": cfg}
+            return {"valid": False, "violated": exc.condition, "_exit": 1}
+        return {"valid": True, "witness": witness.to_json()}
     found = cm.zi_membership(a, b, args.i)
-    return {"witness": found.to_json() if found else None, "config": cfg}
+    return {"witness": found.to_json() if found else None}
 
 
 def _cmd_bfs(args) -> dict:
-    spec = _field_arg(args)
-    a = _load_matrix(args.a, spec)
+    a = _load_matrix(args, "a")
     if args.b is None:
         report = gr.bfs_report(a, cap=args.cap)
-        out = report.to_json()
-        out["config"] = _config(args, a=a.to_json())
-        return out
-    b = _load_matrix(args.b, spec)
+        return report.to_json()
+    b = _load_matrix(args, "b")
     d = gr.bfs_distance(a, b, cap=args.cap)
     if d is None:
         shown: object = "exceeds-cap"
@@ -250,20 +223,18 @@ def _cmd_bfs(args) -> dict:
         shown = "infinite"
     else:
         shown = d
-    return {"distance": shown, "config": _config(args, a=a.to_json(), b=b.to_json())}
+    return {"distance": shown}
 
 
 def _cmd_components(args) -> dict:
     spec = _require_field(args)
     rep = gr.components(spec, args.n)
-    out = rep.to_json()
-    out["config"] = _config(args)
-    return out
+    return rep.to_json()
 
 
 def _cmd_diameter(args) -> dict:
     spec = _require_field(args)
-    return {"diameter": gr.diameter(spec, args.n), "config": _config(args)}
+    return {"diameter": gr.diameter(spec, args.n)}
 
 
 def _cmd_census(args) -> dict:
@@ -283,10 +254,7 @@ def _cmd_census(args) -> dict:
         if args.i is None or args.samples is None:
             raise CommdistError("zi-pairs needs --i and --samples")
         rep = cs.zi_pair_census(spec, n, args.i, args.samples, seed=args.seed or 0)
-    out = rep.to_json()
-    out["config"] = _config(args)
-    args._append_out = True  # census logs are JSON lines, appended
-    return out
+    return rep.to_json()
 
 
 def _cmd_verify_paper(args) -> dict:
@@ -315,7 +283,7 @@ def _cmd_verify_paper(args) -> dict:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return {"_exit": 0 if ok else 1, "_quiet": True}
+    return {"_exit": 0 if ok else 1}
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +393,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    args.inputs = {}  # every matrix and certificate the handler reads, by flag
     try:
         report = args.handler(args)
         exit_code = report.pop("_exit", 0)
-        if not report.pop("_quiet", False):
+        if args.cmd != "verify-paper":  # it prints its own rows
+            report["config"] = _config(args)
             _emit(report, args)
     except CapExceeded as exc:
         print(json.dumps({"error": "cap-exceeded", "detail": str(exc)}), file=sys.stderr)

@@ -269,6 +269,8 @@ class FieldSpec:
                 raise ParseError("coefficient vectors only make sense for extension fields")
             if len(value) > self.k:
                 raise ParseError(f"coefficient vector longer than degree {self.k}")
+            if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in value):
+                raise ParseError(f"coefficient vector {value!r} has a coefficient that is not an integer")
             return sum(int(c) % self.p * self.p**i for i, c in enumerate(value))
         raise ParseError(f"cannot interpret {value!r} as an element of {self}")
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import json
 import math
 import operator
 from fractions import Fraction
@@ -98,9 +97,7 @@ class ExactMatrix:
 
     @classmethod
     def from_json(cls, obj) -> "ExactMatrix":
-        """Build from ``{"field": spec-string, "rows": [[entry, ...], ...]}``."""
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+        """Build from the decoded ``{"field": spec-string, "rows": [[entry, ...], ...]}``."""
         if not isinstance(obj, dict) or not isinstance(obj.get("field"), str):
             raise ParseError("matrix JSON needs a 'field' string and 'rows'")
         if not isinstance(obj.get("rows"), list) or not all(isinstance(r, list) for r in obj["rows"]):

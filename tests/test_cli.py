@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import commdist
-from commdist.cli import main
+from commdist.cli import console_main, main
 
 
 def run(capsys, *argv):
@@ -542,3 +544,37 @@ def test_subcommands_missing_a_required_flag_exit_1(capsys):
     assert json.loads(capsys.readouterr().err) == {
         "error": "CommdistError", "detail": "zi-pairs needs --i and --samples"
     }
+
+
+NESTED = "[" * 5000 + "]" * 5000
+
+
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    # the decoder's RecursionError used to escape as a traceback
+    a = '{"field": "qq", "rows": %s}' % NESTED
+    nested_file = tmp_path / "a.json"
+    nested_file.write_text(a)
+    one = '{"field": "qq", "rows": [[1]]}'
+    cases = (
+        ["centralizer", "--a", a],
+        ["pc-verify", "--a", one, "--b", one, "--cert", '{"cs": %s, "ds": [1]}' % NESTED],
+        ["derogatory", "--a", str(nested_file)],
+    )
+    for argv in cases:
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and len(out.err.splitlines()) == 1
+        assert json.loads(out.err) == {"error": "ParseError", "detail": "JSON nested too deeply"}
+        monkeypatch.setattr(sys, "argv", ["commdist", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            console_main()
+        assert exit_info.value.code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
+def test_non_integer_extension_coefficients_exit_1(capsys):
+    for entry in ([[1]], ["a"], [1.5, True], ["2", 1]):
+        a = json.dumps({"field": "gf(9)", "rows": [[entry]]})
+        assert main(["derogatory", "--a", a]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err)["error"] == "ParseError"

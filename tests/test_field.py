@@ -10,6 +10,7 @@ from sympy import factorint
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_gcdex, gf_mul, gf_neg, gf_pow_mod, gf_rem, gf_strip, gf_sub
 
+from commdist.commute import PcCertificate
 from commdist.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -307,6 +308,20 @@ def test_lowest_terms_and_reduction_invariants():
     assert e.raw == Fraction(-3, 2) and e.raw.denominator == 2
     assert GF3.elem(-1).to_json() == 2
     assert GF9.elem([4, 5]).to_json() == [1, 2]  # coefficients reduce mod p
+
+
+@pytest.mark.parametrize("value", [[[1]], ["a"], [1.5, True], ["2", 1], [0, False], [None]], ids=repr)
+def test_extension_coefficients_are_integers_only(value):
+    # each coefficient went through int(): [[1]] raised TypeError, ["a"] a bare
+    # ValueError, and [1.5, true] read as 1 + x, ["2", 1] as 2 + x
+    with pytest.raises(ParseError, match="is not an integer"):
+        GF9.elem(value)
+    with pytest.raises(ParseError, match="is not an integer"):
+        PcCertificate.from_json(GF9, {"cs": [value], "ds": [1]})
+
+
+def test_numpy_integer_coefficients_are_accepted():
+    assert GF9.elem([np.int64(4), np.uint8(5)]).to_json() == [1, 2]
 
 
 def test_entry_json_round_trip():

@@ -15,7 +15,8 @@ function alone takes nullspaces of lift rows and forms none for a rational
 nonderogatory member, one memoized commutator grid serves a finite-field pair's
 commutant and certificate scan, entries turn raw by one rule and polynomial evaluation
 is one product in that stack, `field._ops_for` alone builds the scalar kit
-of each field, with one zero-inverse check, and
+of each field, with one zero-inverse check, the CLI's handlers return only
+their answer to `main`, which alone echoes the config, and
 every attribute the benchmark's tracer patches exists, and every public
 name is used by the library or the benchmark."""
 
@@ -386,6 +387,39 @@ def test_graph_has_one_neighbor_kernel():
     assert "nullspace_raw" not in _called_in(tree)
     assert "_commutant" in _called_in(_function(SRC / "graph.py", "restricted_distance_le_3"))
     assert "partial" not in (SRC / "graph.py").read_text()
+
+
+def test_cli_handlers_return_only_their_answer():
+    # `main` alone echoes the config and writes the report, and one loader reads
+    # and records every matrix argument
+    cli_py = SRC / "cli.py"
+    functions = [fn for fn in ast.parse(cli_py.read_text()).body if isinstance(fn, ast.FunctionDef)]
+    handlers = [fn for fn in functions if fn.name.startswith("_cmd_")]
+    assert len(handlers) == 12
+    callers = {name: {fn.name for fn in functions if name in _called_in(fn)} for name in ("_config", "_emit")}
+    assert callers == {"_config": {"main"}, "_emit": {"main"}}
+    assert [
+        fn.name
+        for fn in handlers
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "args"
+    ] == []
+    assert "setattr" not in _called_in(ast.parse(cli_py.read_text())) and "_append_out" not in cli_py.read_text()
+    # verify-paper's --out file is JSON whatever --format says, so it keeps its own config
+    assert [
+        fn.name for fn in handlers
+        if fn.name != "_cmd_verify_paper"
+        and any(isinstance(node, ast.Constant) and node.value == "config" for node in ast.walk(fn))
+    ] == []
+    loaders = {
+        (fn.name, ast.unparse(node.func))
+        for fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("load_fixture", "ExactMatrix.from_json")
+    }
+    assert loaders == {("_load_matrix", "load_fixture"), ("_load_matrix", "ExactMatrix.from_json")}
 
 
 def test_every_public_name_is_used_outside_the_package_index():

@@ -689,6 +689,8 @@ def test_json_round_trips():
 def test_bad_json():
     with pytest.raises(ParseError):
         ExactMatrix.from_json({"rows": [[1]]})
+    with pytest.raises(ParseError):  # JSON text is decoded by the caller
+        ExactMatrix.from_json('{"field": "qq", "rows": [[1]]}')
     with pytest.raises(DimMismatch):
         ExactMatrix.from_json({"field": "qq", "rows": [[1, 2], [3]]})
     with pytest.raises(DimMismatch):
