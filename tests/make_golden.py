@@ -8,9 +8,10 @@ full output, or the error it raised; finite fields add `restricted_distance_le_3
 at n = 3, and at n = 4 below q = 8.  The inputs are drawn from fixed seeds with `random_matrix` at
 n = 2..6, so `tests/test_golden.py` draws them again and compares line by line.
 census.jsonl holds every census quantity, exhaustive and sampled, and
-graph.jsonl `components`, `diameter`, `bfs_report` frontier sizes and the first
-`neighbors` codes over GF(2) and GF(3) at n = 2 and 3, each call named by its
-arguments.  idempotents.jsonl holds a digest of `idempotent_pool` and the
+graph.jsonl `components`, `diameter`, `bfs_report` frontier sizes with a digest
+of the distances, and the first `neighbors` codes over GF(2) and GF(3) at n = 2
+and 3, then `bfs_report` from GF(5) and GF(2^2) sources at n = 3, spaces above
+PREBUILD_CAP, each call named by its arguments.  idempotents.jsonl holds a digest of `idempotent_pool` and the
 `zi_membership` search (no witness) of every rank i on the seeded pairs over
 GF(2) at n = 3 and 4 and GF(3) at n = 3.  cli.jsonl holds one line per call of
 `cli.main` over a fixed argv list: every subcommand, both formats, --out files
@@ -178,8 +179,10 @@ def _census_lines() -> list[str]:
 
 
 def _bfs_report(spec: FieldSpec, n: int, code: int, cap):
+    """Frontier sizes, `complete` and the SHA-256 of the JSON distances."""
     report = graph.bfs_report(decode_matrix(spec, n, code), cap)
-    return {"complete": report.complete, "frontier_sizes": report.frontier_sizes}
+    digest = hashlib.sha256(json.dumps(report.to_json()["distances"]).encode()).hexdigest()
+    return {"complete": report.complete, "frontier_sizes": report.frontier_sizes, "distances_sha256": digest}
 
 
 def _neighbors(spec: FieldSpec, n: int, code: int):
@@ -190,7 +193,9 @@ def _neighbors(spec: FieldSpec, n: int, code: int):
 
 def _graph_lines() -> list[str]:
     """Closed-form components, diameters, and from three seeded non-scalar
-    sources the BFS frontier sizes (also cut at radius 2) and first neighbors."""
+    sources the BFS frontier sizes (also cut at radius 2) and first neighbors;
+    then sweeps over spaces above PREBUILD_CAP, whose neighbor lists are
+    expanded block by block instead of kept."""
     calls = []
     for field in ("gf(2)", "gf(3)"):
         spec = FieldSpec.parse(field)
@@ -203,6 +208,13 @@ def _graph_lines() -> list[str]:
             for code in codes:
                 calls += [(_bfs_report, [field, n, code, cap]) for cap in (None, 2)]
                 calls.append((_neighbors, [field, n, code]))
+    # GF(5) 3x3: a giant-component source cut at radius 0, 1 and 2, and the
+    # companion matrix of x^3 + x + 1, whose component is one copy of GF(125)
+    calls += [(_bfs_report, ["gf(5)", 3, 1387143, cap]) for cap in (0, 1, 2)]
+    calls.append((_bfs_report, ["gf(5)", 3, 90850, None]))
+    # GF(2^2) 3x3: a giant-component source cut at radius 2 (its full sweep
+    # takes seconds), and the companion matrix of x^3 + x^2 + 1, isolated
+    calls += [(_bfs_report, ["gf(2^2):1,1,1", 3, 147650, 2]), (_bfs_report, ["gf(2^2):1,1,1", 3, 82000, None])]
     return _calls(calls)
 
 
