@@ -14,6 +14,7 @@ import collections
 import functools
 import operator
 import re
+import reprlib
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +39,9 @@ _EXPONENT_RE = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)  # a decimal ex
 _MAX_EXPONENT = sys.int_info.default_max_str_digits  # 4300, the interpreter's int-string digit limit
 _MAX_RATIONAL_PART = 10**_MAX_EXPONENT  # the least integer that no longer prints
 _SPEC_RE = re.compile(r"^gf\((\d+)(?:\^(\d+))?\)(?::(-?\d+(?:\s*,\s*-?\d+)*))?$")
+_ECHO = reprlib.Repr()  # error messages echo input values through it: whole when the repr fits in 80 characters
+_ECHO.maxlevel = _ECHO.maxtuple = _ECHO.maxlist = _ECHO.maxdict = _ECHO.maxset = 40  # a repr cut here tops 80
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 80
 
 
 def _is_prime(n: int) -> bool:
@@ -156,7 +160,7 @@ class FieldSpec:
             return cls.rationals()
         m = _SPEC_RE.match(s)
         if m is None:
-            raise ParseError(f"bad field spec {text!r}")
+            raise ParseError(f"bad field spec {_ECHO.repr(text)}")
         base = int(m.group(1))
         if base >= _MAX_PRIME:  # before any trial division: no supported field is this large
             raise ParseError(f"gf({base}) exceeds the 2^31 cap")
@@ -244,8 +248,8 @@ class FieldSpec:
                         raise ValueError
                     return out
                 except (ValueError, ZeroDivisionError) as exc:
-                    raise ParseError(f"bad rational {value!r}") from exc
-            raise ParseError(f"cannot interpret {value!r} as a rational")
+                    raise ParseError(f"bad rational {_ECHO.repr(value)}") from exc
+            raise ParseError(f"cannot interpret {_ECHO.repr(value)} as a rational")
         if isinstance(value, (int, np.integer)):
             return int(value) % self.p  # embedded as a constant
         if isinstance(value, Fraction):
@@ -260,7 +264,7 @@ class FieldSpec:
                 a = int(num)
                 b = int(den) if den else 1
             except ValueError as exc:
-                raise ParseError(f"bad field entry {value!r}") from exc
+                raise ParseError(f"bad field entry {_ECHO.repr(value)}") from exc
             if b % self.p == 0:
                 raise DivisionByZero(f"denominator {b} vanishes in GF({self.p})")
             return a % self.p * pow(b % self.p, self.p - 2, self.p) % self.p
@@ -270,9 +274,9 @@ class FieldSpec:
             if len(value) > self.k:
                 raise ParseError(f"coefficient vector longer than degree {self.k}")
             if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in value):
-                raise ParseError(f"coefficient vector {value!r} has a coefficient that is not an integer")
+                raise ParseError(f"coefficient vector {_ECHO.repr(value)} has a coefficient that is not an integer")
             return sum(int(c) % self.p * self.p**i for i, c in enumerate(value))
-        raise ParseError(f"cannot interpret {value!r} as an element of {self}")
+        raise ParseError(f"cannot interpret {_ECHO.repr(value)} as an element of {self}")
 
     def elem_from_code(self, code: int) -> "FieldElem":
         """Element with the given enumeration code (finite fields only)."""

@@ -13,6 +13,7 @@ too.  `components` expands nothing: the components are known in closed form.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass
 
@@ -103,29 +104,22 @@ def _check_vertex_pair(a: ExactMatrix, b: ExactMatrix, cap: int | None = None):
         raise ValueError(f"the radius cap must be at least 0, got {cap}")
 
 
-def _bfs(spec, n, source: int, radius_cap=None):
-    """Full breadth-first sweep from one code.
-
-    Returns (levels, capped): levels is a bytearray holding the BFS level of
-    every code reached (255 = unreached), and capped is True when the radius
-    cap stopped the sweep while the frontier was still growing.
-    """
-    levels = bytearray([255]) * space_size(spec, n)
-    levels[source] = 0
+def _bfs(spec, n, source: int):
+    """Breadth-first sweep from one code: yield each level, its codes in
+    discovery order, the source's level first; a level is expanded only when
+    the caller asks for the next one."""
+    seen = bytearray(space_size(spec, n))
+    seen[source] = 1
     frontier = [source]
-    level = 0
     while frontier:
-        if radius_cap is not None and level >= radius_cap:
-            return levels, True
-        level += 1
+        yield frontier
         nxt = []
         for nbs in _neighbor_lists(spec, n, frontier):
             for nb in nbs:
-                if levels[nb] == 255:
-                    levels[nb] = min(level, 255)
+                if not seen[nb]:
+                    seen[nb] = 1
                     nxt.append(nb)
         frontier = nxt
-    return levels, False
 
 
 def _meet(spec, n, src: int, dst: int):
@@ -163,12 +157,6 @@ def _meet(spec, n, src: int, dst: int):
     return INFINITE, None
 
 
-def _level_sizes(levels: bytearray) -> list[int]:
-    """Number of codes at each BFS level, the source's level first."""
-    reached = np.frombuffer(levels, dtype=np.uint8)
-    return np.bincount(reached[reached != 255]).tolist()
-
-
 def bfs_distance(a: ExactMatrix, b: ExactMatrix, cap: int | None = None):
     """Exact graph distance between two non-scalar matrices.
 
@@ -202,7 +190,7 @@ class BfsReport:
     cap: int | None
     complete: bool  # False when the radius cap cut the sweep short
     frontier_sizes: list[int]
-    distances: dict[int, int]
+    distances: dict[int, int]  # in level order; to_json sorts by code
 
     def distance_of(self, target) -> int | float | None:
         code = target if isinstance(target, int) else encode_matrix(target)
@@ -227,9 +215,11 @@ def bfs_report(a: ExactMatrix, cap: int | None = None) -> BfsReport:
     _check_vertex_pair(a, a, cap)
     spec, n = a.spec, a.nrows
     src = encode_matrix(a)
-    levels, capped = _bfs(spec, n, src, radius_cap=cap)
-    reached = {code: d for code, d in enumerate(levels) if d != 255}
-    return BfsReport(spec, n, src, cap, not capped, _level_sizes(levels), reached)
+    stop = None if cap is None else min(cap + 1, space_size(spec, n))  # islice takes no stop past sys.maxsize
+    levels = list(itertools.islice(_bfs(spec, n, src), stop))
+    complete = cap is None or len(levels) <= cap
+    distances = {code: d for d, level in enumerate(levels) for code in level}
+    return BfsReport(spec, n, src, cap, complete, [len(level) for level in levels], distances)
 
 
 @dataclass
@@ -270,8 +260,8 @@ def diameter(spec: FieldSpec, n: int) -> int:
     non-scalar orbit representative, since automorphisms keep eccentricity."""
     space_size(spec, n, DIAMETER_CAP)
     scalars = _scalar_codes(spec, n)
-    sweeps = (_bfs(spec, n, c)[0] for c in _orbits(spec, n)[0].tolist() if c not in scalars)
-    return max((len(_level_sizes(levels)) - 1 for levels in sweeps), default=0)
+    sweeps = (_bfs(spec, n, c) for c in _orbits(spec, n)[0].tolist() if c not in scalars)
+    return max((sum(1 for _ in levels) - 1 for levels in sweeps), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -578,3 +578,26 @@ def test_non_integer_extension_coefficients_exit_1(capsys):
         assert main(["derogatory", "--a", a]) == 1
         out = capsys.readouterr()
         assert out.out == "" and json.loads(out.err)["error"] == "ParseError"
+
+
+def test_oversized_values_are_echoed_cut_short(capsys):
+    # an error message echoes at most the ends of a huge entry or field name
+    deep = "[" * 900 + "1" + "]" * 900
+    cases = {
+        '{"field": "qq", "rows": [["%s"]]}' % ("x" * 50000): "bad rational 'xxx",
+        '{"field": "%s", "rows": [[1]]}' % ("f" * 30000): "bad field spec 'fff",
+        '{"field": "qq", "rows": [[%s]]}' % deep: "cannot interpret [[[",
+    }
+    for a, start in cases.items():
+        assert main(["centralizer", "--a", a]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and len(out.err.splitlines()) == 1 and len(out.err.encode()) <= 300
+        err = json.loads(out.err)
+        assert err["error"] == "ParseError" and err["detail"].startswith(start) and "..." in err["detail"]
+
+
+def test_malformed_field_flags_exit_1(capsys):
+    for field in ("gf(4294967311)", "gf(5^1)", "gf(5):1,2"):
+        assert main(["components", "--field", field, "--n", "2"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and json.loads(out.err)["error"] == "ParseError"

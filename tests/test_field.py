@@ -65,6 +65,9 @@ def test_gf49_sugar_also_works_for_p_3_mod_4():
         ("gf(3", ParseError),
         ("hello", ParseError),
         ("gf(37^2):1,0,1", ParseError),  # extension characteristic cap
+        ("gf(4294967311)", ParseError),  # a prime past the 2^31 cap
+        ("gf(5^1)", ParseError),  # prime fields are written gf(p)
+        ("gf(5):1,2", ParseError),  # prime fields take no modulus
     ],
 )
 def test_bad_specs(text, exc):
@@ -172,6 +175,48 @@ def test_inverses_at_the_prime_cap():
         assert a * inv.to_json() % p == 1
     with pytest.raises(DivisionByZero):
         spec.zero().inv()
+
+
+def test_constructors_check_their_arguments():
+    with pytest.raises(NotPrime):
+        FieldSpec.prime(9)
+    with pytest.raises(NotPrime):
+        FieldSpec.extension(4, 2, (1, 1, 1))
+    with pytest.raises(ParseError):
+        FieldSpec.extension(5, 1, (1, 1))
+
+
+def test_entries_of_the_wrong_kind_are_refused():
+    with pytest.raises(FieldMismatch):
+        GF3.raw_from(GF2.elem(1))
+    for value in (None, 1.5, [1, 0]):
+        with pytest.raises(ParseError):
+            GF3.raw_from(value)
+    with pytest.raises(FieldMismatch):
+        QQ.elem_from_code(0)
+    for code in (-1, 4):
+        with pytest.raises(ParseError):
+            GF4.elem_from_code(code)
+
+
+def test_error_messages_echo_short_values_whole_and_long_ones_cut():
+    cases = [
+        (lambda: GF3.raw_from(None), "cannot interpret None as an element of gf(3)"),
+        (lambda: QQ.raw_from("1/x"), "bad rational '1/x'"),
+        (lambda: QQ.raw_from([1, 2, 3, 4, 5, 6, 7]), "cannot interpret [1, 2, 3, 4, 5, 6, 7] as a rational"),
+        (lambda: GF3.raw_from("7/x"), "bad field entry '7/x'"),
+        (lambda: GF4.raw_from([1, "a"]), "coefficient vector [1, 'a'] has a coefficient that is not an integer"),
+        (lambda: FieldSpec.parse("gf[2]"), "bad field spec 'gf[2]'"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ParseError) as info:
+            call()
+        assert str(info.value) == message
+    for call in (lambda: QQ.raw_from("y" * 10**5), lambda: FieldSpec.parse("z" * 10**5),
+                 lambda: GF3.raw_from({"k": list(range(10**4))})):
+        with pytest.raises(ParseError) as info:
+            call()
+        assert len(str(info.value)) < 300 and "..." in str(info.value)
 
 
 def test_field_mismatch():

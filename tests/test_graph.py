@@ -239,6 +239,12 @@ def test_bfs_radius_cap():
     assert gr.bfs_distance(a, b, cap=2) == 2
 
 
+def test_bfs_distance_needs_one_field():
+    a = load_fixture("ex25_A")
+    with pytest.raises(FieldMismatch):
+        gr.bfs_distance(a.to_field(GF2), a.to_field(GF3))
+
+
 def test_bfs_report():
     a = load_fixture("ex25_A").to_field(GF2)
     rep = gr.bfs_report(a)
@@ -254,6 +260,31 @@ def test_bfs_report():
         assert rep.distance_of(b) == gr.bfs_distance(a, b)
     js = rep.to_json()
     assert js["field"] == "gf(2)" and js["complete"] is True
+    huge = gr.bfs_report(a, 2**64)  # a cap past sys.maxsize
+    assert huge.complete and huge.frontier_sizes == rep.frontier_sizes
+
+
+@pytest.mark.parametrize("spec,n,code", [(GF2, 3, 343), (GF3, 3, 150), (FieldSpec.prime(5), 3, 1387143)])
+def test_capped_report_expands_only_the_levels_it_returns(spec, n, code, monkeypatch):
+    expanded = []
+    real = gr._neighbor_lists
+
+    def counting(spec, n, codes):
+        expanded.extend(codes)
+        return real(spec, n, codes)
+
+    monkeypatch.setattr(gr, "_neighbor_lists", counting)
+    a = gr.decode_matrix(spec, n, code)
+    for cap in range(3):
+        expanded.clear()
+        rep = gr.bfs_report(a, cap)
+        assert len(rep.frontier_sizes) == cap + 1 and not rep.complete
+        assert sorted(expanded) == sorted(c for c, d in rep.distances.items() if d < cap)
+        assert list(rep.distances.values()) == sorted(rep.distances.values())  # level order
+        assert sum(rep.frontier_sizes) == len(rep.distances)
+    if spec.order < 5:  # a full sweep of GF(5) 3x3 takes seconds
+        full = gr.bfs_report(a).distances
+        assert rep.distances == {c: d for c, d in full.items() if d <= 2}
 
 
 def test_bfs_report_triangle_inequality_sampled():
@@ -342,8 +373,8 @@ def test_components_keep_the_space_cap():
 )
 def test_diameter_matches_a_sweep_from_every_vertex(spec, n):
     scalars = gr._scalar_codes(spec, n)
-    sweeps = (gr._bfs(spec, n, c)[0] for c in range(spec.order ** (n * n)) if c not in scalars)
-    assert gr.diameter(spec, n) == max(len(gr._level_sizes(levels)) - 1 for levels in sweeps)
+    sweeps = (gr._bfs(spec, n, c) for c in range(spec.order ** (n * n)) if c not in scalars)
+    assert gr.diameter(spec, n) == max(len(list(levels)) - 1 for levels in sweeps)
 
 
 # GF(3) 3x3 first: the sweeps of its first example fill the neighbor lists

@@ -16,8 +16,8 @@ nonderogatory member, one memoized commutator grid serves a finite-field pair's
 commutant and certificate scan, entries turn raw by one rule and polynomial evaluation
 is one product in that stack, `field._ops_for` alone builds the scalar kit
 of each field, with one zero-inverse check, the CLI's handlers return only
-their answer to `main`, which alone echoes the config, and
-every attribute the benchmark's tracer patches exists, and every public
+their answer to `main`, which alone echoes the config, BFS sweeps yield their
+levels to `bfs_report` and `diameter` alone, and every attribute the benchmark's tracer patches exists, and every public
 name is used by the library or the benchmark."""
 
 import ast
@@ -387,6 +387,19 @@ def test_graph_has_one_neighbor_kernel():
     assert "nullspace_raw" not in _called_in(tree)
     assert "_commutant" in _called_in(_function(SRC / "graph.py", "restricted_distance_le_3"))
     assert "partial" not in (SRC / "graph.py").read_text()
+
+
+def test_bfs_sweeps_yield_their_levels():
+    # `_bfs` yields one level at a time and takes no radius cap: a capped
+    # report stops asking, so no level map over the space and no sentinel
+    text = (SRC / "graph.py").read_text()
+    assert "255" not in text and "_level_sizes" not in text
+    bfs = _function(SRC / "graph.py", "_bfs")
+    assert any(isinstance(node, ast.Yield) for node in ast.walk(bfs))
+    assert [arg.arg for arg in bfs.args.args] == ["spec", "n", "source"]
+    assert _top_level_users(*MODULES, name="_bfs") == {("graph.py", "bfs_report"), ("graph.py", "diameter")}
+    # the two-sided pair search stays apart, so the sweep remains its oracle
+    assert "_bfs" not in _called_in(_function(SRC / "graph.py", "_meet"))
 
 
 def test_cli_handlers_return_only_their_answer():

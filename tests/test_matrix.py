@@ -22,6 +22,8 @@ from commdist.matrix import (
     ExactMatrix,
     _power_stack,
     decode_matrix,
+    encode_matrix,
+    is_scalar,
     lift_rows_raw,
     min_poly,
     nullspace_raw,
@@ -911,3 +913,26 @@ def test_a_shared_side_forms_its_powers_once_and_matches_the_broadcast(monkeypat
             got = matrix._shares_commuter(spec, 3, *pair)
             assert 1 in batches and np.array_equal(got, _lift_mask(spec, 3, *broadcast))
         assert matrix._shares_commuter(spec, 3, one, y[:0]).shape == (0,)
+
+
+def test_shape_field_and_code_checks():
+    wide = ExactMatrix(GF3, [[1, 2, 0]])
+    square = ExactMatrix(GF3, [[1, 2], [0, 1]])
+    for call in (lambda: vec(wide), lambda: encode_matrix(wide), lambda: min_poly(wide), lambda: is_scalar(wide),
+                 lambda: unvec(GF3, 2, [1, 2, 3]), lambda: decode_matrix(GF3, 2, 3**4),
+                 lambda: decode_matrix(GF3, 2, -1), lambda: square + wide):
+        with pytest.raises(DimMismatch):
+            call()
+    with pytest.raises(FieldMismatch):
+        encode_matrix(ExactMatrix(QQ, [[1]]))
+    with pytest.raises(FieldMismatch):
+        decode_matrix(QQ, 2, 0)
+    with pytest.raises(TypeError):
+        square @ 3
+
+
+def test_negation():
+    m = ExactMatrix(GF3, [[1, 2], [0, 1]])
+    assert (-m).to_json()["rows"] == [[2, 1], [0, 2]]
+    assert (m + -m).to_json()["rows"] == [[0, 0], [0, 0]]
+    assert -ExactMatrix(QQ, [["1/2", -3]]) == ExactMatrix(QQ, [["-1/2", 3]])
