@@ -75,11 +75,9 @@ def _table_lines(obj, prefix: str) -> list[str]:
                 lines.extend(_table_lines(v, prefix + "  "))
             else:
                 lines.append(f"{prefix}{k}: {json.dumps(v)}")
-    elif isinstance(obj, list):
+    else:  # a list that is not flat
         for idx, v in enumerate(obj):
             lines.append(f"{prefix}[{idx}] {json.dumps(v)}")
-    else:
-        lines.append(f"{prefix}{json.dumps(obj)}")
     return lines
 
 

@@ -39,9 +39,15 @@ _EXPONENT_RE = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)  # a decimal ex
 _MAX_EXPONENT = sys.int_info.default_max_str_digits  # 4300, the interpreter's int-string digit limit
 _MAX_RATIONAL_PART = 10**_MAX_EXPONENT  # the least integer that no longer prints
 _SPEC_RE = re.compile(r"^gf\((\d+)(?:\^(\d+))?\)(?::(-?\d+(?:\s*,\s*-?\d+)*))?$")
-_ECHO = reprlib.Repr()  # error messages echo input values through it: whole when the repr fits in 80 characters
-_ECHO.maxlevel = _ECHO.maxtuple = _ECHO.maxlist = _ECHO.maxdict = _ECHO.maxset = 40  # a repr cut here tops 80
+_ECHO = reprlib.Repr()  # caps the depth, element counts and pieces of a repr; `_echo` caps its length
+_ECHO.maxlevel = _ECHO.maxtuple = _ECHO.maxlist = _ECHO.maxdict = _ECHO.maxset = 40
 _ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = 80
+
+
+def _echo(value) -> str:
+    """An input value as error messages echo it: its repr, cut in the middle to at most 80 characters."""
+    text = _ECHO.repr(value)
+    return text if len(text) <= 80 else f"{text[:38]}...{text[-39:]}"
 
 
 def _is_prime(n: int) -> bool:
@@ -160,7 +166,7 @@ class FieldSpec:
             return cls.rationals()
         m = _SPEC_RE.match(s)
         if m is None:
-            raise ParseError(f"bad field spec {_ECHO.repr(text)}")
+            raise ParseError(f"bad field spec {_echo(text)}")
         base = int(m.group(1))
         if base >= _MAX_PRIME:  # before any trial division: no supported field is this large
             raise ParseError(f"gf({base}) exceeds the 2^31 cap")
@@ -248,8 +254,8 @@ class FieldSpec:
                         raise ValueError
                     return out
                 except (ValueError, ZeroDivisionError) as exc:
-                    raise ParseError(f"bad rational {_ECHO.repr(value)}") from exc
-            raise ParseError(f"cannot interpret {_ECHO.repr(value)} as a rational")
+                    raise ParseError(f"bad rational {_echo(value)}") from exc
+            raise ParseError(f"cannot interpret {_echo(value)} as a rational")
         if isinstance(value, (int, np.integer)):
             return int(value) % self.p  # embedded as a constant
         if isinstance(value, Fraction):
@@ -264,7 +270,7 @@ class FieldSpec:
                 a = int(num)
                 b = int(den) if den else 1
             except ValueError as exc:
-                raise ParseError(f"bad field entry {_ECHO.repr(value)}") from exc
+                raise ParseError(f"bad field entry {_echo(value)}") from exc
             if b % self.p == 0:
                 raise DivisionByZero(f"denominator {b} vanishes in GF({self.p})")
             return a % self.p * pow(b % self.p, self.p - 2, self.p) % self.p
@@ -274,9 +280,9 @@ class FieldSpec:
             if len(value) > self.k:
                 raise ParseError(f"coefficient vector longer than degree {self.k}")
             if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in value):
-                raise ParseError(f"coefficient vector {_ECHO.repr(value)} has a coefficient that is not an integer")
+                raise ParseError(f"coefficient vector {_echo(value)} has a coefficient that is not an integer")
             return sum(int(c) % self.p * self.p**i for i, c in enumerate(value))
-        raise ParseError(f"cannot interpret {_ECHO.repr(value)} as an element of {self}")
+        raise ParseError(f"cannot interpret {_echo(value)} as an element of {self}")
 
     def elem_from_code(self, code: int) -> "FieldElem":
         """Element with the given enumeration code (finite fields only)."""

@@ -262,7 +262,6 @@ def test_derogatory_counts():
     assert "ratio_to_q_pow_nsq_minus_3" in rep.extra
 
 
-@pytest.mark.slow
 def test_derogatory_count_needs_n_at_least_2():
     with pytest.raises(DimMismatch, match="derogatory needs n >= 2"):
         cs.derogatory_count(GF2, 1)

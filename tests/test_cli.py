@@ -581,12 +581,16 @@ def test_non_integer_extension_coefficients_exit_1(capsys):
 
 
 def test_oversized_values_are_echoed_cut_short(capsys):
-    # an error message echoes at most the ends of a huge entry or field name
+    # an error message echoes at most the ends of a huge entry or field name,
+    # and of an entry made of many long pieces
     deep = "[" * 900 + "1" + "]" * 900
+    row = json.dumps(["x" * 80] * 40)
     cases = {
         '{"field": "qq", "rows": [["%s"]]}' % ("x" * 50000): "bad rational 'xxx",
         '{"field": "%s", "rows": [[1]]}' % ("f" * 30000): "bad field spec 'fff",
         '{"field": "qq", "rows": [[%s]]}' % deep: "cannot interpret [[[",
+        '{"field": "qq", "rows": [[%s]]}' % row: "cannot interpret ['xxx",
+        '{"field": "qq", "rows": [[[%s]]]}' % ", ".join([row] * 40): "cannot interpret [['xxx",
     }
     for a, start in cases.items():
         assert main(["centralizer", "--a", a]) == 1
@@ -594,6 +598,12 @@ def test_oversized_values_are_echoed_cut_short(capsys):
         assert out.out == "" and len(out.err.splitlines()) == 1 and len(out.err.encode()) <= 300
         err = json.loads(out.err)
         assert err["error"] == "ParseError" and err["detail"].startswith(start) and "..." in err["detail"]
+
+
+def test_derogatory_census_at_n1_exits_1(capsys):
+    assert main(["census", "--field", "gf(2)", "--n", "1", "--quantity", "derogatory"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and json.loads(out.err) == {"error": "DimMismatch", "detail": "derogatory needs n >= 2"}
 
 
 def test_malformed_field_flags_exit_1(capsys):

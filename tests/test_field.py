@@ -12,6 +12,7 @@ from sympy.polys.galoistools import gf_add, gf_gcdex, gf_mul, gf_neg, gf_pow_mod
 
 from commdist.commute import PcCertificate
 from commdist.errors import (
+    CapExceeded,
     DivisionByZero,
     FieldMismatch,
     NotPrime,
@@ -217,6 +218,26 @@ def test_error_messages_echo_short_values_whole_and_long_ones_cut():
         with pytest.raises(ParseError) as info:
             call()
         assert len(str(info.value)) < 300 and "..." in str(info.value)
+    # the cut bounds the whole echo, however many pieces reprlib kept
+    row = ["x" * 80] * 40
+    for value, start, end in ((row, "['xxx", "xxx']"), ([row] * 40, "[['xxx", "xxx']]")):
+        with pytest.raises(ParseError) as info:
+            QQ.raw_from(value)
+        echo = str(info.value).removeprefix("cannot interpret ").removesuffix(" as a rational")
+        assert len(echo) == 80 and echo.startswith(start) and echo.endswith(end) and "..." in echo
+
+
+def test_field_elements_are_immutable_and_equal_only_to_elements():
+    x = GF9.elem([1, 2])
+    with pytest.raises(AttributeError):
+        x.raw = 0
+    assert (GF3.elem(0) == 0) is False and (GF3.elem(1) == 1) is False
+    assert repr(x) == "FieldElem(gf(3^2):1,0,1, [1, 2])"
+
+
+def test_uint8_tables_stop_at_256_elements():
+    with pytest.raises(CapExceeded):
+        _np_tables(FieldSpec.prime(257))
 
 
 def test_field_mismatch():

@@ -17,7 +17,8 @@ commutant and certificate scan, entries turn raw by one rule and polynomial eval
 is one product in that stack, `field._ops_for` alone builds the scalar kit
 of each field, with one zero-inverse check, the CLI's handlers return only
 their answer to `main`, which alone echoes the config, BFS sweeps yield their
-levels to `bfs_report` and `diameter` alone, and every attribute the benchmark's tracer patches exists, and every public
+levels to `bfs_report` and `diameter` alone, the worked-example templates of
+`verify` go through one evaluator of signed entry sums, and every attribute the benchmark's tracer patches exists, and every public
 name is used by the library or the benchmark."""
 
 import ast
@@ -433,6 +434,26 @@ def test_cli_handlers_return_only_their_answer():
         if isinstance(node, ast.Call) and ast.unparse(node.func) in ("load_fixture", "ExactMatrix.from_json")
     }
     assert loaders == {("_load_matrix", "load_fixture"), ("_load_matrix", "ExactMatrix.from_json")}
+
+
+def test_one_template_evaluator_for_the_worked_examples():
+    # the ex32 lift template and the ex46 centralizer grids are strings read by
+    # `_eval_template_entry`; no checker spells a template out as field arithmetic
+    verify_py = SRC / "verify.py"
+    assert _definers("_fits_ex46_c_template", "_fits_ex46_d_template") == set()
+    assert _top_level_users(verify_py, name="_eval_template_entry") == {("verify.py", "_misfits")}
+    assert _top_level_users(verify_py, name="_misfits") == {
+        ("verify.py", "check_ex32_lift_template"), ("verify.py", "check_ex46")
+    }
+    arithmetic = {
+        fn.name
+        for fn in ast.parse(verify_py.read_text()).body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "ops"
+        and node.attr not in ("zero", "one")
+    }
+    assert arithmetic == {"_eval_template_entry"}
 
 
 def test_every_public_name_is_used_outside_the_package_index():

@@ -708,6 +708,7 @@ def test_field_coercion():
     # prime residues embed into an extension of the same characteristic
     lifted = ExactMatrix(GF3, [[2]]).to_field(GF9)
     assert lifted.to_json()["rows"] == [[[2, 0]]]
+    assert m.to_field(QQ) is m and repr(m) == "ExactMatrix(qq, 2x2)"
 
 
 def test_extension_entries_keep_every_coefficient_in_another_extension():
