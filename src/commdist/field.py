@@ -59,20 +59,6 @@ def _is_prime(n: int) -> bool:
     return all(pow(a, d, n) == 1 or n - 1 in {pow(a, d << k, n) for k in range(s)} for a in (2, 7, 61))
 
 
-def _factor(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (n fits well under 2**62)."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # polynomial helpers over GF(p), coefficients low-to-high as tuples
 
@@ -168,7 +154,7 @@ class FieldSpec:
         if m is None:
             raise ParseError(f"bad field spec {_echo(text)}")
         base = int(m.group(1))
-        if base >= _MAX_PRIME:  # before any trial division: no supported field is this large
+        if base >= _MAX_PRIME:  # no supported field is this large
             raise ParseError(f"gf({base}) exceeds the 2^31 cap")
         caret = m.group(2)
         coeffs = m.group(3)
@@ -176,15 +162,15 @@ class FieldSpec:
             p, k = base, int(caret)
             if k == 1:
                 raise ParseError(f"write gf({p}) for a prime field, not gf({p}^1)")
-        else:
-            fac = _factor(base) if base > 1 else {}
-            if len(fac) != 1:
+        else:  # base = p^k for at most one prime p, an integer root base^(1/k)
+            roots = ((round(base ** (1 / k)), k) for k in range(1, base.bit_length()))
+            p, k = next(((r, k) for r, k in roots if r**k == base and _is_prime(r)), (0, 0))
+            if not p:
                 raise NotPrime(f"{base} is not a prime power")
-            p, k = next(iter(fac.items()))
         if k == 1:
             if coeffs is not None:
                 raise ParseError("prime fields take no modulus")
-            return cls("prime", p=p)  # _factor proved p prime, and it is below the cap
+            return cls("prime", p=p)  # _is_prime proved p prime, and it is below the cap
         if coeffs is None:
             if k == 2 and p % 4 == 3:
                 modulus: tuple[int, ...] = (1, 0, 1)  # x^2 + 1, irreducible since -1 is a non-square
@@ -258,22 +244,6 @@ class FieldSpec:
             raise ParseError(f"cannot interpret {_echo(value)} as a rational")
         if isinstance(value, (int, np.integer)):
             return int(value) % self.p  # embedded as a constant
-        if isinstance(value, Fraction):
-            if value.denominator % self.p == 0:
-                raise DivisionByZero(f"denominator {value.denominator} vanishes in GF({self.p})")
-            num = value.numerator % self.p
-            den_inv = pow(value.denominator % self.p, self.p - 2, self.p)
-            return num * den_inv % self.p
-        if isinstance(value, str):
-            num, _, den = value.partition("/")
-            try:
-                a = int(num)
-                b = int(den) if den else 1
-            except ValueError as exc:
-                raise ParseError(f"bad field entry {_echo(value)}") from exc
-            if b % self.p == 0:
-                raise DivisionByZero(f"denominator {b} vanishes in GF({self.p})")
-            return a % self.p * pow(b % self.p, self.p - 2, self.p) % self.p
         if isinstance(value, (list, tuple)):
             if self.kind != "extension":
                 raise ParseError("coefficient vectors only make sense for extension fields")
@@ -282,7 +252,20 @@ class FieldSpec:
             if any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in value):
                 raise ParseError(f"coefficient vector {_echo(value)} has a coefficient that is not an integer")
             return sum(int(c) % self.p * self.p**i for i, c in enumerate(value))
-        raise ParseError(f"cannot interpret {_echo(value)} as an element of {self}")
+        if isinstance(value, Fraction):
+            num, den = value.numerator, value.denominator
+        elif isinstance(value, str):
+            top, _, bottom = value.partition("/")
+            try:
+                num, den = int(top), int(bottom) if bottom else 1
+            except ValueError as exc:
+                raise ParseError(f"bad field entry {_echo(value)}") from exc
+        else:
+            raise ParseError(f"cannot interpret {_echo(value)} as an element of {self}")
+        # the denominator as written, not reduced: "2/6" over GF(3) names 6
+        if den % self.p == 0:
+            raise DivisionByZero(f"denominator {den} vanishes in GF({self.p})")
+        return num * pow(den, -1, self.p) % self.p
 
     def elem_from_code(self, code: int) -> "FieldElem":
         """Element with the given enumeration code (finite fields only)."""
@@ -445,17 +428,13 @@ def _ops_for(spec: FieldSpec) -> _Ops:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True)
 class FieldElem:
-    """One field element: an immutable (spec, raw value) pair with operators."""
+    """One field element: an immutable (spec, raw value) pair with operators,
+    equal to and hashed as its (spec, raw) tuple."""
 
-    __slots__ = ("spec", "raw")
-
-    def __init__(self, spec: FieldSpec, raw):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "raw", raw)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElem is immutable")
+    spec: FieldSpec
+    raw: object
 
     def _peer(self, other) -> "FieldElem":
         if isinstance(other, FieldElem):
@@ -486,14 +465,6 @@ class FieldElem:
 
     def inv(self) -> "FieldElem":
         return FieldElem(self.spec, self.spec.ops().inv(self.raw))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return self.spec == other.spec and self.raw == other.raw
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.spec, self.raw))
 
     @property
     def is_zero(self) -> bool:

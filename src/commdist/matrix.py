@@ -325,11 +325,11 @@ def _twin_reps(spec: FieldSpec, n: int) -> np.ndarray:
     return spec.order * _projective_reps(spec, n * n - 1)
 
 
-def _check_square(a: ExactMatrix, what: str = "operand"):
+def _check_square(a: ExactMatrix):
     if not a.is_square:
-        raise DimMismatch(f"{what} must be square")
+        raise DimMismatch("operand must be square")
     if a.nrows > SIZE_CAP:
-        raise CapExceeded(f"{what} size {a.nrows} exceeds the n<={SIZE_CAP} cap")
+        raise CapExceeded(f"operand size {a.nrows} exceeds the n<={SIZE_CAP} cap")
 
 
 def is_scalar(a: ExactMatrix) -> bool:

@@ -751,7 +751,8 @@ def test_a_reconstructed_certificate_is_the_only_one_built(monkeypatch):
     # the scans modulo 3, 5, 7 and 11 hand back raw residue vectors, so of a
     # corpus pair certified from residues only the rational certificate gets
     # its flags evaluated
-    golden = [json.loads(line) for line in (Path(__file__).parent / "data" / "golden" / "qq.jsonl").open()]
+    corpus = Path(__file__).parent / "data" / "golden" / "qq.jsonl"
+    golden = [json.loads(line) for line in corpus.read_text().splitlines()]
     mats = {line["input"]: ExactMatrix.from_json(line["matrix"]) for line in golden if "input" in line}
     line = next(x for x in golden if x.get("fn") == "pc_search" and x["out"].get("note") == "reconstructed from residues")
     built, certificate = [], cm._certificate

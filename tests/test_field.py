@@ -94,6 +94,45 @@ def test_miller_rabin_agrees_with_trial_division():
     assert _is_prime(2**31 - 1) and not _is_prime(46337 * 46349)
 
 
+def _outcome(call):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _prime_power_by_trial_division(n):
+    """(p, k) with n = p^k for a prime p, or None."""
+    for p in range(2, math.isqrt(n) + 1):
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n, k = n // p, k + 1
+            return (p, k) if n == 1 else None
+    return (n, 1) if n > 1 else None
+
+
+def _parse_by_trial_division(n):
+    """What `gf(n)` names when it is factored by trial division."""
+    pk = _prime_power_by_trial_division(n)
+    if pk is None:
+        return NotPrime, f"{n} is not a prime power"
+    p, k = pk
+    if k == 1:
+        return FieldSpec("prime", p=p)
+    if k == 2 and p % 4 == 3:
+        return _outcome(lambda: FieldSpec.extension(p, 2, (1, 0, 1)))
+    return ParseError, f"gf({n}) needs an explicit modulus"
+
+
+def test_prime_powers_are_the_integer_roots_that_pass_the_prime_test():
+    small_primes = [p for p in range(2, 48) if _is_prime(p)]
+    powers = [p**k for p in small_primes for k in range(1, 31) if p**k < 2**31]
+    for n in [*range(2**16), *powers, 2**31 - 1]:
+        assert _outcome(lambda: FieldSpec.parse(f"gf({n})")) == _parse_by_trial_division(n), n
+
+
 def test_rational_strings_parse_as_fraction_does_below_the_exponent_limit():
     for text in ("1e5", "2.5", "-7/3", "1_000", " 3E+2 ", "1.5e-3", "1e4299", "-1e-4299"):
         assert QQ.raw_from(text) == Fraction(text)
@@ -233,6 +272,7 @@ def test_field_elements_are_immutable_and_equal_only_to_elements():
         x.raw = 0
     assert (GF3.elem(0) == 0) is False and (GF3.elem(1) == 1) is False
     assert repr(x) == "FieldElem(gf(3^2):1,0,1, [1, 2])"
+    assert not hasattr(x, "__dict__") and hash(x) == hash((x.spec, x.raw)) and x == GF9.elem([1, 2])
 
 
 def test_uint8_tables_stop_at_256_elements():
@@ -408,6 +448,18 @@ def test_string_entries_over_a_prime_field():
         gf5.raw_from("1/5")
     with pytest.raises(ParseError):
         gf5.raw_from("x")
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, FieldSpec.prime(2**31 - 1), GF4, GF9, GF27], ids=str)
+def test_string_and_fraction_entries_reduce_alike(spec):
+    for a in range(-20, 21):
+        for b in range(1, 21):
+            if math.gcd(a, b) == 1:
+                text = _outcome(lambda: spec.raw_from(f"{a}/{b}"))
+                assert text == _outcome(lambda: spec.raw_from(Fraction(a, b))), (a, b)
+    # a string keeps its denominator as written, so 2/6 names 6, not the 3 of 1/3
+    with pytest.raises(DivisionByZero, match=r"^denominator 6 vanishes in GF\(3\)$"):
+        GF3.raw_from("2/6")
 
 
 def test_fraction_embedding_into_prime_fields():

@@ -1,12 +1,14 @@
 """The reference checks can fail: the template evaluator reads what it is
-given, a wrong lift or centralizer member fails its worked example, and a
-check that raises becomes a failing row."""
+given, a wrong lift or centralizer member fails its worked example, a broken
+restricted search or certificate check fails the check that relies on it, and
+a check that raises becomes a failing row."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from commdist import commute, verify
+from commdist import commute, graph, verify
 from commdist.matrix import ExactMatrix
 
 
@@ -72,3 +74,26 @@ def test_a_check_that_raises_is_a_failing_row(monkeypatch):
     [result] = verify.verify_paper(["ex25-distance"])
     assert not result.passed and result.row().startswith("FAIL")
     assert (result.expected, result.actual) == ("no exception", "RuntimeError: no distance today")
+
+
+def _zeroed_cs(search):
+    def mutated(a, b):
+        res = search(a, b)
+        return replace(res, certificate=replace(res.certificate, cs=(a.spec.zero(),) * (a.nrows - 1)))
+
+    return mutated
+
+
+@pytest.mark.parametrize(
+    "module,name,mutation,check,clause",
+    [
+        (graph, "restricted_distance_le_3", lambda fn: lambda a, b: None, "ex410", "restricted=False"),
+        (commute, "pc_verify", lambda fn: lambda a, b, cert: True, "invariant-suites", "forged_rejected=False"),
+        (commute, "pc_search", _zeroed_cs, "derogatory-certificates", "0/50"),
+    ],
+    ids=["restricted-search-finds-nothing", "pc-verify-accepts-all", "pc-search-zeroes-cs"],
+)
+def test_a_mutated_library_function_fails_its_check(monkeypatch, module, name, mutation, check, clause):
+    monkeypatch.setattr(module, name, mutation(getattr(module, name)))
+    [result] = verify.verify_paper([check])
+    assert not result.passed and clause in result.actual.split(", ")
