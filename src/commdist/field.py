@@ -175,7 +175,7 @@ class FieldSpec:
             if k == 2 and p % 4 == 3:
                 modulus: tuple[int, ...] = (1, 0, 1)  # x^2 + 1, irreducible since -1 is a non-square
             else:
-                raise ParseError(f"gf({base}) needs an explicit modulus")
+                raise ParseError(f"gf({base if caret is None else f'{p}^{_echo(k)}'}) needs an explicit modulus")
         else:
             modulus = tuple(int(c) for c in coeffs.split(","))
         return cls.extension(p, k, modulus)

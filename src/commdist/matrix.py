@@ -665,7 +665,12 @@ def _lifts(spec: FieldSpec, *mats: np.ndarray) -> np.ndarray:
 def _gauss_jordan(spec: FieldSpec, mat: np.ndarray) -> np.ndarray:
     """Gauss-Jordan in place over an (S, rows, cols) batch of the `_row_ops`
     dtype; returns pivot_row (S, cols), -1 for a free column.  A column's
-    pivot is the first unused row with a nonzero entry, and rows are never swapped."""
+    pivot is the first unused row with a nonzero entry, and rows are never swapped.
+
+    At column c every unused row, the pivot row among them, is zero left of c, so only
+    columns c: change.  A column where more than half of the pivot members' rows have
+    an entry to clear (the narrow power, commutator and L(c) stacks) takes one broadcast
+    update, a zero factor a no-op; sparser columns (the lifts) gather just those rows."""
     arith = _row_ops(spec)
     size, rows, cols = mat.shape
     batch = np.arange(size)
@@ -676,12 +681,16 @@ def _gauss_jordan(spec: FieldSpec, mat: np.ndarray) -> np.ndarray:
         b, r = batch[has], open_[has].argmax(1)  # the members with a pivot here
         if not len(b):
             continue
-        prow = arith.mul(mat[b, r], arith.invs(mat[b, r, c])[:, None])
+        prow = arith.mul(mat[b, r, c:], arith.invs(mat[b, r, c])[:, None])
         factor = mat[b, :, c]
         factor[np.arange(len(b)), r] = 0
-        fb, fr = np.nonzero(factor)  # only the rows with something to clear
-        mat[b[fb], fr] = arith.add(mat[b[fb], fr], arith.neg_mul(factor[fb, fr][:, None], prow[fb]))
-        mat[b, r] = prow
+        if 2 * np.count_nonzero(factor) > factor.size:  # dense: one broadcast update
+            bs = slice(None) if len(b) == size else b  # a slice updates through a view
+            mat[bs, :, c:] = arith.add(mat[bs, :, c:], arith.neg_mul(factor[:, :, None], prow[:, None, :]))
+        else:
+            fb, fr = np.nonzero(factor)  # only the rows with something to clear
+            mat[b[fb], fr, c:] = arith.add(mat[b[fb], fr, c:], arith.neg_mul(factor[fb, fr][:, None], prow[fb]))
+        mat[b, r, c:] = prow
         used[b, r] = True
         pivot_row[b, c] = r
     return pivot_row

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,20 @@ def test_prime_powers_are_the_integer_roots_that_pass_the_prime_test():
     powers = [p**k for p in small_primes for k in range(1, 31) if p**k < 2**31]
     for n in [*range(2**16), *powers, 2**31 - 1]:
         assert _outcome(lambda: FieldSpec.parse(f"gf({n})")) == _parse_by_trial_division(n), n
+
+
+@pytest.mark.parametrize(
+    "text,named", [("gf(27)", "gf(27)"), ("gf(3^3)", "gf(3^3)"), ("gf(2^2)", "gf(2^2)"), ("GF( 5^3 )", "gf(5^3)")]
+)
+def test_a_missing_modulus_names_the_field_as_written(text, named):
+    with pytest.raises(ParseError, match=f"^{re.escape(named)} needs an explicit modulus$"):
+        FieldSpec.parse(text)
+
+
+def test_a_missing_modulus_echoes_a_long_exponent_cut():
+    with pytest.raises(ParseError, match="needs an explicit modulus") as info:
+        FieldSpec.parse("gf(2^" + "9" * 200 + ")")
+    assert len(str(info.value)) < 120 and "..." in str(info.value)
 
 
 def test_rational_strings_parse_as_fraction_does_below_the_exponent_limit():

@@ -814,6 +814,60 @@ def test_batched_pivot_inverses_match_the_scalar_inverse(spec, elements):
     assert inverses.tolist() == [spec.ops().inv(int(x)) for x in xs]
 
 
+def _gauss_jordan_one(spec, rows):
+    """(pivot_row, reduced rows) of one member by the scalar field operations: a
+    column's pivot is its first unused row with a nonzero entry, and rows stay in place."""
+    ops, rows = spec.ops(), [[int(x) for x in row] for row in rows]
+    used, pivot_row = set(), []
+    for c in range(len(rows[0])):
+        r = next((i for i, row in enumerate(rows) if i not in used and row[c] != ops.zero), -1)
+        pivot_row.append(r)
+        if r < 0:
+            continue
+        inv = ops.inv(rows[r][c])
+        rows[r] = [ops.mul(inv, x) for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != ops.zero:
+                rows[i] = [ops.sub(x, ops.mul(row[c], y)) for x, y in zip(row, rows[r])]
+        used.add(r)
+    return pivot_row, rows
+
+
+def _elimination_batches(spec, seed):
+    """Batches of the shapes `_gauss_jordan` meets: dense narrow stacks like the power and
+    commutator stacks, single and stacked lifts, batches of one, all-zero members and
+    members whose columns repeat, so that some column has no pivot."""
+    rng, q = np.random.default_rng(seed), spec.order
+    dense = rng.integers(1, q, (24, 9, 3)) * (rng.random((24, 9, 3)) < 0.9)
+    edged = dense.copy()
+    edged[0], edged[1, :, 1], edged[2, :, 2] = 0, 0, edged[2, :, 0]
+    sparse = rng.integers(0, q, (2, 6, 3, 3)) * (rng.random((2, 6, 3, 3)) < 0.4)
+    sparse[0, 0] = np.eye(3, dtype=np.int64)  # a scalar matrix lifts to the zero member
+    return [
+        dense, edged, dense[:1], edged[1:2],
+        rng.integers(1, q, (6, 16, 4)) * (rng.random((6, 16, 4)) < 0.7),
+        matrix._lifts(spec, sparse[0]), matrix._lifts(spec, *sparse), matrix._lifts(spec, sparse[1, :1]),
+    ]
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4, GF9, FieldSpec.prime(257), GF17_2], ids=str)
+def test_batched_gauss_jordan_matches_a_per_member_elimination(monkeypatch, spec):
+    # every `_row_ops` arithmetic: the uint8 tables, int64 products mod p and base-p digits
+    arith, batches, branches = matrix._row_ops(spec), _elimination_batches(spec, spec.order), set()
+
+    def neg_mul(x, y):  # the broadcast update passes 3-D factors, the gathered one 2-D
+        branches.add("broadcast" if x.ndim == 3 else "gathered")
+        return arith.neg_mul(x, y)
+
+    monkeypatch.setattr(matrix, "_row_ops", lambda spec_: arith._replace(neg_mul=neg_mul))
+    for batch in batches:
+        mat = batch.astype(arith.dtype)
+        pivot_row = matrix._gauss_jordan(spec, mat)
+        for member, got_pivots, got_rows in zip(batch, pivot_row.tolist(), mat.tolist()):
+            assert (got_pivots, got_rows) == _gauss_jordan_one(spec, member)
+    assert branches == {"broadcast", "gathered"}
+
+
 def _lift_mask(spec, n, x, y):
     return matrix._stack_ranks(spec, n, x, y) <= n * n - 2
 

@@ -1,14 +1,15 @@
 """The reference checks can fail: the template evaluator reads what it is
 given, a wrong lift or centralizer member fails its worked example, a broken
-restricted search or certificate check fails the check that relies on it, and
-a check that raises becomes a failing row."""
+restricted search, certificate check or elimination kernel fails the check
+that relies on it, and a check that raises becomes a failing row."""
 
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from commdist import commute, graph, verify
+from commdist import commute, graph, matrix, verify
 from commdist.matrix import ExactMatrix
 
 
@@ -84,14 +85,28 @@ def _zeroed_cs(search):
     return mutated
 
 
+def _last_pivot_dropped(eliminate):
+    def mutated(spec, mat):
+        pivot_row = eliminate(spec, mat)
+        last = pivot_row.shape[1] - 1 - (pivot_row[:, ::-1] >= 0).argmax(1)
+        pivot_row[np.arange(len(pivot_row)), last] = -1
+        return pivot_row
+
+    return mutated
+
+
 @pytest.mark.parametrize(
     "module,name,mutation,check,clause",
     [
         (graph, "restricted_distance_le_3", lambda fn: lambda a, b: None, "ex410", "restricted=False"),
         (commute, "pc_verify", lambda fn: lambda a, b, cert: True, "invariant-suites", "forged_rejected=False"),
         (commute, "pc_search", _zeroed_cs, "derogatory-certificates", "0/50"),
+        (matrix, "_gauss_jordan", _last_pivot_dropped, "census-fixtures", "ccp=144"),
     ],
-    ids=["restricted-search-finds-nothing", "pc-verify-accepts-all", "pc-search-zeroes-cs"],
+    ids=[
+        "restricted-search-finds-nothing", "pc-verify-accepts-all", "pc-search-zeroes-cs",
+        "gauss-jordan-drops-last-pivot",
+    ],
 )
 def test_a_mutated_library_function_fails_its_check(monkeypatch, module, name, mutation, check, clause):
     monkeypatch.setattr(module, name, mutation(getattr(module, name)))
