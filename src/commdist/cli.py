@@ -401,7 +401,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(json.dumps({"error": "cap-exceeded", "detail": str(exc)}), file=sys.stderr)
         return 2
-    except (CommdistError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (CommdistError, OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(
             json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
             file=sys.stderr,

@@ -42,10 +42,9 @@ from .matrix import (
     _commutant,
     _crt,
     _ff_matmul,
+    _first_class,
     _gauss_jordan,
-    _hits,
     _power_stack,
-    _projective_coeffs,
     _rational_reconstruct,
     _row_ops,
     decode_matrix,
@@ -305,24 +304,22 @@ def _exhaustive_pc(a: ExactMatrix, b: ExactMatrix) -> tuple[list, list] | None:
     scaling, whose last nonzero coordinate is at f; every other has a later
     one, and codes compare the last coordinate first, so normalized it is the
     least-code d.  The commutators [A^i, B^j] are the memoized `_comm_grid`,
-    which the distance-2 test of the same pair has formed already; one product
-    L(c) covers a `_blocks` block of classes, and one `_gauss_jordan` finds
-    those with a free column; only the first gets a nullspace.  At most
-    _PC_CLASS_CAP classes.
+    which the distance-2 test of the same pair has formed already; `_first_class`
+    forms L(c) for a `_blocks` block of classes with one product, and one
+    `_gauss_jordan` finds those with a free column; only the first gets a nullspace.
+    At most _PC_CLASS_CAP classes.
     """
-    spec, n = a.spec, a.nrows
-    m, coeffs = n * n, _projective_coeffs(spec, n - 1, _PC_CLASS_CAP)
+    spec, n, m = a.spec, a.nrows, a.nrows**2
     # row i - 1 of lmat is L(e_i) row-major: its column j - 1 is vec([A^i, B^j])
     lmat = _comm_grid(a, b).reshape(n - 1, n - 1, m).transpose(0, 2, 1).reshape(n - 1, m * (n - 1))
 
-    def singular(part):  # the classes whose L(c) has a column without a pivot
-        block = _ff_matmul(spec, coeffs[part], lmat).reshape(-1, m, n - 1)
-        return (_gauss_jordan(spec, block) < 0).any(1)
+    def singular(block):  # the classes whose L(c) has a column without a pivot; elimination runs on a copy
+        return (_gauss_jordan(spec, block.reshape(-1, m, n - 1).copy()) < 0).any(1)
 
-    for idx in _hits(len(coeffs), 8 * m * (n - 1), singular):  # cells of the int64 product
-        lc = _ff_matmul(spec, coeffs[idx : idx + 1], lmat).reshape(m, n - 1)
-        return coeffs[idx].tolist(), _normalize_vector(spec, nullspace_raw(spec, lc.tolist())[0])
-    return None
+    hit = _first_class(spec, lmat, _PC_CLASS_CAP, 8 * m * (n - 1), singular)  # cells of the int64 product
+    if hit is None:
+        return None
+    return hit[0].tolist(), _normalize_vector(spec, nullspace_raw(spec, hit[1].reshape(m, n - 1).tolist())[0])
 
 
 def _certificate(a: ExactMatrix, b: ExactMatrix, cs, ds) -> PcCertificate:
@@ -500,25 +497,10 @@ def distance(a: ExactMatrix, b: ExactMatrix) -> DistanceResult:
         return DistanceResult(
             "bounded", lower=3, upper=math.inf, decided_by="pc-cap-exceeded", note=str(exc)
         )
-    if pc.certificate is not None and not pc.certificate.pa_scalar and not pc.certificate.qb_scalar:
-        pa = poly_eval_no_const(a, pc.certificate.cs)
-        qb = poly_eval_no_const(b, pc.certificate.ds)
-        return DistanceResult(
-            "exact",
-            value=3,
-            decided_by="pc-chain",
-            witness=[pa, qb],
-            certificate=pc.certificate,
-        )
-    if pc.certificate is not None:
-        return DistanceResult(
-            "bounded",
-            lower=3,
-            upper=math.inf,
-            decided_by="pc-scalar-side",
-            certificate=pc.certificate,
-            note="certificate bounds the distance only over an algebraic closure",
-        )
-    return DistanceResult(
-        "bounded", lower=3, upper=math.inf, decided_by=f"pc-{pc.status}", note=pc.note
-    )
+    cert = pc.certificate
+    if cert is not None and not cert.pa_scalar and not cert.qb_scalar:
+        pa, qb = poly_eval_no_const(a, cert.cs), poly_eval_no_const(b, cert.ds)
+        return DistanceResult("exact", value=3, decided_by="pc-chain", witness=[pa, qb], certificate=cert)
+    scalar_side = ("pc-scalar-side", "certificate bounds the distance only over an algebraic closure")
+    rung, note = scalar_side if cert is not None else (f"pc-{pc.status}", pc.note)
+    return DistanceResult("bounded", lower=3, upper=math.inf, decided_by=rung, certificate=cert, note=note)

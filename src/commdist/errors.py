@@ -10,7 +10,7 @@ class ParseError(CommdistError):
 
 
 class NotPrime(ParseError):
-    """Field characteristic failed the trial-division primality check."""
+    """Field characteristic failed the Miller-Rabin primality check."""
 
 
 class ReducibleModulus(ParseError):

@@ -124,11 +124,13 @@ class FieldSpec:
         return cls("prime", p=p)
 
     @classmethod
-    def extension(cls, p: int, k: int, modulus: tuple[int, ...]) -> "FieldSpec":
+    def extension(cls, p: int, k: int, modulus: tuple[int, ...] | None, *, named: str = "") -> "FieldSpec":
+        """GF(p^k) modulo `modulus`, low coefficient first; None takes x^2 + 1 when it is irreducible,
+        and otherwise names the field `named`, gf(p^k) by default, as needing an explicit modulus."""
         if not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if k > _MAX_EXT_DEGREE:
-            raise UnsupportedDegree(f"extension degree {k} > {_MAX_EXT_DEGREE}")
+            raise UnsupportedDegree(f"extension degree {_echo(k)} > {_MAX_EXT_DEGREE}")
         if k < 2:
             raise ParseError("extension degree must be at least 2; use gf(p) for prime fields")
         if p > _MAX_EXT_CHAR:
@@ -136,7 +138,9 @@ class FieldSpec:
                 f"extension characteristic {p} > {_MAX_EXT_CHAR}: "
                 "irreducibility is only checked exhaustively"
             )
-        modulus = tuple(c % p for c in modulus)
+        if modulus is None and not (k == 2 and p % 4 == 3):  # else x^2 + 1: -1 is a non-square mod p
+            raise ParseError(f"{named or f'gf({p}^{k})'} needs an explicit modulus")
+        modulus = tuple(c % p for c in ((1, 0, 1) if modulus is None else modulus))
         if len(modulus) != k + 1:
             raise ParseError(f"modulus needs {k + 1} coefficients, got {len(modulus)}")
         if modulus[-1] != 1:
@@ -153,32 +157,24 @@ class FieldSpec:
         m = _SPEC_RE.match(s)
         if m is None:
             raise ParseError(f"bad field spec {_echo(text)}")
-        base = int(m.group(1))
+        if max(map(len, re.findall(r"\d+", s))) > _MAX_EXPONENT:  # int() refuses longer digit strings
+            raise ParseError(f"field spec {_echo(text)}: a number past {_MAX_EXPONENT} digits")
+        base, caret, coeffs = int(m.group(1)), m.group(2), m.group(3)
         if base >= _MAX_PRIME:  # no supported field is this large
-            raise ParseError(f"gf({base}) exceeds the 2^31 cap")
-        caret = m.group(2)
-        coeffs = m.group(3)
+            raise ParseError(f"gf({_echo(base)}) exceeds the 2^31 cap")
         if caret is not None:
             p, k = base, int(caret)
-            if k == 1:
-                raise ParseError(f"write gf({p}) for a prime field, not gf({p}^1)")
         else:  # base = p^k for at most one prime p, an integer root base^(1/k)
             roots = ((round(base ** (1 / k)), k) for k in range(1, base.bit_length()))
             p, k = next(((r, k) for r, k in roots if r**k == base and _is_prime(r)), (0, 0))
             if not p:
                 raise NotPrime(f"{base} is not a prime power")
-        if k == 1:
-            if coeffs is not None:
-                raise ParseError("prime fields take no modulus")
-            return cls("prime", p=p)  # _is_prime proved p prime, and it is below the cap
-        if coeffs is None:
-            if k == 2 and p % 4 == 3:
-                modulus: tuple[int, ...] = (1, 0, 1)  # x^2 + 1, irreducible since -1 is a non-square
-            else:
-                raise ParseError(f"gf({base if caret is None else f'{p}^{_echo(k)}'}) needs an explicit modulus")
-        else:
-            modulus = tuple(int(c) for c in coeffs.split(","))
-        return cls.extension(p, k, modulus)
+            if k == 1:
+                if coeffs is not None:
+                    raise ParseError("prime fields take no modulus")
+                return cls("prime", p=p)  # _is_prime proved p prime, and it is below the cap
+        modulus = None if coeffs is None else tuple(int(c) for c in coeffs.split(","))
+        return cls.extension(p, k, modulus, named="" if caret else f"gf({base})")
 
     # -- basics --------------------------------------------------------------
 

@@ -29,10 +29,8 @@ from .matrix import (
     _blocks,
     _commutant,
     _commuting_pairs,
-    _ff_matmul,
-    _hits,
+    _first_class,
     _orbits,
-    _projective_coeffs,
     _scalar_codes,
     _shares_commuter,
     decode_matrix,
@@ -275,11 +273,12 @@ def restricted_distance_le_3(a: ExactMatrix, b: ExactMatrix):
     identity, which suffices: commuting with D is unchanged under
     C -> u*C + v*I, so one representative per projective class of the quotient
     centralizer(a)/<I> covers every candidate, in the code order of
-    `_projective_coeffs` and at most _CLASS_CAP of them.  One product forms the C of a
-    `_blocks` block, and `_shares_commuter` (B's powers formed once) tells which share a
+    `_projective_coeffs` and at most _CLASS_CAP of them.  `_first_class` forms the C of a
+    `_blocks` block with one product, and `_shares_commuter` (B's powers formed once) tells which share a
     non-scalar commuter with B, from the n - 1 commutators [B^k, C] when B is nonderogatory,
-    else [C^k, B], else the lifts; only the first such class gets `_commutant`.  Complete
-    for the <=3 question; returns the chain (C, D) or None."""
+    else [C^k, B], else the lifts; only the first such class gets `_commutant`, whose
+    [0] raises if the two kernels disagree.  Complete for the <=3 question; returns the
+    chain (C, D) or None."""
     _check_vertex_pair(a, b)
     spec, n = a.spec, a.nrows
     basis = _commutant(a)
@@ -287,13 +286,12 @@ def restricted_distance_le_3(a: ExactMatrix, b: ExactMatrix):
     # entry, is diagonal, so the others and all but the last of those span the quotient
     last = max(k for k, v in enumerate(basis) if max(i for i, x in enumerate(v) if x) % (n + 1) == 0)
     quotient = np.array(basis[:last] + basis[last + 1 :])
-    coeffs = _projective_coeffs(spec, len(quotient), _CLASS_CAP)
 
-    def joint(part):  # the classes whose C shares a non-scalar commuter with b
-        cs = _ff_matmul(spec, coeffs[part], quotient).reshape(-1, n, n)
-        return _shares_commuter(spec, n, np.array([b.rows]), cs)
+    def joint(block):  # the classes whose C shares a non-scalar commuter with b
+        return _shares_commuter(spec, n, np.array([b.rows]), block.reshape(-1, n, n))
 
-    for idx in _hits(len(coeffs), 2 * n**4, joint):  # the first hit is final: [0] raises if the kernels disagree
-        c_mat = unvec(spec, n, _ff_matmul(spec, coeffs[idx : idx + 1], quotient)[0].tolist())
-        return c_mat, [d for d in (unvec(spec, n, v) for v in _commutant(c_mat, b)) if not is_scalar(d)][0]
-    return None
+    hit = _first_class(spec, quotient, _CLASS_CAP, 2 * n**4, joint)
+    if hit is None:
+        return None
+    c_mat = unvec(spec, n, hit[1].tolist())  # the first hit is final
+    return c_mat, [d for d in (unvec(spec, n, v) for v in _commutant(c_mat, b)) if not is_scalar(d)][0]

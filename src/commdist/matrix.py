@@ -629,11 +629,17 @@ def _blocks(count: int, cells_per_item: int):
     return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
-def _hits(count: int, cells_per_item: int, test):
-    """The items i < count that pass `test`, a mask over one `_blocks` slice,
-    ascending and lazily, so a caller that stops early skips later blocks."""
-    for part in _blocks(count, cells_per_item):
-        yield from (part.start + np.flatnonzero(test(part))).tolist()
+def _first_class(spec: FieldSpec, basis: np.ndarray, cap: int, cells: int, test):
+    """The first `_projective_coeffs` class c of `basis`, in code order and at most `cap` of them,
+    whose combination c @ basis passes `test`, a mask over one `_blocks` block of combinations
+    at `cells` cells a class: (c, c @ basis) as numpy rows, or None.  No block follows a hit."""
+    coeffs = _projective_coeffs(spec, len(basis), cap)
+    for part in _blocks(len(coeffs), cells):
+        combos = _ff_matmul(spec, coeffs[part], basis)
+        hits = np.flatnonzero(test(combos))
+        if len(hits):
+            return coeffs[part.start + hits[0]], combos[hits[0]]
+    return None
 
 
 def _code_digits(q: int, codes: np.ndarray, length: int) -> np.ndarray:

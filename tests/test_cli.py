@@ -76,6 +76,15 @@ def test_huge_field_base_exits_1_at_once():
         assert err["error"] == "ParseError" and "exceeds the 2^31 cap" in err["detail"]
 
 
+def test_overlong_field_spec_numbers_exit_1_with_a_parse_error(capsys):
+    # int() refuses a string of more than 4300 digits with a bare ValueError
+    for field in ("gf(" + "9" * 5000 + ")", "gf(2^" + "9" * 5000 + ")"):
+        assert main(["census", "--field", field, "--n", "2", "--quantity", "commuting-pairs"]) == 1
+        out = capsys.readouterr()
+        err = json.loads(out.err)
+        assert out.out == "" and err["error"] == "ParseError" and len(err["detail"]) <= 120
+
+
 def test_rational_exponent_bombs_exit_1_at_once():
     # Fraction("1e-99999999") builds a 10^99999999 denominator: minutes of CPU
     src = str(Path(commdist.__file__).resolve().parent.parent)

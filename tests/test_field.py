@@ -122,8 +122,9 @@ def _parse_by_trial_division(n):
     p, k = pk
     if k == 1:
         return FieldSpec("prime", p=p)
-    if k == 2 and p % 4 == 3:
-        return _outcome(lambda: FieldSpec.extension(p, 2, (1, 0, 1)))
+    # x^2 + 1 is the default modulus; the degree and characteristic caps come before a missing one
+    if k == 2 and p % 4 == 3 or k > 4 or p > 31:
+        return _outcome(lambda: FieldSpec.extension(p, k, (1, 0, 1)))
     return ParseError, f"gf({n}) needs an explicit modulus"
 
 
@@ -143,9 +144,27 @@ def test_a_missing_modulus_names_the_field_as_written(text, named):
 
 
 def test_a_missing_modulus_echoes_a_long_exponent_cut():
-    with pytest.raises(ParseError, match="needs an explicit modulus") as info:
+    # the degree cap is checked before the modulus, so this is an unsupported degree
+    with pytest.raises(UnsupportedDegree, match="extension degree") as info:
         FieldSpec.parse("gf(2^" + "9" * 200 + ")")
     assert len(str(info.value)) < 120 and "..." in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("gf(" + "9" * 5000 + ")", ParseError),  # past the interpreter's int-string digit limit
+        ("gf(2^" + "9" * 5000 + ")", ParseError),
+        ("gf(2^0)", ParseError),  # every extension rule runs before a missing modulus is named
+        ("gf(2^9)", UnsupportedDegree),
+        ("gf(4^2)", NotPrime),
+    ],
+)
+def test_field_specs_fail_with_their_own_type_and_a_bounded_message(text, error):
+    with pytest.raises(ParseError) as info:
+        FieldSpec.parse(text)
+    assert type(info.value) is error and len(str(info.value)) <= 120
+    assert "needs an explicit modulus" not in str(info.value)
 
 
 def test_rational_strings_parse_as_fraction_does_below_the_exponent_limit():

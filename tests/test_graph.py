@@ -467,6 +467,22 @@ def test_restricted_mode_matches_the_class_loop(spec, n, seed, monkeypatch):
     assert [gr.restricted_distance_le_3(a, b) for a, b in pairs] == want
 
 
+@pytest.mark.parametrize("spec, seed", [(GF3, 5), (FieldSpec.parse("gf(9)"), 6)], ids=str)
+def test_restricted_mode_first_hit_survives_one_class_blocks(spec, seed, monkeypatch):
+    # one class per block: a first hit past the first class lies in a later block
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < 16:
+        a, b = random_matrix(spec, 3, 3, rng), random_matrix(spec, 3, 3, rng)
+        a = a @ a if rng.random() < 0.3 else a
+        if not (cm.is_scalar(a) or cm.is_scalar(b)):
+            pairs.append((a, b))
+    want = [gr.restricted_distance_le_3(a, b) for a, b in pairs]
+    assert {w is None for w in want} == {True, False}
+    monkeypatch.setattr(matrix, "_BATCH_CELLS", 1)
+    assert [gr.restricted_distance_le_3(a, b) for a, b in pairs] == want
+
+
 def test_restricted_mode_blocks_bundled_pair_mod_three():
     a3 = load_fixture("ex46_A").to_field(GF3)
     b3 = load_fixture("ex46_B").to_field(GF3)

@@ -13,7 +13,8 @@ commutator grid forms its numpy powers on purpose: reading them off the
 stack measured slower on the ladder-gf workload), one joint-commutant
 function alone takes nullspaces of lift rows and forms none for a rational
 nonderogatory member, one memoized commutator grid serves a finite-field pair's
-commutant and certificate scan, entries turn raw by one rule and polynomial evaluation
+commutant and certificate scan, both distance-3 scans walk their classes
+through one helper, entries turn raw by one rule and polynomial evaluation
 is one product in that stack, `field._ops_for` alone builds the scalar kit
 of each field, with one zero-inverse check, the CLI's handlers return only
 their answer to `main`, which alone echoes the config, BFS sweeps yield their
@@ -23,6 +24,7 @@ name is used by the library or the benchmark."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 from types import ModuleType
 
@@ -359,6 +361,15 @@ def test_one_commutator_grid_per_finite_field_pair():
     assert "_comm_grid" in _called_in(scan)
     assert not any(isinstance(node, ast.While) for node in ast.walk(scan))
     assert "rows" not in {node.attr for node in ast.walk(scan) if isinstance(node, ast.Attribute)}
+
+
+def test_both_distance_3_scans_walk_their_classes_through_one_helper():
+    # `_first_class` alone walks the projective classes block by block and keeps the first hit
+    assert [path.name for path in MODULES if re.search(r"\b_hits\b", path.read_text())] == []
+    assert _definers("_first_class") == {("matrix.py", "_first_class")}
+    assert _top_level_users(*MODULES, name="_projective_coeffs") == {("matrix.py", "_first_class")}
+    for path, name in [("commute.py", "_exhaustive_pc"), ("graph.py", "restricted_distance_le_3")]:
+        assert "_first_class" in _called_in(_function(SRC / path, name)), name
 
 
 def test_every_cap_lives_in_matrix():
