@@ -10,7 +10,7 @@ how an index range is partitioned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
@@ -46,14 +46,8 @@ class CensusReport:
     extra: dict = dc_field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = {
-            "field": self.field,
-            "n": self.n,
-            "quantity": self.quantity,
-            "mode": self.mode,
-            "value": self.value,
-        }
-        out.update(self.extra)
+        out = asdict(self)
+        out.update(out.pop("extra"))
         return out
 
 
@@ -119,51 +113,40 @@ def count_dist_le_2(
     where C runs over the `_twin_reps` codes only, as twins share C(C).
     """
     total = space_size(spec, n, SPACE_CAP if samples is None else None)
-    if samples is None:
-        if n < 2:
-            raise DimMismatch("the rank criterion needs n >= 2")
-        reps, sizes = _orbits(spec, n)  # the orbit of code 0 is the scalars
-        twin = np.zeros(total, bool)
-        twin[_twin_reps(spec, n)] = True
-        count = int(sizes[0]) * total
-        for ends, spans in _commuting_pairs(spec, n, reps[1:]):
-            for a, span in zip(ends.tolist(), spans):
-                reached = np.zeros(total, bool)
-                for _, cents in _commuting_pairs(spec, n, span[twin[span]]):
-                    reached[cents] = True
-                count += int(sizes[np.searchsorted(reps, a)]) * int(reached.sum())
-        return CensusReport(
-            spec.to_string(),
-            n,
-            "pairs_dist_le_2",
-            {"kind": "exhaustive"},
-            count,
-        )
-    if samples < 1:
+    if samples is not None and samples < 1:
         raise ValueError(f"the sample count must be at least 1, got {samples}")
     if n < 2:
         raise DimMismatch("the rank criterion needs n >= 2")
-    hits = sum(int(_shares_commuter(spec, n, a, b).sum()) for a, b in _sampled_pairs(spec, n, samples, seed))
-    return CensusReport(
-        spec.to_string(),
-        n,
-        "pairs_dist_le_2",
-        {"kind": "sampled", "samples": samples, "seed": seed},
-        _estimate(hits, samples, total * total),
-    )
+    if samples is not None:
+        pairs = _sampled_pairs(spec, n, samples, seed)
+        hits = sum(int(_shares_commuter(spec, n, a, b).sum()) for a, b in pairs)
+        return _sampled_report(spec, n, "pairs_dist_le_2", samples, seed, hits)
+    reps, sizes = _orbits(spec, n)  # the orbit of code 0 is the scalars
+    twin = np.zeros(total, bool)
+    twin[_twin_reps(spec, n)] = True
+    count = int(sizes[0]) * total
+    for ends, spans in _commuting_pairs(spec, n, reps[1:]):
+        for a, span in zip(ends.tolist(), spans):
+            reached = np.zeros(total, bool)
+            for _, cents in _commuting_pairs(spec, n, span[twin[span]]):
+                reached[cents] = True
+            count += int(sizes[np.searchsorted(reps, a)]) * int(reached.sum())
+    return CensusReport(spec.to_string(), n, "pairs_dist_le_2", {"kind": "exhaustive"}, count)
 
 
-def _estimate(hits: int, samples: int, universe: int) -> dict:
-    frac = Fraction(hits, samples)
-    p_hat = hits / samples
+def _sampled_report(spec: FieldSpec, n: int, quantity: str, samples: int, seed: int, hits: int, **extra):
+    """The estimate from `hits` of `samples` seeded pairs, scaled to all q^(2n^2) pairs."""
+    frac, p_hat = Fraction(hits, samples), hits / samples
     stderr = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / samples)
-    return {
+    estimate = {
         "hits": hits,
         "samples": samples,
         "fraction": f"{frac.numerator}/{frac.denominator}",
-        "scaled": str(frac * universe),
+        "scaled": str(frac * spec.order ** (2 * n * n)),
         "stderr_fraction": stderr,
     }
+    mode = {"kind": "sampled", "samples": samples, "seed": seed}
+    return CensusReport(spec.to_string(), n, quantity, mode, estimate, extra)
 
 
 def derogatory_count(spec: FieldSpec, n: int) -> CensusReport:
@@ -198,7 +181,7 @@ def zi_pair_census(
     """
     if samples < 1:
         raise ValueError(f"the sample count must be at least 1, got {samples}")
-    total = space_size(spec, n, None)
+    space_size(spec, n, None)  # field and size errors before the rank check
     if not 1 <= i <= n // 2:
         raise DimMismatch(f"rank {i} outside 1..floor(n/2)")
     pool = _code_stack(spec, n, [code for code, r in idempotent_pool(spec, n) if r == i])
@@ -211,12 +194,7 @@ def zi_pair_census(
             x, y, e = (ExactMatrix._from_raw(spec, m.tolist()) for m in (a[s], b[s], pool[j]))
             zi_membership(x, y, i, witness=e)
         hits += len(hit)
-    return CensusReport(
-        spec.to_string(),
-        n,
-        f"zi_pair_count({i})",
-        {"kind": "sampled", "samples": samples, "seed": seed},
-        _estimate(hits, samples, total * total),
-        extra={"i": i, "idempotents_of_rank_i": len(pool), "crosschecked": True},
+    return _sampled_report(
+        spec, n, f"zi_pair_count({i})", samples, seed, hits,
+        i=i, idempotents_of_rank_i=len(pool), crosschecked=True,
     )
-

@@ -264,17 +264,7 @@ def _cmd_verify_paper(args) -> dict:
     print("ALL CHECKS PASS" if ok else "SOME CHECKS FAILED")
     if args.out:
         report = {
-            "checks": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "in_budget": r.in_budget,
-                    "seconds": round(r.seconds, 3),
-                    "expected": r.expected,
-                    "actual": r.actual,
-                }
-                for r in results
-            ],
+            "checks": [r.to_json() for r in results],
             "all_pass": ok,
             "config": {"subcommand": "verify-paper", "only": args.only},
         }

@@ -35,6 +35,7 @@ from .matrix import (
     _PC_CLASS_CAP,
     ExactMatrix,
     _blocks,
+    _check_classes,
     _check_square,
     _code_digits,
     _code_stack,
@@ -310,6 +311,7 @@ def _exhaustive_pc(a: ExactMatrix, b: ExactMatrix) -> tuple[list, list] | None:
     At most _PC_CLASS_CAP classes.
     """
     spec, n, m = a.spec, a.nrows, a.nrows**2
+    _check_classes(spec, n - 1, _PC_CLASS_CAP)  # before the grid, which a scan past the cap would not use
     # row i - 1 of lmat is L(e_i) row-major: its column j - 1 is vec([A^i, B^j])
     lmat = _comm_grid(a, b).reshape(n - 1, n - 1, m).transpose(0, 2, 1).reshape(n - 1, m * (n - 1))
 

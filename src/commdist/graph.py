@@ -257,8 +257,7 @@ def diameter(spec: FieldSpec, n: int) -> int:
     """Largest finite eccentricity over all vertices: one BFS sweep from each
     non-scalar orbit representative, since automorphisms keep eccentricity."""
     space_size(spec, n, DIAMETER_CAP)
-    scalars = _scalar_codes(spec, n)
-    sweeps = (_bfs(spec, n, c) for c in _orbits(spec, n)[0].tolist() if c not in scalars)
+    sweeps = (_bfs(spec, n, c) for c in _orbits(spec, n)[0][1:].tolist())  # the orbit of code 0 is the scalars
     return max((sum(1 for _ in levels) - 1 for levels in sweeps), default=0)
 
 

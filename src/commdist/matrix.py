@@ -305,15 +305,19 @@ def _projective_reps(spec: FieldSpec, length: int) -> np.ndarray:
     return np.sort(np.concatenate([np.zeros(0, np.int64), *leads]))
 
 
+def _check_classes(spec: FieldSpec, length: int, cap: int) -> None:
+    """CapExceeded if the (q^length - 1)/(q - 1) projective classes of length-`length` vectors exceed `cap`."""
+    classes = (spec.order**length - 1) // (spec.order - 1)
+    if classes > cap:
+        raise CapExceeded(f"{classes} projective classes exceed 2^{cap.bit_length() - 1}")
+
+
 @functools.lru_cache(maxsize=16)
 def _projective_coeffs(spec: FieldSpec, length: int, cap: int) -> np.ndarray:
     """The coefficient vectors of `_projective_reps`, in the same order, as a read-only
     (classes, length) array; CapExceeded above `cap` classes, which lru_cache never keeps."""
-    q = spec.order
-    classes = (q**length - 1) // (q - 1)
-    if classes > cap:
-        raise CapExceeded(f"{classes} projective classes exceed 2^{cap.bit_length() - 1}")
-    out = _code_digits(q, _projective_reps(spec, length), length)
+    _check_classes(spec, length, cap)
+    out = _code_digits(spec.order, _projective_reps(spec, length), length)
     out.flags.writeable = False
     return out
 

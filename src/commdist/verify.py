@@ -12,7 +12,7 @@ import json
 import random
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 
 from . import census as cs
@@ -108,9 +108,33 @@ class CheckResult:
             f"expected {self.expected} | actual {self.actual}"
         )
 
+    def to_json(self) -> dict:
+        """The check's `verify-paper --out` record: whether it passed and ran in budget, its seconds."""
+        out = asdict(self)
+        del out["budget_s"]
+        return {**out, "in_budget": self.in_budget, "seconds": round(self.seconds, 3)}
+
 
 # ---------------------------------------------------------------------------
 # the individual checks; each returns (passed, expected, actual)
+
+
+def _vertices(spec: FieldSpec, n: int) -> list[int]:
+    """The codes of the non-scalar n x n matrices, ascending."""
+    scalars = gr._scalar_codes(spec, n)
+    return [c for c in range(spec.order ** (n * n)) if c not in scalars]
+
+
+def _blocked(a: ExactMatrix, b: ExactMatrix) -> bool:
+    """No chain of length at most 3: a and b do not commute, share no commuter, and the restricted search fails."""
+    return not cm.commutes(a, b) and not cm.dist_le_2(a, b) and gr.restricted_distance_le_3(a, b) is None
+
+
+def _seeded_pairs(spec: FieldSpec, n: int, seed: int, count: int):
+    """`count` seeded pairs of n x n matrices, from `cs.sample_codes` over all ordered pairs."""
+    total = spec.order ** (n * n)
+    for pair_code in cs.sample_codes(seed, 0, count, total * total):
+        yield tuple(gr.decode_matrix(spec, n, code) for code in divmod(pair_code, total))
 
 
 def check_ex25_distance():
@@ -137,8 +161,7 @@ def check_ex32_lift_template():
 
 def check_rank_criterion_vs_bfs():
     """Exhaustive agreement between the rank test and graph distance <= 2."""
-    scalars = gr._scalar_codes(GF2, 3)
-    verts = [c for c in range(512) if c not in scalars]
+    verts = _vertices(GF2, 3)
     mats = {c: gr.decode_matrix(GF2, 3, c) for c in verts}
     le2_cache: dict[frozenset, bool] = {}
     disagreements = 0
@@ -159,12 +182,9 @@ def check_rank_criterion_vs_bfs():
 def check_two_by_two_dichotomy():
     outcomes = []
     for spec in (GF2, GF3):
-        scalars = gr._scalar_codes(spec, 2)
-        total = spec.order**4
-        verts = [c for c in range(total) if c not in scalars]
         dist2 = 0
         reached = set()  # one reached set per component, counted by the sweeps themselves
-        for code in verts:
+        for code in _vertices(spec, 2):
             report = gr.bfs_report(gr.decode_matrix(spec, 2, code))
             dist2 += sum(1 for d in report.distances.values() if d == 2)
             reached.add(frozenset(report.distances))
@@ -182,15 +202,7 @@ def check_ex46():
     template_ok = not any(_misfits(_EX46_C, c, c) for c in za) and not any(_misfits(_EX46_D, d, d) for d in zb)
     mp = [c.to_json() for c in min_poly(a)]
     minpoly_ok = mp == [0, -4, 0, 1]  # x^3 - 4x
-    blocked = []
-    for spec in (GF3, GF7):
-        ap, bp = a.to_field(spec), b.to_field(spec)
-        no_chain = (
-            not cm.commutes(ap, bp)
-            and not cm.dist_le_2(ap, bp)
-            and gr.restricted_distance_le_3(ap, bp) is None
-        )
-        blocked.append(no_chain)
+    blocked = [_blocked(a.to_field(spec), b.to_field(spec)) for spec in (GF3, GF7)]
     a9, b9 = a.to_field(GF9), b.to_field(GF9)
     pc = cm.pc_search(a9, b9)
     cert_ok = pc.status == "certificate" and cm.pc_verify(a9, b9, pc.certificate)
@@ -214,12 +226,7 @@ def check_ex410():
     d3 = res.kind == "exact" and res.value == 3 and cm.verify_chain(a9, b9, res.witness)
     found = gr.restricted_distance_le_3(a9, b9)
     restricted = found is not None and cm.verify_chain(a9, b9, list(found))
-    a3, b3 = a.to_field(GF3), b.to_field(GF3)
-    blocked = (
-        not cm.commutes(a3, b3)
-        and not cm.dist_le_2(a3, b3)
-        and gr.restricted_distance_le_3(a3, b3) is None
-    )
+    blocked = _blocked(a.to_field(GF3), b.to_field(GF3))
     dims_ok = len(cm.centralizer_basis(a)) == 3 and len(cm.centralizer_basis(b)) == 3
     ok = nonscalar and chain_ok and not2 and d3 and restricted and blocked and dims_ok
     return (
@@ -292,12 +299,8 @@ def check_census_fixtures():
     ccp32 = cs.count_commuting_pairs(GF2, 3).value
     bounds_ok = ccp32 < cd32 < 2**18
     # recount a seeded 1000-pair subsample with the pairwise library test
-    total = 512
     sample_ok = True
-    for pair_code in cs.sample_codes(8, 0, 1000, total * total):
-        a_code, b_code = divmod(pair_code, total)
-        a = gr.decode_matrix(GF2, 3, a_code)
-        b = gr.decode_matrix(GF2, 3, b_code)
+    for a, b in _seeded_pairs(GF2, 3, 8, 1000):
         want = cm.dist_le_2(a, b)
         # independent recount: search the joint nullspace for a non-scalar member
         joint = cm.common_nonscalar_commuter(a, b) is not None
@@ -343,11 +346,7 @@ def check_invariant_suites():
     pc_ok = True
     pc_hits = 0
     forged_ok = True
-    total = 3**9
-    for pair_code in cs.sample_codes(11, 0, 200, total * total):
-        a_code, b_code = divmod(pair_code, total)
-        a = gr.decode_matrix(GF3, 3, a_code)
-        b = gr.decode_matrix(GF3, 3, b_code)
+    for a, b in _seeded_pairs(GF3, 3, 11, 200):
         if cm.is_scalar(a) or cm.is_scalar(b):
             continue
         pc = cm.pc_search(a, b)
@@ -373,19 +372,9 @@ def check_invariant_suites():
 
 def check_graph_snapshots():
     snap = load_snapshot("graph")
-    actual = {}
-    for key, spec, n in (("2|gf(2)", GF2, 2), ("2|gf(3)", GF3, 2), ("3|gf(2)", GF2, 3)):
-        comp = gr.components(spec, n)
-        actual[key] = {
-            "vertex_count": comp.vertex_count,
-            "count": comp.count,
-            "sizes": comp.sizes,
-        }
-    comp_ok = all(actual[k] == snap["components"][k] for k in actual)
-    diam_ok = all(
-        gr.diameter(spec, n) == snap["diameter"][key]
-        for key, spec, n in (("2|gf(2)", GF2, 2), ("2|gf(3)", GF3, 2), ("3|gf(2)", GF2, 3))
-    )
+    cases = [("2|gf(2)", GF2, 2), ("2|gf(3)", GF3, 2), ("3|gf(2)", GF2, 3)]
+    comp_ok = all(gr.components(spec, n).to_json() == snap["components"][key] for key, spec, n in cases)
+    diam_ok = all(gr.diameter(spec, n) == snap["diameter"][key] for key, spec, n in cases)
     return comp_ok and diam_ok, "components and diameters match snapshots", f"components={comp_ok}, diameters={diam_ok}"
 
 

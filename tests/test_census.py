@@ -217,6 +217,18 @@ def test_sampled_dist_le_2_needs_n_at_least_2():
         cs.count_dist_le_2(GF2, 1, samples=10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "spec,n,samples,error",
+    [(GF2, 1, 0, ValueError), (GF2, 1, None, DimMismatch), (GF2, 1, 5, DimMismatch), (QQ, 3, 0, FieldMismatch)],
+    ids=["samples-before-n", "exhaustive-n", "sampled-n", "field-before-samples"],
+)
+def test_count_dist_le_2_checks_field_then_samples_then_n_in_both_modes(spec, n, samples, error):
+    # one check of each input before the exhaustive/sampled branch, in one order
+    with pytest.raises(error) as err:
+        cs.count_dist_le_2(spec, n, samples=samples)
+    assert type(err.value) is error
+
+
 def test_sampling_universes_above_2_to_the_96_are_capped():
     # 128-bit draws reduced modulo a larger universe used to decode every A
     # as the zero matrix, so these calls reported a fraction of 1/1

@@ -969,6 +969,19 @@ def test_distance_bounded_over_rationals():
     assert r46.certificate is not None and r46.certificate.pa_scalar
 
 
+def test_a_scan_past_the_class_cap_forms_no_commutator_grid(monkeypatch):
+    # the class cap is checked before `_comm_grid`, so a prime the rational search
+    # skips, or a finite-field scan that raises, forms no grid it would throw away
+    grids, grid = [], cm._comm_grid
+    monkeypatch.setattr(cm, "_comm_grid", lambda a, b: grids.append(a.spec.order) or grid(a, b))
+    gf11, rng = FieldSpec.prime(11), random.Random(5)
+    with pytest.raises(CapExceeded, match="16105 projective classes exceed 2\\^13"):
+        cm._exhaustive_pc(random_matrix(gf11, 6, 6, rng), random_matrix(gf11, 6, 6, rng))
+    assert grids == []
+    res = cm.pc_search(random_matrix(QQ, 6, 6, rng), random_matrix(QQ, 6, 6, rng))
+    assert "skipped modulo 11" in res.note and 11 not in grids
+
+
 def test_rational_search_skips_primes_beyond_the_class_cap():
     # at n = 6 the scan modulo 11 has 16105 projective classes, above 2^13
     rng = random.Random(5)

@@ -14,12 +14,13 @@ stack measured slower on the ladder-gf workload), one joint-commutant
 function alone takes nullspaces of lift rows and forms none for a rational
 nonderogatory member, one memoized commutator grid serves a finite-field pair's
 commutant and certificate scan, both distance-3 scans walk their classes
-through one helper, entries turn raw by one rule and polynomial evaluation
+through one helper and count them by one rule, entries turn raw by one rule and polynomial evaluation
 is one product in that stack, `field._ops_for` alone builds the scalar kit
 of each field, with one zero-inverse check, the CLI's handlers return only
 their answer to `main`, which alone echoes the config, BFS sweeps yield their
 levels to `bfs_report` and `diameter` alone, the worked-example templates of
-`verify` go through one evaluator of signed entry sums, and every attribute the benchmark's tracer patches exists, and every public
+`verify` go through one evaluator of signed entry sums, every sampled census
+report comes from one function, and every attribute the benchmark's tracer patches exists, and every public
 name is used by the library or the benchmark."""
 
 import ast
@@ -370,6 +371,31 @@ def test_both_distance_3_scans_walk_their_classes_through_one_helper():
     assert _top_level_users(*MODULES, name="_projective_coeffs") == {("matrix.py", "_first_class")}
     for path, name in [("commute.py", "_exhaustive_pc"), ("graph.py", "restricted_distance_le_3")]:
         assert "_first_class" in _called_in(_function(SRC / path, name)), name
+    # one class-count rule, which the certificate scan also checks before it forms its grid
+    assert _top_level_users(*MODULES, name="_check_classes") == {
+        ("matrix.py", "_projective_coeffs"), ("commute.py", "_exhaustive_pc"),
+    }
+    assert sum(path.read_text().count("projective classes exceed") for path in MODULES) == 1
+    scan = _function(SRC / "commute.py", "_exhaustive_pc").body
+    calls = [_called_in(node) for node in scan]
+    assert next(k for k, names in enumerate(calls) if "_check_classes" in names) < next(
+        k for k, names in enumerate(calls) if "_comm_grid" in names
+    )
+
+
+def test_one_sampled_census_report_and_one_input_check_per_count():
+    # every sampled CensusReport comes from one function, `count_dist_le_2` checks its
+    # inputs once before it branches, and `diameter` skips the scalar orbit by position
+    census = (SRC / "census.py").read_text()
+    assert _definers("_estimate") == set() and "_estimate" not in census
+    assert census.count('"kind": "sampled"') == 1
+    raises = [
+        ast.unparse(node.exc.func)
+        for node in ast.walk(_function(SRC / "census.py", "count_dist_le_2"))
+        if isinstance(node, ast.Raise)
+    ]
+    assert raises.count("DimMismatch") == 1
+    assert "_scalar_codes" not in ast.unparse(_function(SRC / "graph.py", "diameter"))
 
 
 def test_every_cap_lives_in_matrix():

@@ -1,7 +1,9 @@
 """The reference checks can fail: the template evaluator reads what it is
-given, a wrong lift or centralizer member fails its worked example, a broken
-restricted search, certificate check or elimination kernel fails the check
-that relies on it, and a check that raises becomes a failing row."""
+given, a wrong lift or centralizer member fails its worked example, each
+mutation of a library function in a standing matrix (a broken restricted
+search, certificate check, elimination kernel, distance, count or rank among
+them) fails one named clause of the check that relies on it, and a check that
+raises becomes a failing row."""
 
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from commdist import commute, graph, matrix, verify
+from commdist import census, commute, graph, matrix, verify
 from commdist.matrix import ExactMatrix
 
 
@@ -95,18 +97,54 @@ def _last_pivot_dropped(eliminate):
     return mutated
 
 
+def _plus_one(fn):
+    return lambda *args: fn(*args) + 1
+
+
+def _value_plus_one(fn):
+    def mutated(*args):
+        res = fn(*args)
+        return replace(res, value=res.value + 1)
+
+    return mutated
+
+
+def _minus_one_when_tall(fn):
+    return lambda spec, rows: fn(spec, rows) - (len(rows) > len(rows[0]))
+
+
+# each mutation of the library breaks one clause of the named check; where another check
+# fails too, the faster one is named (`rank-criterion-vs-bfs` takes seconds)
+MUTATIONS = [
+    ("restricted-search-finds-nothing", graph, "restricted_distance_le_3", lambda fn: lambda a, b: None,
+     "ex410", "restricted=False"),
+    ("pc-verify-accepts-all", commute, "pc_verify", lambda fn: lambda a, b, cert: True,
+     "invariant-suites", "forged_rejected=False"),
+    ("pc-search-zeroes-cs", commute, "pc_search", _zeroed_cs, "derogatory-certificates", "0/50"),
+    ("gauss-jordan-drops-last-pivot", matrix, "_gauss_jordan", _last_pivot_dropped, "census-fixtures", "ccp=144"),
+    ("dist-le-2-always-true", commute, "dist_le_2", lambda fn: lambda a, b: True, "ex410", "not2=False"),
+    ("dist-le-2-always-false", commute, "dist_le_2", lambda fn: lambda a, b: False,
+     "census-fixtures", "sample_ok=False"),
+    ("centralizer-drops-a-member", commute, "centralizer_basis", lambda fn: lambda a: fn(a)[1:],
+     "ex410", "dims_ok=False"),
+    ("derogatory-negated", commute, "derogatory", lambda fn: lambda a: not fn(a), "ex46", "derog=False"),
+    ("distance-off-by-one", commute, "distance", _value_plus_one, "ex25-distance", "d=3"),
+    ("commuting-pairs-plus-one", census, "count_commuting_pairs", _value_plus_one, "census-fixtures", "ccp=89"),
+    ("dist-le-2-count-plus-one", census, "count_dist_le_2", _value_plus_one, "census-fixtures", "cd2=89"),
+    ("bfs-distance-plus-one", graph, "bfs_distance", _plus_one, "invariant-suites", "pc=False(27 hits)"),
+    ("zi-membership-never-finds", commute, "zi_membership", lambda fn: lambda a, b, i: None,
+     "invariant-suites", "zi=True(0 hits)"),
+    ("diameter-plus-one", graph, "diameter", _plus_one, "graph-snapshots", "diameters=False"),
+    ("min-poly-reversed", verify, "min_poly", lambda fn: lambda a: fn(a)[::-1], "ex46", "minpoly=False"),
+    ("rank-raw-wrong-on-tall-matrices", verify, "rank_raw", _minus_one_when_tall,
+     "invariant-suites", "ranknull=False"),
+    ("stack-m-transposed", commute, "stack_M", lambda fn: lambda a, b: fn(a, b).transpose(),
+     "ex32-lift-template", "dims_ok=False"),
+]
+
+
 @pytest.mark.parametrize(
-    "module,name,mutation,check,clause",
-    [
-        (graph, "restricted_distance_le_3", lambda fn: lambda a, b: None, "ex410", "restricted=False"),
-        (commute, "pc_verify", lambda fn: lambda a, b, cert: True, "invariant-suites", "forged_rejected=False"),
-        (commute, "pc_search", _zeroed_cs, "derogatory-certificates", "0/50"),
-        (matrix, "_gauss_jordan", _last_pivot_dropped, "census-fixtures", "ccp=144"),
-    ],
-    ids=[
-        "restricted-search-finds-nothing", "pc-verify-accepts-all", "pc-search-zeroes-cs",
-        "gauss-jordan-drops-last-pivot",
-    ],
+    "module,name,mutation,check,clause", [row[1:] for row in MUTATIONS], ids=[row[0] for row in MUTATIONS]
 )
 def test_a_mutated_library_function_fails_its_check(monkeypatch, module, name, mutation, check, clause):
     monkeypatch.setattr(module, name, mutation(getattr(module, name)))
